@@ -3,9 +3,12 @@ Kuramoto-Sivashinsky equation u_t = -u_xxxx - u_xx + u u_x (+ gamma u for the
 destabilized variant), on x in [-L, L) with zero-mean data.
 
 Fourier coefficients are stored normalized, uhat = fft(u)/N, so Parseval reads
-|u|_2^2 = 2L * sum |uhat|^2. The linear part is treated exactly; the ETD
-phi-function coefficients are averaged over a complex contour to avoid
-cancellation at small |sigma*dt|.
+|u|_2^2 = 2L * sum |uhat|^2. States and trajectories hold the full spectrum;
+time stepping runs on the real-FFT half spectrum m = 0..N/2, rfft(u)/N, so
+one kernel serves `step` and `simulate`. The linear part is treated exactly;
+the ETD phi-function coefficients are averaged over a complex contour to
+avoid cancellation at small |sigma*dt| (Cox & Matthews 2002; Kassam &
+Trefethen 2005).
 """
 
 import math
@@ -96,11 +99,16 @@ _COEFF_CACHE: dict = {}
 
 
 def _etdrk4_coeffs(L, N, dt, gamma):
+    """ETDRK4 coefficients on the half spectrum m = 0..N/2:
+    (E, E2, Q, f1, 2*f2, f3, g), with g = i k/(2N) on the 2/3-rule band and
+    0 above it (1/N normalizes the forward transform in _nonlinear). Stored
+    complex so products with the state need no casting."""
     key = (L, N, dt, gamma)
     hit = _COEFF_CACHE.get(key)
     if hit is not None:
         return hit
-    sig = linear_symbol(L, N, gamma)
+    m = np.arange(N // 2 + 1)
+    sig = linear_symbol(L, N, gamma)[: N // 2 + 1]
     E = np.exp(dt * sig)
     E2 = np.exp(0.5 * dt * sig)
     M = 32
@@ -110,47 +118,92 @@ def _etdrk4_coeffs(L, N, dt, gamma):
     f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1).real
     f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (-2.0 + LR)) / LR**3, axis=1).real
     f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1).real
-    m = np.fft.fftfreq(N, d=1.0 / N)
-    ik_half = 0.5j * (np.pi / L) * m
-    dealias = np.abs(m) <= N // 3
-    coeffs = (E, E2, Q, f1, f2, f3, ik_half * dealias)
+    g = 0.5j * (np.pi / L) * m * (m <= N // 3) / N
+    coeffs = tuple(np.asarray(c, dtype=complex) for c in (E, E2, Q, f1, 2.0 * f2, f3, g))
     if len(_COEFF_CACHE) > 64:
         _COEFF_CACHE.clear()
     _COEFF_CACHE[key] = coeffs
     return coeffs
 
 
-def _nonlinear(v, N, ik_half_dealias):
-    u = np.fft.ifft(v * N).real
-    return ik_half_dealias * (np.fft.fft(u * u) / N)
+def _half(uhat):
+    """Half spectrum (m = 0..N/2) of Re u from full FFT-ordered coefficients:
+    the Hermitian part of uhat at m >= 0."""
+    uhat = np.asarray(uhat, dtype=complex)
+    N = uhat.shape[-1]
+    return 0.5 * (uhat[..., : N // 2 + 1] + np.conj(uhat[..., -np.arange(N // 2 + 1) % N]))
+
+
+def _mirror(full):
+    """Fill modes m < 0 of FFT-ordered spectra (last axis) in place from
+    m = 1..N/2-1, as real data requires."""
+    N = full.shape[-1]
+    full[..., N // 2 + 1 :] = np.conj(full[..., N // 2 - 1 : 0 : -1])
+    return full
+
+
+def _full(w):
+    """Full FFT-ordered coefficients (last axis) from half spectra w."""
+    h = w.shape[-1]
+    out = np.empty(w.shape[:-1] + (2 * (h - 1),), dtype=complex)
+    out[..., :h] = w
+    return _mirror(out)
+
+
+def _power(w):
+    """Per-mode |uhat_m|^2 + |uhat_-m|^2 over the half spectrum, so that
+    |u|_2^2 = 2L * sum(_power(w))."""
+    p = 2.0 * (w.real**2 + w.imag**2)
+    p[..., 0] *= 0.5
+    p[..., -1] *= 0.5
+    return p
+
+
+def _nonlinear(w, g):
+    """g * rfft(u^2) for u the real field of the half spectrum w; with g from
+    _etdrk4_coeffs this is the normalized, dealiased (u^2/2)_x = u u_x."""
+    u = np.fft.irfft(w, norm="forward")
+    u *= u
+    nl = np.fft.rfft(u)
+    nl *= g
+    return nl
 
 
 def _project(v, odd_only):
-    # reality, zero mean, and (optionally) the odd sine subspace
-    v = 0.5 * (v + np.conj(v[(-np.arange(v.size)) % v.size]))
-    if odd_only:
-        v = 1j * v.imag
+    """In place: zero mean, real Nyquist mode and, with odd_only, the odd sine
+    subspace. Reality needs no projection on a real-transform half spectrum."""
     v[0] = 0.0
+    v.imag[-1] = 0.0
+    if odd_only:
+        v.real = 0.0
     return v
+
+
+def _advance(v, coeffs, odd_only, L, t_new):
+    """One projected ETDRK4 step of the half spectrum v into a new array.
+    Raises BlowUpError, with the norm of v, when the new state is not
+    finite."""
+    E, E2, Q, f1, f2x2, f3, g = coeffs
+    Nv = _nonlinear(v, g)
+    E2v = E2 * v
+    a = E2v + Q * Nv
+    Na = _nonlinear(a, g)
+    b = E2v + Q * Na
+    Nb = _nonlinear(b, g)
+    c = E2 * a + Q * (2.0 * Nb - Nv)
+    Nc = _nonlinear(c, g)
+    out = _project(E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc, odd_only)
+    if not np.isfinite(out.view(np.float64)).all():
+        raise BlowUpError(t_new, math.sqrt(2.0 * L * float(np.sum(_power(v)))))
+    return out
 
 
 def step(state: SpectralState, cfg: SolveConfig) -> SpectralState:
     """One ETDRK4 step of length cfg.dt."""
-    E, E2, Q, f1, f2, f3, ikd = _etdrk4_coeffs(state.L, state.N, cfg.dt, cfg.gamma)
-    N = state.N
-    v = state.uhat
-    Nv = _nonlinear(v, N, ikd)
-    a = E2 * v + Q * Nv
-    Na = _nonlinear(a, N, ikd)
-    b = E2 * v + Q * Na
-    Nb = _nonlinear(b, N, ikd)
-    c = E2 * a + Q * (2.0 * Nb - Nv)
-    Nc = _nonlinear(c, N, ikd)
-    v_new = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
-    v_new = _project(v_new, cfg.odd_only)
-    if not np.all(np.isfinite(v_new.view(np.float64))):
-        raise BlowUpError(state.t + cfg.dt, state.norm_l2)
-    return replace(state, uhat=v_new, t=state.t + cfg.dt)
+    coeffs = _etdrk4_coeffs(state.L, state.N, cfg.dt, cfg.gamma)
+    t_new = state.t + cfg.dt
+    v = _advance(_half(state.uhat), coeffs, cfg.odd_only, state.L, t_new)
+    return replace(state, uhat=_full(v), t=t_new)
 
 
 @dataclass(frozen=True)
@@ -179,35 +232,30 @@ class Trajectory:
 
 def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
     """Integrate to cfg.t_end, recording every cfg.record_every steps (the
-    initial state included). sup_norm is the supremum of |u|_2 over samples
-    with t > transient, the computable stand-in for the long-time limsup."""
+    initial state included). Sample i of the step count lies at
+    initial.t + i*dt. sup_norm is the supremum of |u|_2 over samples with
+    t > transient, the computable stand-in for the long-time limsup."""
     L, N = initial.L, initial.N
     transient = cfg.transient if cfg.transient is not None else default_transient(L, N, cfg.gamma)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    rec_idx = range(0, n_steps + 1, cfg.record_every)
-    n_rec = len(rec_idx)
-    k_abs = np.abs((np.pi / L) * np.fft.fftfreq(N, d=1.0 / N))
-    t_out = np.empty(n_rec)
-    states = np.empty((n_rec, N), dtype=complex)
-    l2 = np.empty(n_rec)
-    l2_grad = np.empty(n_rec)
-    l2_hess = np.empty(n_rec)
-    state = replace(initial, uhat=_project(initial.uhat.astype(complex).copy(), cfg.odd_only))
+    rec_idx = np.arange(0, n_steps + 1, cfg.record_every)
+    coeffs = _etdrk4_coeffs(L, N, cfg.dt, cfg.gamma)
+    states = np.empty((rec_idx.size, N), dtype=complex)
+    half = states[:, : N // 2 + 1]  # recorded in the loop; m < 0 mirrored after it
 
-    j = 0
-    for i in range(n_steps + 1):
+    v = half[0] = _project(_half(initial.uhat), cfg.odd_only)
+    for i in range(1, n_steps + 1):
+        v = _advance(v, coeffs, cfg.odd_only, L, initial.t + i * cfg.dt)
         if i % cfg.record_every == 0:
-            v = state.uhat
-            t_out[j] = state.t
-            states[j] = v
-            p = np.abs(v) ** 2
-            l2[j] = math.sqrt(2.0 * L * float(np.sum(p)))
-            l2_grad[j] = math.sqrt(2.0 * L * float(np.sum(k_abs**2 * p)))
-            l2_hess[j] = math.sqrt(2.0 * L * float(np.sum(k_abs**4 * p)))
-            j += 1
-        if i < n_steps:
-            state = step(state, cfg)
+            half[i // cfg.record_every] = v
+    _mirror(states)
 
+    t_out = initial.t + cfg.dt * rec_idx
+    k2 = ((np.pi / L) * np.arange(N // 2 + 1)) ** 2
+    p = 2.0 * L * _power(half)
+    l2 = np.sqrt(np.sum(p, axis=1))
+    l2_grad = np.sqrt(p @ k2)
+    l2_hess = np.sqrt(p @ k2**2)
     post = l2[t_out > transient]
     sup_norm = float(np.max(post)) if post.size else float("nan")
     return Trajectory(

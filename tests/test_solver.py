@@ -9,6 +9,7 @@ from kslyap.solver import (
     SolveConfig,
     SpectralState,
     _etdrk4_coeffs,
+    _full,
     _nonlinear,
     default_grid,
     default_transient,
@@ -178,11 +179,10 @@ def test_spatially_resolved_beyond_128():
 
 def test_nonlinearity_of_single_mode_is_exact():
     N, L = 64, 8.0
-    _, _, _, _, _, _, ikd = _etdrk4_coeffs(L, N, 0.05, 0.0)
-    v = np.zeros(N, dtype=complex)
-    v[3] = -0.5j
-    v[-3] = 0.5j  # u = sin(3 pi x / L)
-    out = _nonlinear(v, N, ikd)
+    g = _etdrk4_coeffs(L, N, 0.05, 0.0)[-1]
+    w = np.zeros(N // 2 + 1, dtype=complex)
+    w[3] = -0.5j  # u = sin(3 pi x / L), half spectrum
+    out = _full(_nonlinear(w, g))
     # u u_x pumps only the doubled mode: +-6, amplitude 3 k0 / 4
     k0 = np.pi / L
     assert np.isclose(out[6], -0.75j * k0 * 1.0, rtol=1e-13)
@@ -191,11 +191,88 @@ def test_nonlinearity_of_single_mode_is_exact():
     assert np.max(np.abs(rest)) < 1e-15
 
 
+def _reference_step(v, L, N, dt, gamma, odd_only):
+    """Independent ETDRK4 step on the full complex spectrum (complex FFTs,
+    Hermitian symmetrization as the reality projection)."""
+    m = np.fft.fftfreq(N, d=1.0 / N)
+    sig = linear_symbol(L, N, gamma)
+    LR = dt * sig[:, None] + np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
+    Q = dt * np.mean((np.exp(LR / 2) - 1.0) / LR, axis=1).real
+    f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1).real
+    f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (-2.0 + LR)) / LR**3, axis=1).real
+    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1).real
+    E, E2 = np.exp(dt * sig), np.exp(0.5 * dt * sig)
+    ikd = 0.5j * (np.pi / L) * m * (np.abs(m) <= N // 3)
+    nl = lambda w: ikd * np.fft.fft(np.fft.ifft(w * N).real ** 2) / N  # noqa: E731
+    Nv = nl(v)
+    a = E2 * v + Q * Nv
+    Na = nl(a)
+    b = E2 * v + Q * Na
+    Nb = nl(b)
+    c = E2 * a + Q * (2.0 * Nb - Nv)
+    v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * nl(c)
+    v = 0.5 * (v + np.conj(v[(-np.arange(N)) % N]))
+    v = 1j * v.imag if odd_only else v
+    v[0] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("odd_only", [True, False])
+def test_half_spectrum_kernel_matches_full_complex_reference(odd_only):
+    L, N, n_steps = 16.0 * np.pi, 256, 400
+    cfg = SolveConfig(gamma=0.1, dt=0.05, t_end=n_steps * 0.05, record_every=n_steps, odd_only=odd_only)
+    st = random_initial(L, N, seed=3, odd_only=odd_only)
+    ref = st.uhat.copy()
+    state = st
+    for _ in range(n_steps):
+        ref = _reference_step(ref, L, N, cfg.dt, cfg.gamma, odd_only)
+        state = step(state, cfg)
+    scale = float(np.max(np.abs(ref)))
+    assert scale > 1e-3  # the run saturated instead of decaying
+    assert np.max(np.abs(state.uhat - ref)) <= 1e-12 * scale
+    traj = simulate(st, cfg)
+    assert np.array_equal(traj.states[-1], state.uhat)
+    assert traj.t[-1] == n_steps * cfg.dt
+
+
+def test_sample_at_transient_is_excluded():
+    # 20 steps of 0.05 land on t = 1 exactly; summing dt would give 1 + 2e-16
+    st = random_initial(2.0, 64, seed=0)
+    traj = simulate(st, SolveConfig(dt=0.05, t_end=1.5, record_every=10, transient=1.0))
+    assert np.array_equal(traj.t, 0.05 * np.arange(0, 31, 10))
+    assert traj.t[2] == 1.0
+    # everything decays at L = 2, so including t = 1 would change the sup
+    assert traj.l2[2] > traj.l2[3]
+    assert traj.sup_norm == traj.l2[3]
+
+
+def _blow_up_config():
+    return random_initial(10.0, 64, seed=0, amplitude=1e8), SolveConfig(dt=0.5, t_end=50.0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blow_up_raises():
-    st = random_initial(10.0, 64, seed=0, amplitude=1e8)
-    with pytest.raises(BlowUpError):
+    st, cfg = _blow_up_config()
+    with pytest.raises(BlowUpError) as info:
         traj_state = st
-        cfg = SolveConfig(dt=0.5, t_end=50.0)
         for _ in range(100):
+            last = traj_state
             traj_state = step(traj_state, cfg)
+    exc = info.value
+    assert exc.t == last.t + cfg.dt
+    assert np.isfinite(exc.norm)
+    assert np.isclose(exc.norm, last.norm_l2, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_raises_through_simulate():
+    st, cfg = _blow_up_config()
+    with pytest.raises(BlowUpError) as from_step:
+        state = st
+        for _ in range(100):
+            state = step(state, cfg)
+    with pytest.raises(BlowUpError) as from_simulate:
+        simulate(st, cfg)
+    assert np.isclose(from_simulate.value.t, from_step.value.t, rtol=1e-12)
+    assert np.isfinite(from_simulate.value.norm)
+    assert from_simulate.value.norm == from_step.value.norm
