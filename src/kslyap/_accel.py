@@ -1,8 +1,8 @@
 """Hot numerical kernels with numba acceleration and a pure-numpy fallback.
 
-Two kernels live here because they dominate profile construction and Galerkin
-assembly at large L: evaluating the smoothed potential on multi-million-point
-grids, and filling the N x N potential Gram matrix from cosine coefficients.
+Two kernels live here: evaluating the smoothed potential pointwise (on the
+smoothing grid and the profile window), and filling the N x N potential Gram
+matrix from cosine coefficients.
 Set KSLYAP_NUMBA=0 to force the numpy path (numba is used by default when it
 imports). Both paths compute identical formulas; tests assert agreement.
 """

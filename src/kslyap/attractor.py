@@ -128,12 +128,6 @@ class MonitorReport:
     __hash__ = object.__hash__
 
 
-def _resample_phi(profile: PotentialProfile, N: int) -> np.ndarray:
-    if profile.n % N:
-        raise ValueError(f"solver grid ({N}) must divide the profile grid ({profile.n})")
-    return profile.phi[:: profile.n // N]
-
-
 def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: LyapunovConstants) -> MonitorReport:
     """Residual r(t) = d/dt |u - phi|_2^2 + lam |u|_2^2 - M2 along the sampled
     trajectory, d/dt by centered differences on the native sampling. Counts
@@ -144,7 +138,7 @@ def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: Lyapun
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("trajectory sampling must be uniform")
-    phi_s = _resample_phi(profile, trajectory.N)
+    phi_s = profile.phi_nodes(trajectory.N)
     dx = 2.0 * trajectory.L / trajectory.N
     u_all = np.fft.ifft(trajectory.states * trajectory.N, axis=1).real
     dist2 = dx * np.sum((u_all - phi_s[None, :]) ** 2, axis=1)

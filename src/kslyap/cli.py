@@ -156,7 +156,7 @@ def _cmd_verify(args, get, out_dir):
         "delta_margin": report.delta_margin,
         "N_sequence": list(report.N_sequence),
         "converged": report.converged,
-        "certified": bool(report.converged and report.delta_margin >= 0),
+        "certified": report.certified,
     }
     _emit(payload, get("json", False))
     return 0 if payload["certified"] else 1

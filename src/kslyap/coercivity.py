@@ -15,7 +15,7 @@ import numpy as np
 
 from ._accel import gram_from_cosine
 from .exponents import OperatorOrder
-from .potential import PotentialProfile, SmoothedPotential
+from .potential import PotentialProfile, SmoothedPotential, _simpson
 
 
 class UnderResolvedGridError(ValueError):
@@ -57,6 +57,11 @@ class CoercivityReport:
     converged: bool
     order: OperatorOrder = OperatorOrder.FOURTH
 
+    @property
+    def certified(self) -> bool:
+        """The one certification rule: converged with a positive margin."""
+        return self.converged and self.delta_margin > 0
+
 
 def _kinetic_diagonal(L, N, order):
     kp = (np.pi / L) * np.arange(1, N + 1)
@@ -69,9 +74,8 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     """Galerkin matrix: diagonal kinetic symbol plus the potential Gram matrix.
 
     The Gram entries int phi_x e_j e_k reduce by the product-to-sum identity to
-    differences of cosine moments of phi_x, which are Fourier coefficients read
-    off one real FFT of the profile samples. Needs grid points >= 4N so moment
-    2N is resolved.
+    differences of cosine moments of phi_x, which the profile computes once.
+    Needs grid points >= 4N so moment 2N is resolved.
     """
     if N < 8:
         raise ValueError("N must be at least 8")
@@ -79,12 +83,7 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     if n < 4 * N:
         raise UnderResolvedGridError(f"grid has {n} points, need >= {4 * N} for N = {N}")
     L = profile.L
-    # cosine moments C_m = int phi_x cos(m pi x / L) dx, m = 0..2N; the grid
-    # starts at -L, hence the alternating sign relative to the DFT bins
-    spectrum = profile.phi_x_rfft[: 2 * N + 1]
-    signs = np.where(np.arange(2 * N + 1) % 2, -1.0, 1.0)
-    c = profile.dx * signs * spectrum.real
-    A = gram_from_cosine(c, N) / L
+    A = gram_from_cosine(profile.cosine_moments(2 * N + 1), N) / L
     A[np.diag_indices_from(A)] += _kinetic_diagonal(L, N, order)
     A = 0.5 * (A + A.T)
     return QuadFormMatrix(L=L, N=N, order=order, entries=A)
@@ -166,15 +165,6 @@ def _fd2(u, h):
     d[-2] = (u[-3] - 2.0 * u[-2] + u[-1]) / h**2
     d[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h**2
     return d
-
-
-def _simpson(f, h):
-    if f.size % 2 == 0:
-        raise ValueError("Simpson rule needs an odd sample count")
-    w = np.ones_like(f)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return h / 3.0 * float(np.sum(w * f))
 
 
 def hardy_check(u, a: float = 1.0, n: int = 16385):

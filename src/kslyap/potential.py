@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 from scipy.integrate import cumulative_trapezoid
 
 from ._accel import Qtilde_values, qtilde_values
@@ -171,11 +172,14 @@ class SmoothedPotential:
         return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
 
-def _simpson(f, dx):
+def _simpson(f, h):
+    """Composite Simpson rule on an odd number of equispaced samples."""
+    if f.size % 2 == 0:
+        raise ValueError("Simpson rule needs an odd sample count")
     w = np.ones_like(f)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return dx / 3.0 * float(np.sum(w * f))
+    return h / 3.0 * float(np.sum(w * f))
 
 
 def _integral_qtilde_half(params, delta, n):
@@ -253,26 +257,62 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
     )
 
 
-@dataclass(frozen=True)
+#: cosine moments c_0..c_8192 are computed with each profile: certification
+#: at its default mode cap N = 4096 reads moments up to 2N
+_MOMENTS = 2 * 4096 + 1
+
+
+@dataclass(frozen=True, eq=False)
 class PotentialProfile:
-    """Sampled phi, phi_x, phi_xx on the uniform half-open grid over [-L, L)."""
+    """phi_x on the uniform half-open grid of n points over [-L, L).
+
+    phi_x takes the constant value phi_x_off everywhere except on the index
+    window [j0, j0 + W), where it is phi_x_off + window. The constructed
+    potential is compactly supported, so W stays near 5k samples however
+    large n grows; a caller-supplied dense profile (``from_samples``) is the
+    case j0 = 0, W = n. Cosine moments, norms and phi at solver nodes are
+    computed from the window in O(W + N) memory. The dense arrays phi, phi_x
+    and phi_xx are built only when read.
+    """
 
     L: float
-    phi: np.ndarray
-    phi_x: np.ndarray
-    phi_xx: np.ndarray
+    n: int
+    j0: int
+    window: np.ndarray
+    phi_x_off: float
     mean_q: float
     exponents: ExponentPair
     source: SmoothedPotential | None = None
 
-    def __eq__(self, other):
-        return self is other
+    def __post_init__(self):
+        window = np.asarray(self.window, dtype=float)
+        if self.n < 4 or self.n % 2:
+            raise ValueError("grid size n must be even and >= 4")
+        if window.ndim != 1 or window.size == 0 or not 0 <= self.j0 <= self.n - window.size:
+            raise ValueError(f"window of {window.size} samples at {self.j0} does not fit the grid of {self.n}")
+        object.__setattr__(self, "window", window)
+        # trapezoid integral of the window part from node 0 to node j0 - 1 + i
+        # (up to a constant when j0 = 0, which phi's zero at x = 0 removes)
+        edges = np.concatenate(([0.0], window, [0.0]))
+        ramp = np.cumsum(0.5 * self.dx * (edges[:-1] + edges[1:]))
+        object.__setattr__(self, "_window_integral", np.concatenate(([0.0], ramp)))
+        object.__setattr__(self, "_moments", self._compute_moments(_MOMENTS))
 
-    __hash__ = object.__hash__
-
-    @property
-    def n(self) -> int:
-        return self.phi_x.size
+    @classmethod
+    def from_samples(cls, L, phi_x, mean_q, exponents, source=None) -> "PotentialProfile":
+        """Profile from dense phi_x samples on the whole grid; phi and phi_xx
+        are derived from them as for a constructed profile."""
+        phi_x = np.asarray(phi_x, dtype=float)
+        return cls(
+            L=float(L),
+            n=phi_x.size,
+            j0=0,
+            window=phi_x,
+            phi_x_off=0.0,
+            mean_q=float(mean_q),
+            exponents=exponents,
+            source=source,
+        )
 
     @property
     def dx(self) -> float:
@@ -283,12 +323,121 @@ class PotentialProfile:
         return -self.L + self.dx * np.arange(self.n)
 
     @cached_property
-    def phi_x_rfft(self) -> np.ndarray:
-        # reused by every Galerkin assembly at this profile
-        return np.fft.rfft(self.phi_x)
+    def phi_x(self) -> np.ndarray:
+        out = np.full(self.n, self.phi_x_off)
+        out[self.j0 : self.j0 + self.window.size] += self.window
+        return out
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """phi = integral of phi_x, zero at x = 0 (index n/2)."""
+        phi = cumulative_trapezoid(self.phi_x, dx=self.dx, initial=0.0)
+        phi -= phi[self.n // 2]
+        return phi
+
+    @cached_property
+    def phi_xx(self) -> np.ndarray:
+        """Spectral derivative of phi_x; odd order, so the Nyquist mode is dropped."""
+        kd = (np.pi / self.L) * np.arange(self.n // 2 + 1)
+        kd[-1] = 0.0
+        return np.fft.irfft(1j * kd * np.fft.rfft(self.phi_x), self.n)
+
+    def _phi_at(self, j) -> np.ndarray:
+        """phi at grid indices j: affine off the window, where phi_x is
+        constant, plus the window's trapezoid integral."""
+        j = np.asarray(j)
+        ramp = self._window_integral
+        V = ramp[np.clip(j - self.j0 + 1, 0, ramp.size - 1)]
+        V_mid = ramp[min(max(self.n // 2 - self.j0 + 1, 0), ramp.size - 1)]
+        return self.phi_x_off * self.dx * (j - self.n // 2) + (V - V_mid)
+
+    def phi_nodes(self, N: int) -> np.ndarray:
+        """phi at the N solver nodes -L + 2 L s / N; N must divide n."""
+        if self.n % N:
+            raise ValueError(f"solver grid ({N}) must divide the profile grid ({self.n})")
+        return self._phi_at(np.arange(N, dtype=np.int64) * (self.n // N))
+
+    def _compute_moments(self, count):
+        # C_m = dx * sum_j phi_x[j] cos(m pi x_j / L) with x_j = -L + j dx;
+        # the window starts at x_{j0}, hence the phase exp(-i pi m x_{j0} / L)
+        count = min(count, self.n // 2 + 1)
+        m = np.arange(count, dtype=np.int64)
+        turns = (m * (2 * self.j0 - self.n)) % (2 * self.n)
+        phase = np.exp(-1j * np.pi * turns / self.n)
+        c = self.dx * (phase * _window_dft(self.window, self.n, count)).real
+        c[0] += 2.0 * self.L * self.phi_x_off
+        return c
+
+    def cosine_moments(self, count: int) -> np.ndarray:
+        """Trapezoid cosine moments C_m = int phi_x cos(m pi x / L) dx for
+        m < count (count <= n/2 + 1). The first 8193 are computed with the
+        profile; a larger count recomputes and keeps them."""
+        if count > self.n // 2 + 1:
+            raise ValueError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}")
+        if self._moments.size < count:
+            object.__setattr__(self, "_moments", self._compute_moments(count))
+        return self._moments[:count]
+
+    @cached_property
+    def norms(self) -> "ProfileNorms":
+        """Periodic trapezoidal L2 norms of phi, phi_x, phi_xx and the H2 norm."""
+        dx, n, c, v = self.dx, self.n, self.phi_x_off, self.window
+        j0, j1 = self.j0, self.j0 + v.size
+        grad2 = float(np.sum((c + v) ** 2)) + (n - v.size) * c * c
+        # phi is affine on the two tails [0, j0) and [j1, n): closed-form sums
+        slope = c * dx
+        phi2 = float(np.sum(self._phi_at(np.arange(j0, j1)) ** 2))
+        for lo, hi in ((0, j0), (j1, n)):
+            k = hi - lo
+            if k:
+                mid = float(self._phi_at(lo)) + 0.5 * slope * (k - 1)
+                phi2 += k * mid * mid + slope * slope * k * (k * k - 1) / 12.0
+        hess2 = _phi_xx_sum_of_squares(v, n, self.L)
+        n0, n1, n2 = (math.sqrt(dx * s) for s in (phi2, grad2, hess2))
+        return ProfileNorms(n0, n1, n2, math.sqrt(n0**2 + n1**2 + n2**2))
 
 
-_CHUNK = 1 << 22
+def _window_dft(v, n, count):
+    """sum_i v_i exp(-2 pi i m i / n) for m < count, by a chirp-z (Bluestein)
+    transform: one FFT convolution of size ~W + count instead of an n-point
+    FFT. The chirp exp(-i pi k^2 / n) is reduced mod 2n in integers;
+    ``scipy.signal.czt`` raises w to the power k^2/2 in floating point,
+    which costs ~6e-10 relative at n = 2^24."""
+    W = v.size
+    k = np.arange(max(W, count), dtype=np.int64)
+    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
+    nfft = next_fast_len(W + count - 1)
+    kernel = np.conj(np.concatenate((chirp[W - 1 : 0 : -1], chirp[:count])))
+    conv = ifft(fft(v * chirp[:W], nfft) * fft(kernel, nfft))
+    return conv[W - 1 : W - 1 + count] * chirp[:count]
+
+
+def _phi_xx_sum_of_squares(v, n, L):
+    """sum_j phi_xx[j]^2 for phi_xx the Nyquist-dropped spectral derivative
+    of v placed on the n-point grid (zero elsewhere).
+
+    By Parseval this is the Toeplitz quadratic form v^T T v with
+    T_d = (pi/L)^2 (-1)^d [1/(2 sin^2(pi d/n)) - n/4] for d != 0 and
+    T_0 = (pi/L)^2 M(M+1)(2M+1)/(3n), M = n/2 - 1, evaluated by one FFT
+    convolution of size ~2W. When the window spans half the grid or more,
+    the n-point spectrum is no larger and is summed directly.
+    """
+    W = v.size
+    scale = (np.pi / L) ** 2
+    if n <= 2 * W:
+        k = np.arange(n // 2 + 1, dtype=float)
+        k[-1] = 0.0
+        return scale * 2.0 / n * float(np.sum(k**2 * np.abs(rfft(v, n)) ** 2))
+    d = np.arange(1, W)
+    M = n // 2 - 1
+    side = np.where(d % 2, -1.0, 1.0) * (0.5 / np.sin(np.pi * d / n) ** 2 - n / 4.0)
+    size = next_fast_len(2 * W - 1, real=True)
+    kernel = np.zeros(size)
+    kernel[0] = float(M) * (M + 1) * (2 * M + 1) / (3.0 * n)
+    kernel[1:W] = side
+    kernel[size - W + 1 :] = side[::-1]
+    Tv = irfft(rfft(v, size) * rfft(kernel), size)[:W]
+    return scale * float(v @ Tv)
 
 
 def _grid_size(L, delta_scaled):
@@ -297,9 +446,11 @@ def _grid_size(L, delta_scaled):
     return 1 << math.ceil(math.log2(target))
 
 
-def scale_to_domain(sp: SmoothedPotential, L: float, pair: ExponentPair) -> np.ndarray:
-    """Sample q(x) = L^{c2} * qtilde(x * L^{c1}) on the uniform grid over
-    [-L, L). The grid size resolves the scaled mollification width."""
+def _scaled_window(sp: SmoothedPotential, L: float, pair: ExponentPair):
+    """Grid size n, start index j0 and the samples of q(x) = L^{c2} *
+    qtilde(x * L^{c1}) on the index window [j0, j0 + W) of the uniform n-point
+    grid over [-L, L); q vanishes off the window. The grid size resolves the
+    scaled mollification width."""
     if L <= 0:
         raise ValueError("L must be positive")
     c1, c2 = float(pair.c1), float(pair.c2)
@@ -311,45 +462,60 @@ def scale_to_domain(sp: SmoothedPotential, L: float, pair: ExponentPair) -> np.n
     delta_scaled = sp.smoothing.delta * L ** (-c1)
     n = _grid_size(L, delta_scaled)
     dx = 2.0 * L / n
-    amp = L**c2
-    y_scale = L**c1
     a, q0, q1 = sp.params.a, sp.params.q0, sp.params.q1
+    j0 = max(0, int(math.floor((L - support_x) / dx)) - 1)
+    j1 = min(n, int(math.ceil((L + support_x) / dx)) + 2)
+    x = -L + dx * np.arange(j0, j1)
+    return n, j0, L**c2 * qtilde_values(x * L**c1, a, q0, q1, sp.smoothing.delta)
+
+
+def scale_to_domain(sp: SmoothedPotential, L: float, pair: ExponentPair) -> np.ndarray:
+    """Sample q(x) = L^{c2} * qtilde(x * L^{c1}) on the whole uniform grid over
+    [-L, L). The grid size resolves the scaled mollification width;
+    ``build_profile`` keeps only the window where q is nonzero."""
+    n, j0, q_window = _scaled_window(sp, L, pair)
     q = np.zeros(n)
-    # q vanishes outside the scaled support; evaluate only the window
-    i_lo = max(0, int(math.floor((L - support_x) / dx)) - 1)
-    i_hi = min(n, int(math.ceil((L + support_x) / dx)) + 2)
-    for j0 in range(i_lo, i_hi, _CHUNK):
-        j1 = min(j0 + _CHUNK, i_hi)
-        x = -L + dx * np.arange(j0, j1)
-        q[j0:j1] = amp * qtilde_values(x * y_scale, a, q0, q1, sp.smoothing.delta)
+    q[j0 : j0 + q_window.size] = q_window
     return q
 
 
 def assemble_profile(
-    q: np.ndarray, L: float, pair: ExponentPair | None = None, source: SmoothedPotential | None = None
+    q: np.ndarray,
+    L: float,
+    pair: ExponentPair | None = None,
+    source: SmoothedPotential | None = None,
+    n: int | None = None,
+    j0: int = 0,
 ) -> PotentialProfile:
-    """Mean-adjust q into phi_x, integrate to phi (zero at x = 0), and take
-    phi_xx spectrally."""
+    """Mean-adjust the scaled potential q into phi_x = q - mean(q).
+
+    q holds the samples on the index window [j0, j0 + q.size) of the n-point
+    grid over [-L, L) and vanishes off it; by default the window is the whole
+    grid. phi (zero at x = 0) and the spectral phi_xx follow from phi_x.
+    """
     if pair is None:
         pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
     q = np.asarray(q, dtype=float)
-    n = q.size
+    n = q.size if n is None else n
     if n < 4 or n % 2:
         raise ValueError("q must have even length >= 4")
-    dx = 2.0 * L / n
-    mean_q = float(q.mean())
+    if q.ndim != 1 or not 0 <= j0 <= n - q.size:
+        raise ValueError(f"window of {q.size} samples at {j0} does not fit the grid of {n}")
+    mean_q = float(np.sum(q)) / n
     if mean_q > -0.75:
         raise MeanConditionError(
             f"mean of q is {mean_q:.6g} > -3/4; use a smaller delta or a larger mu"
         )
-    phi_x = q - mean_q
-    phi = cumulative_trapezoid(phi_x, dx=dx, initial=0.0)
-    phi -= phi[n // 2]  # x = 0 sits at index n/2 on the half-open grid
-    kd = (np.pi / L) * np.arange(n // 2 + 1)
-    kd[-1] = 0.0  # odd-order derivative: drop the Nyquist mode
-    phi_xx = np.fft.irfft(1j * kd * np.fft.rfft(phi_x), n)
+    nonzero = np.flatnonzero(q)
     return PotentialProfile(
-        L=float(L), phi=phi, phi_x=phi_x, phi_xx=phi_xx, mean_q=mean_q, exponents=pair, source=source
+        L=float(L),
+        n=n,
+        j0=j0 + int(nonzero[0]),
+        window=q[nonzero[0] : nonzero[-1] + 1].copy(),
+        phi_x_off=-mean_q,
+        mean_q=mean_q,
+        exponents=pair,
+        source=source,
     )
 
 
@@ -359,14 +525,15 @@ def build_profile(
     params: PiecewiseParams | None = None,
     smoothing: SmoothingParams | None = None,
 ) -> PotentialProfile:
-    """Full pipeline with defaults: step -> smoothed -> scaled -> profile."""
+    """Full pipeline with defaults: step -> smoothed -> scaled -> profile.
+    Only the window where the scaled potential is nonzero is sampled."""
     if pair is None:
         pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
     if params is None:
         params = PiecewiseParams()
     sp = smooth(params, smoothing)
-    q = scale_to_domain(sp, L, pair)
-    return assemble_profile(q, L, pair=pair, source=sp)
+    n, j0, q = _scaled_window(sp, L, pair)
+    return assemble_profile(q, L, pair=pair, source=sp, n=n, j0=j0)
 
 
 class ProfileNorms(NamedTuple):
@@ -379,12 +546,9 @@ class ProfileNorms(NamedTuple):
 
 
 def norms(profile: PotentialProfile) -> ProfileNorms:
-    """Periodic trapezoidal L2 norms of phi, phi_x, phi_xx and the H2 norm."""
-    dx = profile.dx
-    n0 = math.sqrt(dx * float(np.sum(profile.phi**2)))
-    n1 = math.sqrt(dx * float(np.sum(profile.phi_x**2)))
-    n2 = math.sqrt(dx * float(np.sum(profile.phi_xx**2)))
-    return ProfileNorms(n0, n1, n2, math.sqrt(n0**2 + n1**2 + n2**2))
+    """Periodic trapezoidal L2 norms of phi, phi_x, phi_xx and the H2 norm,
+    computed once per profile."""
+    return profile.norms
 
 
 def write_profile(profile: PotentialProfile, csv_path, meta_path=None) -> None:
@@ -417,21 +581,15 @@ def write_profile(profile: PotentialProfile, csv_path, meta_path=None) -> None:
 
 
 def read_profile(csv_path, meta_path=None) -> PotentialProfile:
-    """Rebuild a PotentialProfile written by write_profile."""
+    """Rebuild a PotentialProfile written by write_profile from its phi_x
+    column; phi and phi_xx are derived again, as write_profile derived them."""
     csv_path = Path(csv_path)
     if meta_path is None:
         meta_path = csv_path.with_suffix(".json")
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     meta = json.loads(Path(meta_path).read_text())
     pair = ExponentPair(meta["exponents"]["c1"], meta["exponents"]["c2"])
-    return PotentialProfile(
-        L=float(meta["L"]),
-        phi=data[:, 1].copy(),
-        phi_x=data[:, 2].copy(),
-        phi_xx=data[:, 3].copy(),
-        mean_q=float(meta["mean_q"]),
-        exponents=pair,
-    )
+    return PotentialProfile.from_samples(float(meta["L"]), data[:, 2].copy(), float(meta["mean_q"]), pair)
 
 
 @dataclass(frozen=True)

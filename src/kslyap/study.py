@@ -109,7 +109,7 @@ def _sweep_one(
         report = certify(profile)
         nrm = norms(profile)
         M2 = forcing_constant(profile)
-        certified = report.converged and report.delta_margin > 0
+        certified = report.certified
         r_ss = None
         if report.delta_margin > 0:
             r_ss = radius(nrm.phi, M2, report.delta_margin).r_star_star

@@ -29,17 +29,7 @@ def make_flat_profile(critical_pair):
     """Factory for profiles with constant phi_x (phi_x = 0 gives the free operator)."""
 
     def make(L=64.0, n=16384, slope=0.0):
-        x = -L + (2.0 * L / n) * np.arange(n)
         phi_x = np.full(n, float(slope))
-        phi = slope * x
-        phi -= phi[n // 2]
-        return PotentialProfile(
-            L=float(L),
-            phi=phi,
-            phi_x=phi_x,
-            phi_xx=np.zeros(n),
-            mean_q=-1.0,
-            exponents=critical_pair,
-        )
+        return PotentialProfile.from_samples(L, phi_x, mean_q=-1.0, exponents=critical_pair)
 
     return make

@@ -72,14 +72,7 @@ def test_forcing_constant_sine_profile(critical_pair):
     n = 1024
     L = np.pi
     x = -L + (2.0 * L / n) * np.arange(n)
-    prof = PotentialProfile(
-        L=L,
-        phi=-np.cos(x),
-        phi_x=np.sin(x),
-        phi_xx=np.cos(x),
-        mean_q=-1.0,
-        exponents=critical_pair,
-    )
+    prof = PotentialProfile.from_samples(L, np.sin(x), mean_q=-1.0, exponents=critical_pair)
     expect = GRAD_COEFF * np.pi + HESS_COEFF * np.pi
     assert np.isclose(forcing_constant(prof), expect, rtol=1e-12)
     assert np.isclose(forcing_constant(prof, grad_coeff=1.0, hess_coeff=0.0), np.pi, rtol=1e-12)

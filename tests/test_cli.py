@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kslyap.cli import load_config, main
+from kslyap.coercivity import CoercivityReport
 from kslyap.potential import read_profile
 from kslyap.study import SweepRecord, read_sweep_csv, write_sweep_csv
 
@@ -71,6 +72,18 @@ def test_build_verify_bound_pipeline(tmp_path, capsys):
     }
     assert bound["lambda"] == verified["delta_margin"]
     assert bound["r_star_star"] > bound["r_star"] > 0
+
+
+def test_verify_rejects_zero_margin(tmp_path, capsys, monkeypatch):
+    import kslyap.cli
+
+    def zero_margin(profile, order=None):
+        return CoercivityReport(lambda_min=1.0, delta_margin=0.0, N_sequence=(64, 128), converged=True)
+
+    monkeypatch.setattr(kslyap.cli, "certify", zero_margin)
+    rc, payload = run_json(capsys, ["verify", "--L", "8", "--out", str(tmp_path), "--json"])
+    assert rc == 1
+    assert payload["converged"] and not payload["certified"]
 
 
 def test_verify_missing_profile_errors(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from kslyap.coercivity import (
     CertificationInconclusiveError,
+    CoercivityReport,
     UnderResolvedGridError,
     assemble,
     certify,
@@ -93,6 +94,16 @@ def test_certify_constructed_profile(profile32):
     assert np.isclose(report.delta_margin, 69.64420135006026, rtol=1e-6)
 
 
+def test_certified_requires_converged_positive_margin():
+    def report(margin, converged=True):
+        return CoercivityReport(lambda_min=1.0, delta_margin=margin, N_sequence=(64, 128), converged=converged)
+
+    assert report(1e-3).certified
+    assert not report(0.0).certified
+    assert not report(-1e-3).certified
+    assert not report(1.0, converged=False).certified
+
+
 def test_certify_second_order_flat_profile(make_flat_profile):
     report = certify(make_flat_profile(L=64.0, n=16384, slope=3.0))
     kp1 = np.pi / 64.0
@@ -155,9 +166,7 @@ def test_brute_force_rayleigh_consistency(critical_pair):
     for m in range(1, 7):
         phi_x += rng.normal() * np.cos(np.pi * m * x / L)
         phi_x += rng.normal() * np.sin(np.pi * m * x / L)
-    profile = PotentialProfile(
-        L=L, phi=np.zeros(n), phi_x=phi_x, phi_xx=np.zeros(n), mean_q=-1.0, exponents=critical_pair
-    )
+    profile = PotentialProfile.from_samples(L, phi_x, mean_q=-1.0, exponents=critical_pair)
     A = assemble(profile, 8).entries
     lam = min_eigenvalue(A)
     C = rng.standard_normal((100_000, 8))

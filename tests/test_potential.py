@@ -2,11 +2,14 @@
 assembly, file round trip, and the quartic descent construction."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kslyap._accel import gram_from_cosine
+from kslyap.coercivity import certify
 from kslyap.potential import (
     AdmissibilityError,
     BSConfig,
@@ -15,6 +18,7 @@ from kslyap.potential import (
     InfeasibleSmoothingError,
     MeanConditionError,
     PiecewiseParams,
+    PotentialProfile,
     SmoothingParams,
     assemble_profile,
     bs_functional_and_gradient,
@@ -219,6 +223,67 @@ def test_profile_norms_resolution_independent(default_sp, critical_pair):
     p2 = assemble_profile(q2, L, pair=critical_pair, source=default_sp)
     for coarse, fine in zip(norms(p), norms(p2)):
         assert abs(coarse - fine) <= 1e-6 * abs(fine)
+
+
+def _dense_reference(p):
+    """Moments, norms and phi from the materialized dense arrays: one rfft of
+    phi_x and plain sums. phi is accumulated in long double, because a
+    float64 cumulative trapezoid over 2^20 points drifts by ~7e-12 of max|phi|."""
+    n, dx = p.n, p.dx
+    m = np.arange(8193)
+    moments = dx * np.where(m % 2, -1.0, 1.0) * np.fft.rfft(p.phi_x)[:8193].real
+    px = p.phi_x.astype(np.longdouble)
+    phi = np.concatenate(([0.0], np.cumsum(0.5 * np.longdouble(dx) * (px[:-1] + px[1:]))))
+    phi = (phi - phi[n // 2]).astype(float)
+    nrm = [np.sqrt(dx * np.sum(f**2)) for f in (phi, p.phi_x, p.phi_xx)]
+    return moments, nrm, phi
+
+
+def _dense_margin(moments, L, N):
+    kp = (np.pi / L) * np.arange(1, N + 1)
+    A = gram_from_cosine(moments, N) / L
+    A[np.diag_indices(N)] += 0.75 * kp**4 - kp**2 - 0.25
+    return float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["window", "dense"])
+@pytest.mark.parametrize("L", [32.0, 64.0])
+def test_profile_matches_dense_reference(L, dense):
+    p = build_profile(L)
+    assert p.window.size < 8000 < p.n
+    if dense:
+        # the caller-supplied form of the same samples: window = whole grid
+        p = PotentialProfile.from_samples(L, p.phi_x, p.mean_q, p.exponents)
+    moments, ref_norms, phi = _dense_reference(p)
+    c = p.cosine_moments(8193)
+    assert np.max(np.abs(c - moments)) <= 1e-9 * np.max(np.abs(moments))
+    got = norms(p)
+    for value, ref in zip(got[:3], ref_norms):
+        assert abs(value - ref) <= 1e-10 * ref
+    # a window as long as the grid has the float64 running-sum drift of phi
+    phi_tol = 1e-11 if dense else 1e-12
+    for N in (64, 512):
+        nodes = phi[:: p.n // N]
+        assert np.max(np.abs(p.phi_nodes(N) - nodes)) <= phi_tol * np.max(np.abs(phi))
+    report = certify(p)
+    assert abs(report.delta_margin - _dense_margin(moments, L, report.N_sequence[-1])) <= 1e-8
+
+
+@pytest.mark.parametrize("L", [2048.0, 1e4])
+def test_profile_memory_flat_in_L(L):
+    tracemalloc.start()
+    try:
+        p = build_profile(L)
+        nrm = norms(p)
+        c = p.cosine_moments(8193)
+        p.phi_nodes(512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.n >= 1 << 27  # 1 GB per dense float64 array at L = 2048
+    assert not {"phi", "phi_x", "phi_xx"} & vars(p).keys()
+    assert np.isfinite(nrm.h2) and np.all(np.isfinite(c))
+    assert peak < 64 * 2**20
 
 
 def test_profile_sup_grows_linearly(profile32):
