@@ -30,7 +30,6 @@ from .potential import (
     check_admissible,
     mollifier,
     norms,
-    scale_to_domain,
     smooth,
 )
 from .coercivity import (

@@ -112,7 +112,7 @@ def headline_bound(profile: PotentialProfile, delta_margin: float) -> HeadlineBo
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitorReport:
     """Centered-difference residual statistics for the ball inequality."""
 
@@ -121,11 +121,6 @@ class MonitorReport:
     tolerance: float
     n_samples: int
     residuals: np.ndarray
-
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
 
 
 def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: LyapunovConstants) -> MonitorReport:

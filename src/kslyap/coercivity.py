@@ -30,7 +30,7 @@ class CertificationInconclusiveError(RuntimeError):
     """Mode-doubling cap reached without eigenvalue convergence (not a disproof)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadFormMatrix:
     """Symmetric Galerkin matrix of the form on the first N sine modes."""
 
@@ -38,11 +38,6 @@ class QuadFormMatrix:
     N: int
     order: OperatorOrder
     entries: np.ndarray
-
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     L = profile.L
     A = gram_from_cosine(profile.cosine_moments(2 * N + 1), N) / L
     A[np.diag_indices_from(A)] += _kinetic_diagonal(L, N, order)
-    A = 0.5 * (A + A.T)
     return QuadFormMatrix(L=L, N=N, order=order, entries=A)
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 from scipy.integrate import cumulative_trapezoid
 
-from ._accel import Qtilde_values, qtilde_values
-from ._accel import mollifier as _mollifier_arr
+from ._accel import Qtilde_values, mollifier, qtilde_values
 from .exponents import ExponentPair, OperatorOrder, ResolutionFaultError, solve_critical_exponents
 
 
@@ -68,7 +67,7 @@ class SmoothingParams:
             raise ValueError("delta and mu must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinorsReport:
     """Leading principal minors of the admissibility matrix plus pass/fail."""
 
@@ -76,11 +75,6 @@ class MinorsReport:
     minors: tuple
     passed: bool
     failures: tuple
-
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
 
 
 def check_admissible(params: PiecewiseParams) -> MinorsReport:
@@ -132,15 +126,7 @@ def build_piecewise(params: PiecewiseParams):
     return Q
 
 
-def mollifier(y):
-    """Smoothstep f: 0 for y <= 0, 1 for y >= 1, strictly increasing and
-    infinitely differentiable in between, f(1/2) = 1/2."""
-    arr = np.asarray(y, dtype=float)
-    out = _mollifier_arr(np.atleast_1d(arr).ravel()).reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedPotential:
     """Mollified potential: Qtilde(y) >= Q(y) everywhere, qtilde = Qtilde/y^2
     extended by 0 at the origin, with integral at most -mu."""
@@ -152,24 +138,15 @@ class SmoothedPotential:
     qt_grid: np.ndarray
     mean_qtilde: float
 
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
-
     @property
     def support_halfwidth(self) -> float:
         return self.params.a + self.smoothing.delta
 
     def Qtilde(self, y):
-        arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-        out = Qtilde_values(arr, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+        return Qtilde_values(y, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
 
     def qtilde(self, y):
-        arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-        out = qtilde_values(arr, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+        return qtilde_values(y, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
 
 
 def _simpson(f, h):
@@ -189,7 +166,7 @@ def _integral_qtilde_half(params, delta, n):
     a, q0, q1 = params.a, params.q0, params.q1
     t = np.linspace(0.0, 1.0, n + 1)
     dt = 1.0 / n
-    f = _mollifier_arr(t)
+    f = mollifier(t)
     # [0, delta]: -q0 f(y/delta) / y^2; the integrand vanishes to all orders at 0
     core = f / np.where(t > 0, t, 1.0) ** 2
     core[0] = 0.0
@@ -469,16 +446,6 @@ def _scaled_window(sp: SmoothedPotential, L: float, pair: ExponentPair):
     return n, j0, L**c2 * qtilde_values(x * L**c1, a, q0, q1, sp.smoothing.delta)
 
 
-def scale_to_domain(sp: SmoothedPotential, L: float, pair: ExponentPair) -> np.ndarray:
-    """Sample q(x) = L^{c2} * qtilde(x * L^{c1}) on the whole uniform grid over
-    [-L, L). The grid size resolves the scaled mollification width;
-    ``build_profile`` keeps only the window where q is nonzero."""
-    n, j0, q_window = _scaled_window(sp, L, pair)
-    q = np.zeros(n)
-    q[j0 : j0 + q_window.size] = q_window
-    return q
-
-
 def assemble_profile(
     q: np.ndarray,
     L: float,
@@ -633,7 +600,7 @@ def bs_functional_and_gradient(u: np.ndarray, L: float, mu: float):
     return J, g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BSResult:
     u: np.ndarray
     phi_x: np.ndarray
@@ -641,11 +608,6 @@ class BSResult:
     grad_norm: float
     iterations: int
     values: np.ndarray | None = None  # J per accepted iterate, start included
-
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
 
 
 def bs_optimal_potential(cfg: BSConfig = BSConfig()) -> BSResult:

@@ -26,7 +26,7 @@ class BlowUpError(RuntimeError):
         self.norm = norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralState:
     """Normalized Fourier coefficients of u at one instant."""
 
@@ -34,11 +34,6 @@ class SpectralState:
     N: int
     uhat: np.ndarray
     t: float = 0.0
-
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
 
     @property
     def x(self) -> np.ndarray:
@@ -206,7 +201,7 @@ def step(state: SpectralState, cfg: SolveConfig) -> SpectralState:
     return replace(state, uhat=_full(v), t=t_new)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled states and norm series from one simulation."""
 
@@ -220,11 +215,6 @@ class Trajectory:
     sup_norm: float
     transient: float
     config: SolveConfig
-
-    def __eq__(self, other):
-        return self is other
-
-    __hash__ = object.__hash__
 
     def u(self, i: int) -> np.ndarray:
         return np.fft.ifft(self.states[i] * self.N).real

@@ -5,7 +5,7 @@ interruption; floats are written with repr for exact round-trips.
 
 import csv
 import math
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -189,21 +189,8 @@ def sweep(
                 emit(_sweep_one(L, **kwargs))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {i: pool.submit(_sweep_one, L, **kwargs) for i, L in enumerate(L_list)}
-                done = {}
-                next_i = 0
-                outstanding = set(futures.values())
-                while outstanding:
-                    finished, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                    for i, fut in futures.items():
-                        if fut in finished:
-                            done[i] = fut.result()
-                    while next_i in done:
-                        emit(done.pop(next_i))
-                        next_i += 1
-                while next_i in done:
-                    emit(done.pop(next_i))
-                    next_i += 1
+                for rec in pool.map(lambda L: _sweep_one(L, **kwargs), L_list):
+                    emit(rec)
     finally:
         if fh is not None:
             fh.close()

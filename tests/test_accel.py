@@ -1,11 +1,10 @@
-"""Parity between the jitted kernels and the pure-numpy fallbacks."""
-
-import importlib
+"""The numpy kernels against explicit reference formulas."""
 
 import numpy as np
 import pytest
 
 from kslyap import _accel
+from kslyap.coercivity import assemble
 
 
 def test_mollifier_values():
@@ -46,7 +45,7 @@ def test_qtilde_even_and_supported():
     assert np.all(qt_pos[y > a + delta] == 0.0)
 
 
-def test_qtilde_matches_numpy_path():
+def test_qtilde_is_Qtilde_over_y_squared():
     rng = np.random.default_rng(7)
     for _ in range(25):
         a = float(rng.uniform(0.4, 2.5))
@@ -56,37 +55,45 @@ def test_qtilde_matches_numpy_path():
         y = np.concatenate(
             [
                 rng.uniform(-1.5 * (a + delta), 1.5 * (a + delta), size=400),
-                [0.0, delta, a / 2.0, a, a + delta, -a, 1e-9],
+                [0.0, delta, a / 2.0, a, a + delta, -a, 1e-9, -1e-9, 1e-8],
             ]
         )
-        jit = _accel.qtilde_values(y, a, q0, q1, delta)
-        pure = _accel.qtilde_values(y, a, q0, q1, delta, force_numpy=True)
-        assert np.allclose(jit, pure, rtol=1e-12, atol=1e-9)
+        qt = _accel.qtilde_values(y, a, q0, q1, delta)
+        Qt = _accel.Qtilde_values(y, a, q0, q1, delta)
+        safe = np.abs(y) >= 1e-8
+        assert np.array_equal(qt[safe], Qt[safe] / y[safe] ** 2)
+        assert np.all(qt[~safe] == 0.0)
 
 
-def test_gram_matches_numpy_path():
+def test_gram_matches_double_loop():
     rng = np.random.default_rng(3)
     for n in (4, 16, 64):
         c = rng.standard_normal(2 * n + 1)
-        jit = _accel.gram_from_cosine(c, n)
-        pure = _accel.gram_from_cosine(c, n, force_numpy=True)
-        assert np.array_equal(jit, pure)
-        assert np.array_equal(jit, jit.T)
+        G = _accel.gram_from_cosine(c, n)
+        ref = np.empty((n, n))
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                ref[j - 1, k - 1] = (c[abs(j - k)] - c[j + k]) / 2
+        assert np.array_equal(G, ref)
+        assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("N", [64, 512, 2048])
+def test_assembled_matrix_exactly_symmetric(profile32, N):
+    A = assemble(profile32, N).entries
+    assert np.array_equal(A, A.T)
+
+
+def test_scalar_in_float_out_and_shapes_kept(default_sp):
+    y2 = np.array([[0.0, 0.3], [0.8, 1.2]])
+    for f in (_accel.mollifier, default_sp.Qtilde, default_sp.qtilde):
+        assert isinstance(f(0.5), float)
+        out = f(y2)
+        assert out.shape == (2, 2)
+        assert np.array_equal(out.ravel(), f(y2.ravel()))
+        assert np.array_equal(out[1], [f(0.8), f(1.2)])
 
 
 def test_gram_needs_enough_coefficients():
     with pytest.raises(ValueError):
         _accel.gram_from_cosine(np.zeros(8), 8)
-
-
-def test_env_flag_selects_numpy_path(monkeypatch):
-    monkeypatch.setenv("KSLYAP_NUMBA", "0")
-    try:
-        mod = importlib.reload(_accel)
-        assert mod.USE_NUMBA is False
-        y = np.linspace(-1.1, 1.1, 257)
-        qt = mod.qtilde_values(y, 1.0, 0.5, 2.0, 1.0 / 64)
-        assert np.all(np.isfinite(qt))
-    finally:
-        monkeypatch.delenv("KSLYAP_NUMBA", raising=False)
-        importlib.reload(_accel)

@@ -29,7 +29,6 @@ from kslyap.potential import (
     mollifier,
     norms,
     read_profile,
-    scale_to_domain,
     smooth,
     write_profile,
 )
@@ -150,10 +149,13 @@ def test_smooth_rejects_wide_delta():
         smooth(PiecewiseParams(), SmoothingParams(delta=0.3, mu=0.75))
 
 
-def test_scale_to_domain_samples(default_sp, critical_pair):
+def test_scale_to_domain_samples(default_sp, profile32):
+    # the scaled potential q on the whole grid: the profile's window of
+    # nonzero samples, zero elsewhere
     L = 32.0
-    q = scale_to_domain(default_sp, L, critical_pair)
-    n = q.size
+    n = profile32.n
+    q = np.zeros(n)
+    q[profile32.j0 : profile32.j0 + profile32.window.size] = profile32.window
     assert n == 1 << 19
     assert q[n // 2] == 0.0  # x = 0
     # even about the origin, bit-exact because the kernel sees |y|
@@ -169,9 +171,9 @@ def test_scale_to_domain_samples(default_sp, critical_pair):
     assert extent >= bound - 2.0 * dx
 
 
-def test_scale_to_domain_rejects_small_L(default_sp, critical_pair):
+def test_scale_to_domain_rejects_small_L():
     with pytest.raises(DomainTooSmallError):
-        scale_to_domain(default_sp, 0.5, critical_pair)
+        build_profile(0.5)
 
 
 def test_build_profile_rejects_small_L():
