@@ -7,7 +7,7 @@ input.
 """
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _float_if_scalar(out):
@@ -62,4 +62,11 @@ def gram_from_cosine(c, n):
     c = np.asarray(c, dtype=float)
     if c.shape[0] < 2 * n + 1:
         raise ValueError("need cosine coefficients up to index 2n")
-    return 0.5 * (toeplitz(c[:n]) - hankel(c[2 : n + 2], c[n + 1 : 2 * n + 1]))
+    # zero-copy views: row j of the reversed windows of c[n-1..1, 0..n-1] is
+    # c[|j-k|], row j of the windows of c[2..2n] is c[j+k+2] (0-based j, k);
+    # the difference is the one n x n array the fill allocates
+    toeplitz = sliding_window_view(np.concatenate((c[n - 1 : 0 : -1], c[:n])), n)[::-1]
+    hankel = sliding_window_view(c[2 : 2 * n + 1], n)
+    G = toeplitz - hankel
+    G *= 0.5
+    return G

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import hankel, toeplitz
 
 from kslyap import _accel
 from kslyap.coercivity import assemble
@@ -76,6 +77,17 @@ def test_gram_matches_double_loop():
                 ref[j - 1, k - 1] = (c[abs(j - k)] - c[j + k]) / 2
         assert np.array_equal(G, ref)
         assert np.array_equal(G, G.T)
+
+
+def test_gram_matches_scipy_toeplitz_minus_hankel(profile32):
+    # the sliding-window fill gives the same bits as the dense scipy
+    # construction, in one C-ordered array
+    c = profile32.cosine_moments(2 * 512 + 1)
+    for n in (1, 2, 7, 64, 512):
+        G = _accel.gram_from_cosine(c, n)
+        ref = 0.5 * (toeplitz(c[:n]) - hankel(c[2 : n + 2], c[n + 1 : 2 * n + 1]))
+        assert np.array_equal(G, ref)
+        assert G.flags.c_contiguous and G.flags.owndata
 
 
 @pytest.mark.parametrize("N", [64, 512, 2048])

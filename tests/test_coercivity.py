@@ -3,10 +3,13 @@ inequality checks behind it."""
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from kslyap import coercivity
 from kslyap.coercivity import (
     CertificationInconclusiveError,
     CoercivityReport,
+    EigensolverError,
     UnderResolvedGridError,
     assemble,
     certify,
@@ -15,7 +18,7 @@ from kslyap.coercivity import (
     reduced_form_check,
 )
 from kslyap.exponents import OperatorOrder
-from kslyap.potential import PotentialProfile
+from kslyap.potential import PotentialProfile, build_profile
 
 
 def _symbol(L, N):
@@ -81,6 +84,96 @@ def test_min_eigenvalue_matches_power_iteration():
         v /= np.linalg.norm(v)
     rho = float(v @ (B @ v))
     assert abs((c - rho) - lam) <= 1e-8 * (1.0 + abs(lam))
+
+
+@pytest.fixture(scope="module")
+def galerkin_1024(critical_pair):
+    """Assembled and shifted Galerkin matrices at N = 1024 for L = 32, 128, 512."""
+    out = {}
+    for L in (32.0, 128.0, 512.0):
+        A = assemble(build_profile(L, pair=critical_pair), 1024).entries
+        kp = (np.pi / L) * np.arange(1, 1025)
+        shifted = A.copy()
+        shifted[np.diag_indices_from(shifted)] -= 0.25 * kp**4 + 0.25
+        out[L] = (A, shifted)
+    return out
+
+
+def _no_dense_eigensolve(monkeypatch):
+    def refuse(a, UPLO="L"):
+        raise AssertionError("dense eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+@pytest.mark.parametrize("L", [32.0, 128.0, 512.0])
+@pytest.mark.parametrize("N", [512, 1024])
+def test_shift_invert_matches_dense(galerkin_1024, monkeypatch, L, N):
+    # Galerkin matrices nest, so the N = 512 matrices are leading blocks
+    mats = [M[:N, :N] for M in galerkin_1024[L]]
+    dense = [float(np.linalg.eigvalsh(M)[0]) for M in mats]
+    _no_dense_eigensolve(monkeypatch)
+    for M, ref in zip(mats, dense):
+        assert abs(min_eigenvalue(M) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def test_rfp_diagonal_positions():
+    for n in range(1, 41):
+        packed, info = lapack.dtrttf(np.asfortranarray(np.diag(np.arange(1.0, n + 1))), uplo="U")
+        assert info == 0
+        assert np.array_equal(packed[coercivity._rfp_diagonal(n)], np.arange(1.0, n + 1))
+        assert np.count_nonzero(packed) == n
+
+
+@pytest.mark.parametrize("n", [600, 601])
+def test_minimum_outside_leading_block_falls_back(monkeypatch, n):
+    # the leading block sees 1, 2, ..., so the shift lands near -3 and the
+    # Cholesky of A - sigma I fails on the last entry; the dense solve runs
+    d = np.arange(1.0, n + 1)
+    d[-1] = -5.0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert min_eigenvalue(np.diag(d)) == -5.0
+    assert calls == [(n, n)]
+
+
+def test_minimum_orthogonal_to_start_vector_is_found(monkeypatch):
+    # between the shift and the leading block: the factorization succeeds and
+    # Lanczos must leave the start vector's invariant subspace to find it
+    d = np.arange(1.0, 601.0)
+    d[-1] = -2.0
+    _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(np.diag(d)) + 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 600])
+def test_min_eigenvalue_leaves_input_unchanged(galerkin_1024, n):
+    A = galerkin_1024[128.0][0][:n, :n].copy()
+    before = A.copy()
+    min_eigenvalue(A)
+    assert np.array_equal(A, before)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (600, 599), (600,)])
+def test_min_eigenvalue_rejects_non_square(shape):
+    with pytest.raises(EigensolverError):
+        min_eigenvalue(np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_min_eigenvalue_reads_lower_triangle(galerkin_1024, monkeypatch, n):
+    # perturb only the strict upper triangle: both paths must ignore it
+    A = galerkin_1024[128.0][0][:n, :n].copy()
+    rng = np.random.default_rng(5)
+    iu = np.triu_indices(n, 1)
+    A[iu] += 0.05 * rng.standard_normal(iu[0].size)
+    lower = float(np.linalg.eigvalsh(A, UPLO="L")[0])
+    upper = float(np.linalg.eigvalsh(A, UPLO="U")[0])
+    assert abs(lower - upper) > 1e-3
+    if n > coercivity._DENSE_MAX:
+        _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(A) - lower) <= 1e-9 * (1.0 + abs(lower))
 
 
 def test_certify_constructed_profile(profile32):
