@@ -33,7 +33,7 @@ class UnderResolvedGridError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """Dense symmetric eigensolve failed to converge."""
+    """Non-finite input, or the dense symmetric eigensolve failed to converge."""
 
 
 class CertificationInconclusiveError(RuntimeError):
@@ -168,8 +168,15 @@ def min_eigenvalue(m) -> float:
     upper bound. A failed factorization (lambda_min <= sigma) or an
     unconverged Lanczos falls back to the dense eigensolve. The input is not
     modified.
+
+    A NaN or infinity on the diagonal raises ``EigensolverError`` before any
+    solve (LAPACK's dense eigensolve can return a finite value for a NaN
+    diagonal). One in the strict lower triangle raises through the failed
+    factorization or eigensolve; the strict upper triangle is never read.
     """
     entries = m.entries if isinstance(m, QuadFormMatrix) else np.asarray(m, dtype=float)
+    if entries.ndim == 2 and not np.isfinite(np.diagonal(entries)).all():
+        raise EigensolverError("matrix has a non-finite diagonal entry")
     if entries.ndim == 2 and entries.shape[0] == entries.shape[1] > _DENSE_MAX:
         lam = _shift_invert_min(entries)
         if lam is not None:

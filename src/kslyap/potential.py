@@ -14,8 +14,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
-from scipy.integrate import cumulative_trapezoid
 
 from ._accel import Qtilde_values, mollifier, qtilde_values
 from .exponents import ExponentPair, OperatorOrder, ResolutionFaultError, solve_critical_exponents
@@ -307,8 +305,10 @@ class PotentialProfile:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        """phi = integral of phi_x, zero at x = 0 (index n/2)."""
-        phi = cumulative_trapezoid(self.phi_x, dx=self.dx, initial=0.0)
+        """phi = cumulative trapezoid integral of phi_x, zero at x = 0
+        (index n/2)."""
+        y = self.phi_x
+        phi = np.concatenate(([0.0], np.cumsum(self.dx * (y[1:] + y[:-1]) / 2.0)))
         phi -= phi[self.n // 2]
         return phi
 
@@ -374,18 +374,25 @@ class PotentialProfile:
         return ProfileNorms(n0, n1, n2, math.sqrt(n0**2 + n1**2 + n2**2))
 
 
+def _pow2(m):
+    """Smallest power of two >= m (m >= 1): the FFT length for a linear
+    convolution of m output samples."""
+    return 1 << (m - 1).bit_length()
+
+
 def _window_dft(v, n, count):
     """sum_i v_i exp(-2 pi i m i / n) for m < count, by a chirp-z (Bluestein)
-    transform: one FFT convolution of size ~W + count instead of an n-point
-    FFT. The chirp exp(-i pi k^2 / n) is reduced mod 2n in integers;
-    ``scipy.signal.czt`` raises w to the power k^2/2 in floating point,
-    which costs ~6e-10 relative at n = 2^24."""
+    transform: one ``numpy.fft`` convolution, zero-padded to the power of two
+    at or above W + count - 1, instead of an n-point FFT. The chirp
+    exp(-i pi k^2 / n) is reduced mod 2n in integers; raising w to the power
+    k^2/2 in floating point, as ``scipy.signal.czt`` does, costs ~6e-10
+    relative at n = 2^24."""
     W = v.size
     k = np.arange(max(W, count), dtype=np.int64)
     chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-    nfft = next_fast_len(W + count - 1)
+    nfft = _pow2(W + count - 1)
     kernel = np.conj(np.concatenate((chirp[W - 1 : 0 : -1], chirp[:count])))
-    conv = ifft(fft(v * chirp[:W], nfft) * fft(kernel, nfft))
+    conv = np.fft.ifft(np.fft.fft(v * chirp[:W], nfft) * np.fft.fft(kernel, nfft))
     return conv[W - 1 : W - 1 + count] * chirp[:count]
 
 
@@ -395,25 +402,26 @@ def _phi_xx_sum_of_squares(v, n, L):
 
     By Parseval this is the Toeplitz quadratic form v^T T v with
     T_d = (pi/L)^2 (-1)^d [1/(2 sin^2(pi d/n)) - n/4] for d != 0 and
-    T_0 = (pi/L)^2 M(M+1)(2M+1)/(3n), M = n/2 - 1, evaluated by one FFT
-    convolution of size ~2W. When the window spans half the grid or more,
-    the n-point spectrum is no larger and is summed directly.
+    T_0 = (pi/L)^2 M(M+1)(2M+1)/(3n), M = n/2 - 1, evaluated by one real
+    FFT convolution padded to the power of two at or above 2W - 1. When the
+    window spans half the grid or more, the n-point spectrum is no larger and
+    is summed directly.
     """
     W = v.size
     scale = (np.pi / L) ** 2
     if n <= 2 * W:
         k = np.arange(n // 2 + 1, dtype=float)
         k[-1] = 0.0
-        return scale * 2.0 / n * float(np.sum(k**2 * np.abs(rfft(v, n)) ** 2))
+        return scale * 2.0 / n * float(np.sum(k**2 * np.abs(np.fft.rfft(v, n)) ** 2))
     d = np.arange(1, W)
     M = n // 2 - 1
     side = np.where(d % 2, -1.0, 1.0) * (0.5 / np.sin(np.pi * d / n) ** 2 - n / 4.0)
-    size = next_fast_len(2 * W - 1, real=True)
+    size = _pow2(2 * W - 1)
     kernel = np.zeros(size)
     kernel[0] = float(M) * (M + 1) * (2 * M + 1) / (3.0 * n)
     kernel[1:W] = side
     kernel[size - W + 1 :] = side[::-1]
-    Tv = irfft(rfft(v, size) * rfft(kernel), size)[:W]
+    Tv = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(kernel), size)[:W]
     return scale * float(v @ Tv)
 
 

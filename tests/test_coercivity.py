@@ -176,6 +176,38 @@ def test_min_eigenvalue_reads_lower_triangle(galerkin_1024, monkeypatch, n):
     assert abs(min_eigenvalue(A) - lower) <= 1e-9 * (1.0 + abs(lower))
 
 
+def _non_finite_positions(n):
+    # first and middle diagonal entries, a lower entry inside the leading
+    # block and one outside it (the shift-invert path sees it only through
+    # the packed factorization)
+    return {
+        "diag_first": (0, 0),
+        "diag_mid": (n // 2, n // 2),
+        "lower_near": (5, 2),
+        "lower_far": (n - 3, n // 2),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 600])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diag_first", "diag_mid", "lower_near", "lower_far"])
+def test_min_eigenvalue_rejects_non_finite(n, bad, where):
+    A = np.diag(np.arange(1.0, n + 1))
+    A[_non_finite_positions(n)[where]] = bad
+    with pytest.raises(EigensolverError):
+        min_eigenvalue(A)
+
+
+@pytest.mark.parametrize("n", [64, 600])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_min_eigenvalue_ignores_non_finite_upper_triangle(monkeypatch, n, bad):
+    A = np.diag(np.arange(1.0, n + 1))
+    A[2, 5] = A[n // 2, n - 3] = bad
+    if n > coercivity._DENSE_MAX:
+        _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(A) - 1.0) < 1e-12
+
+
 def test_certify_constructed_profile(profile32):
     report = certify(profile32)
     assert report.converged

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from kslyap._accel import gram_from_cosine
 from kslyap.coercivity import certify
@@ -191,6 +192,20 @@ def test_profile_fields(profile32, critical_pair):
     assert p.exponents == critical_pair
     assert p.x[0] == -p.L
     assert p.x[n // 2] == 0.0
+
+
+def _scipy_phi(p):
+    phi = cumulative_trapezoid(p.phi_x, dx=p.dx, initial=0)
+    return phi - phi[p.n // 2]
+
+
+def test_profile_phi_matches_scipy_cumulative_trapezoid(profile32, critical_pair):
+    assert np.array_equal(profile32.phi, _scipy_phi(profile32))
+    rng = np.random.default_rng(11)
+    sampled = PotentialProfile.from_samples(
+        5.0, rng.standard_normal(4096), mean_q=-1.0, exponents=critical_pair
+    )
+    assert np.array_equal(sampled.phi, _scipy_phi(sampled))
 
 
 def test_profile_integration_by_parts(profile32):

@@ -45,6 +45,14 @@ def test_sweep_rows_in_input_order(sweep_out):
     assert records[2].certified  # failure in the middle does not stop the sweep
 
 
+def test_sweep_margins_pinned():
+    # margins from transforms padded to 5-smooth lengths; the padding
+    # length may move them by rounding only
+    recorded = {32.0: 69.64420135006127, 64.0: 69.64080783266311}
+    for rec in sweep(list(recorded)):
+        assert abs(rec.delta_margin - recorded[rec.L]) <= 1e-12 * recorded[rec.L]
+
+
 def test_sweep_csv_round_trip(sweep_out):
     records, path = sweep_out
     assert read_sweep_csv(path) == records
