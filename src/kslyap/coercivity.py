@@ -9,19 +9,20 @@ finite mode count is conclusive (Rayleigh-Ritz gives upper bounds); a positive
 one is accepted only after a mode-doubling convergence check.
 
 Small Galerkin matrices get a dense eigensolve. Above a measured crossover
-the smallest eigenvalue comes from shift-and-invert Lanczos: the leading
-block's eigenvalues (upper bounds by Cauchy interlacing) place a shift sigma
-below them, a Cholesky factorization of A - sigma I in rectangular full
-packed storage proves lambda_min > sigma, and Lanczos on the inverse finds
-the eigenvalue nearest sigma. When the factorization fails (lambda_min <=
-sigma) or Lanczos does not converge, the dense eigensolve runs instead.
+the smallest eigenvalue comes from a shift-and-invert block Krylov method:
+the leading block's eigenvalues (upper bounds by Cauchy interlacing) place a
+shift sigma below them, a Cholesky factorization of A - sigma I in
+rectangular full packed storage proves lambda_min > sigma, and Rayleigh-Ritz
+on a block Krylov space of the inverse, one packed solve with eight
+right-hand sides per block, finds the eigenvalue nearest sigma. When the
+factorization fails (lambda_min <= sigma) or the iteration does not
+converge, the dense eigensolve runs instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from ._accel import gram_from_cosine
 from .exponents import OperatorOrder
@@ -94,13 +95,22 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
 
 
 # Orders up to this get the dense eigensolve; above it the packed Cholesky
-# and Lanczos are cheaper (one BLAS thread: 10.5 vs 8-10 ms at n = 384,
-# 22 vs 12-15 ms at 512, 1.2 s vs 0.25-0.38 s at 2048).
+# and block Krylov are cheaper (one BLAS thread: 10.5 vs 8-10 ms at n = 384,
+# 22 vs 9-26 ms at 512, 1.2 s vs 0.14-0.24 s at 2048).
 _DENSE_MAX = 384
 # leading block whose eigenvalues place the shift
 _BLOCK = 128
-# Lanczos restarts before the dense fallback; 1-2 were needed at L = 32..512
-_LANCZOS_MAXITER = 20
+# right-hand sides per packed solve: one pass over the factor serves eight
+# vectors in about 1.2 times the time of one (n = 2048, one BLAS thread)
+_KRYLOV_BLOCK = 8
+# Krylov blocks before the dense fallback; 3-10 were needed at L = 32..512
+_KRYLOV_MAX_BLOCKS = 12
+# stop once |r|^2 <= _RESIDUAL_TOL mu gap, gap = mu_1 - mu_2 floored at
+# 1e-8 mu: the Ritz value mu is then within 1e-14 mu of an eigenvalue
+_RESIDUAL_TOL = 1e-14
+# a column whose part outside the basis is this small against its own norm
+# is treated as lying in the basis
+_DEFLATE_TOL = 1e-10
 
 
 def _rfp_diagonal(n):
@@ -114,11 +124,20 @@ def _rfp_diagonal(n):
     return np.where(i < k, i * lda + k + i + 1, (i - k) * lda + i)
 
 
+def _orthogonalize(P, Q):
+    """Remove from the columns of P their components in the orthonormal
+    columns of Q (block Gram-Schmidt, two passes), in place."""
+    for _ in range(2):
+        P -= Q @ (Q.T @ P)
+
+
 def _shift_invert_min(A):
-    """Smallest eigenvalue of the square matrix A (lower triangle) by
-    shift-and-invert Lanczos on a packed Cholesky factor, or None when the
-    shift is not below the spectrum or Lanczos does not converge."""
+    """Smallest eigenvalue of the square matrix A (lower triangle) by block
+    Krylov Rayleigh-Ritz on the inverse of a packed Cholesky factor, or None
+    when the shift is not below the spectrum or the iteration does not
+    converge."""
     n = A.shape[0]
+    b = _KRYLOV_BLOCK
     try:
         theta, vecs = np.linalg.eigh(A[:_BLOCK, :_BLOCK])
     except np.linalg.LinAlgError:
@@ -133,25 +152,58 @@ def _shift_invert_min(A):
     if info != 0:
         return None  # info > 0: A - sigma I is not positive definite
 
-    def solve(x):
-        return lapack.dpftrs(n, chol, x.reshape(n, 1), uplo="U")[0]
-
-    v0 = np.zeros(n)
-    v0[:_BLOCK] = vecs[:, 0]
-    try:
-        mu = eigsh(
-            LinearOperator((n, n), matvec=solve, dtype=float),
-            k=1,
-            which="LA",
-            v0=v0,
-            tol=0,
-            maxiter=_LANCZOS_MAXITER,
-            return_eigenvectors=False,
-        )[0]
-    except ArpackError:
-        return None
-    lam = sigma + 1.0 / mu
-    return float(lam) if mu > 0 and np.isfinite(lam) else None
+    rng = np.random.default_rng(0)
+    # orthonormal basis Q, its products W = B Q with B = (A - sigma I)^{-1}
+    # and, in the upper triangle that dsyevr reads, H = Q^T W; the start
+    # block is theta_0..theta_6's block eigenvectors and a random column
+    Q = np.zeros((n, b * _KRYLOV_MAX_BLOCKS), order="F")
+    W = np.empty_like(Q)
+    H = np.zeros((Q.shape[1], Q.shape[1]))
+    Q[:_BLOCK, : b - 1] = vecs[:, : b - 1]
+    Q[:, b - 1] = rng.standard_normal(n)
+    Q[:, :b] = np.linalg.qr(Q[:, :b])[0]
+    for j in range(_KRYLOV_MAX_BLOCKS):
+        m = b * (j + 1)
+        new = slice(m - b, m)
+        W[:, new], info = lapack.dpftrs(n, chol, Q[:, new], uplo="U")
+        if info != 0 or not np.isfinite(W[:, new]).all():
+            return None
+        H[:m, new] = Q[:, :m].T @ W[:, new]
+        if j == 0:
+            # start columns that are eigenvectors (A block diagonal) are locked:
+            # their eigenvalues are exact, and their zero residuals must not
+            # end the search of the rest of the basis for a larger one
+            rq = np.diagonal(H)[:b]
+            exact = np.linalg.norm(W[:, :b] - rq * Q[:, :b], axis=0) <= _DEFLATE_TOL * np.abs(rq)
+            locked = rq[exact].max(initial=-np.inf)
+            free = np.flatnonzero(~exact)
+        else:
+            # Rayleigh-Ritz on the unlocked basis: its two largest Ritz values
+            # and the top Ritz vector x, with residual B x - mu x
+            keep = np.r_[free, b:m]
+            mu, y, _, _, info = lapack.dsyevr(H[np.ix_(keep, keep)], range="I", il=keep.size - 1, iu=keep.size)
+            if info != 0:
+                return None
+            top = mu[1]
+            x = np.zeros(m)
+            x[keep] = y[:, 1]
+            r = W[:, :m] @ x - top * (Q[:, :m] @ x)
+            if r @ r <= _RESIDUAL_TOL * top * max(top - mu[0], 1e-8 * top):
+                top = max(top, locked)
+                lam = sigma + 1.0 / top
+                return float(lam) if top > 0 and np.isfinite(lam) else None
+        if m == Q.shape[1]:
+            return None
+        P = W[:, new].copy()
+        _orthogonalize(P, Q[:, :m])
+        Q[:, m : m + b], R = np.linalg.qr(P)
+        dependent = np.abs(np.diagonal(R)) <= _DEFLATE_TOL * np.linalg.norm(W[:, new], axis=0)
+        if dependent.any():
+            # restart each product that lies in the basis from a random column
+            P[:, dependent] = rng.standard_normal((n, int(dependent.sum())))
+            _orthogonalize(P, Q[:, :m])
+            Q[:, m : m + b], _ = np.linalg.qr(P)
+    return None
 
 
 def min_eigenvalue(m) -> float:
@@ -162,17 +214,23 @@ def min_eigenvalue(m) -> float:
     upper bounds on lambda_min by Cauchy interlacing, and shift to
     sigma = theta_0 - max((theta_8 - theta_0) / 2, 1e-8 (1 + |theta_0|)).
     A successful Cholesky factorization of A - sigma I (in rectangular full
-    packed storage, n(n+1)/2 doubles) proves lambda_min > sigma; Lanczos on
-    (A - sigma I)^{-1}, started from theta_0's block eigenvector, gives its
-    largest eigenvalue mu and lambda_min = sigma + 1/mu, still a Rayleigh-Ritz
-    upper bound. A failed factorization (lambda_min <= sigma) or an
-    unconverged Lanczos falls back to the dense eigensolve. The input is not
-    modified.
+    packed storage, n(n+1)/2 doubles) proves lambda_min > sigma. A block
+    Krylov Rayleigh-Ritz on (A - sigma I)^{-1} then finds its largest
+    eigenvalue mu: it starts from theta_0..theta_6's block eigenvectors and
+    one seeded random vector, and each step is one packed solve with
+    ``_KRYLOV_BLOCK`` right-hand sides. A start vector that is an exact
+    eigenvector (A block diagonal) keeps its eigenvalue as a candidate but is
+    left out of the convergence test, and a product that falls inside the
+    basis is replaced by a random column. lambda_min = sigma + 1/mu is still
+    a Rayleigh-Ritz upper bound. A failed factorization (lambda_min <= sigma)
+    or an iteration unconverged after ``_KRYLOV_MAX_BLOCKS`` blocks falls
+    back to the dense eigensolve. The input is not modified.
 
     A NaN or infinity on the diagonal raises ``EigensolverError`` before any
     solve (LAPACK's dense eigensolve can return a finite value for a NaN
-    diagonal). One in the strict lower triangle raises through the failed
-    factorization or eigensolve; the strict upper triangle is never read.
+    diagonal). One in the strict lower triangle makes the packed
+    factorization fail and raises before the dense solve, which alone pays
+    the O(n^2) check. The strict upper triangle is never read.
     """
     entries = m.entries if isinstance(m, QuadFormMatrix) else np.asarray(m, dtype=float)
     if entries.ndim == 2 and not np.isfinite(np.diagonal(entries)).all():
@@ -181,6 +239,8 @@ def min_eigenvalue(m) -> float:
         lam = _shift_invert_min(entries)
         if lam is not None:
             return lam
+    if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
+        raise EigensolverError("matrix has a non-finite entry in its lower triangle")
     try:
         return float(np.linalg.eigvalsh(entries)[0])
     except np.linalg.LinAlgError as exc:

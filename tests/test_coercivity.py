@@ -147,6 +147,52 @@ def test_minimum_orthogonal_to_start_vector_is_found(monkeypatch):
     assert abs(min_eigenvalue(np.diag(d)) + 2.0) < 1e-12
 
 
+def test_minimum_just_above_start_eigenvalue_is_found(monkeypatch):
+    # theta_0's block eigenvector is an exact eigenvector with a zero
+    # residual; the minimum 1e-3 below it must still be found, not theta_0
+    d = np.arange(1.0, 601.0)
+    d[-1] = 0.999
+    _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(np.diag(d)) - 0.999) < 1e-12
+
+
+def test_degenerate_spectrum_needs_no_dense_solve(monkeypatch):
+    # every product lies in the basis and every Ritz value is equal
+    _no_dense_eigensolve(monkeypatch)
+    assert min_eigenvalue(3.0 * np.eye(600)) == 3.0
+
+
+def test_block_krylov_solves_few_blocks(galerkin_1024, monkeypatch):
+    # one packed solve per Krylov block, each with _KRYLOV_BLOCK columns
+    A = galerkin_1024[128.0][0]
+    ref = float(np.linalg.eigvalsh(A)[0])
+    widths = []
+    dpftrs = lapack.dpftrs
+
+    def counted(n, chol, b, **kw):
+        widths.append(b.shape[1])
+        return dpftrs(n, chol, b, **kw)
+
+    monkeypatch.setattr(lapack, "dpftrs", counted)
+    _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
+    assert 2 <= len(widths) <= 6
+    assert set(widths) == {coercivity._KRYLOV_BLOCK}
+
+
+def test_block_cap_falls_back_to_dense_once(galerkin_1024, monkeypatch):
+    A = galerkin_1024[128.0][0][:512, :512]
+    block = min_eigenvalue(A)
+    dense = float(np.linalg.eigvalsh(A)[0])
+    monkeypatch.setattr(coercivity, "_KRYLOV_MAX_BLOCKS", 1)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert min_eigenvalue(A) == dense
+    assert calls == [(512, 512)]
+    assert abs(block - dense) <= 1e-9 * (1.0 + abs(dense))
+
+
 @pytest.mark.parametrize("n", [64, 600])
 def test_min_eigenvalue_leaves_input_unchanged(galerkin_1024, n):
     A = galerkin_1024[128.0][0][:n, :n].copy()
@@ -196,6 +242,17 @@ def test_min_eigenvalue_rejects_non_finite(n, bad, where):
     A[_non_finite_positions(n)[where]] = bad
     with pytest.raises(EigensolverError):
         min_eigenvalue(A)
+
+
+@pytest.mark.parametrize("n", [64, 600])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lower_triangle_raises_before_dense_solve(capfd, n, bad):
+    # LAPACK's dense eigensolve would print a DLASCL error before failing
+    A = np.diag(np.arange(1.0, n + 1))
+    A[n - 3, n // 2] = bad
+    with pytest.raises(EigensolverError, match="lower triangle"):
+        min_eigenvalue(A)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("n", [64, 600])
