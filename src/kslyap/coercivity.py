@@ -10,19 +10,21 @@ one is accepted only after a mode-doubling convergence check.
 
 Small Galerkin matrices get a dense eigensolve. Above a measured crossover
 the smallest eigenvalue comes from a shift-and-invert block Krylov method:
-the leading block's eigenvalues (upper bounds by Cauchy interlacing) place a
-shift sigma below them, a Cholesky factorization of A - sigma I in
-rectangular full packed storage proves lambda_min > sigma, and Rayleigh-Ritz
-on a block Krylov space of the inverse, one packed solve with eight
-right-hand sides per block, finds the eigenvalue nearest sigma. When the
-factorization fails (lambda_min <= sigma) or the iteration does not
-converge, the dense eigensolve runs instead.
+the eigenvalues of the block centred on the smallest diagonal entries
+(upper bounds by Cauchy interlacing) place a shift sigma below them, a
+Cholesky factorization of A - sigma I in rectangular full packed storage
+proves lambda_min > sigma, and Rayleigh-Ritz on a block Krylov space of the
+inverse, one packed solve with eight right-hand sides per block, finds the
+eigenvalue nearest sigma. When the factorization fails (lambda_min <= sigma)
+or the iteration does not converge, the dense eigensolve runs instead. Only
+that method needs LAPACK's packed routines, so scipy is imported on the
+first matrix above the crossover and a run that never builds one loads
+numpy only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ._accel import gram_from_cosine
 from .exponents import OperatorOrder
@@ -98,7 +100,8 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
 # and block Krylov are cheaper (one BLAS thread: 10.5 vs 8-10 ms at n = 384,
 # 22 vs 9-26 ms at 512, 1.2 s vs 0.14-0.24 s at 2048).
 _DENSE_MAX = 384
-# leading block whose eigenvalues place the shift
+# order of the block, centred on the smallest diagonal entries, whose
+# eigenvalues place the shift
 _BLOCK = 128
 # right-hand sides per packed solve: one pass over the factor serves eight
 # vectors in about 1.2 times the time of one (n = 2048, one BLAS thread)
@@ -136,10 +139,20 @@ def _shift_invert_min(A):
     Krylov Rayleigh-Ritz on the inverse of a packed Cholesky factor, or None
     when the shift is not below the spectrum or the iteration does not
     converge."""
+    # imported here, not at the top: see the module docstring
+    from scipy.linalg import lapack
+
     n = A.shape[0]
     b = _KRYLOV_BLOCK
+    # the principal block of _BLOCK rows centred on the median row of the
+    # nine smallest diagonal entries (the shift reads theta_0..theta_8),
+    # clipped to [0, n): the minimizing mode sits there, and one outlying
+    # entry cannot pull the block away from the rest of the low spectrum
+    centre = int(np.sort(np.argpartition(np.diagonal(A), 8)[:9])[4])
+    lo = min(max(centre - _BLOCK // 2, 0), n - _BLOCK)
+    block = slice(lo, lo + _BLOCK)
     try:
-        theta, vecs = np.linalg.eigh(A[:_BLOCK, :_BLOCK])
+        theta, vecs = np.linalg.eigh(A[block, block])
     except np.linalg.LinAlgError:
         return None
     sigma = theta[0] - max(0.5 * (theta[8] - theta[0]), 1e-8 * (1.0 + abs(theta[0])))
@@ -159,7 +172,7 @@ def _shift_invert_min(A):
     Q = np.zeros((n, b * _KRYLOV_MAX_BLOCKS), order="F")
     W = np.empty_like(Q)
     H = np.zeros((Q.shape[1], Q.shape[1]))
-    Q[:_BLOCK, : b - 1] = vecs[:, : b - 1]
+    Q[block, : b - 1] = vecs[:, : b - 1]
     Q[:, b - 1] = rng.standard_normal(n)
     Q[:, :b] = np.linalg.qr(Q[:, :b])[0]
     for j in range(_KRYLOV_MAX_BLOCKS):
@@ -210,8 +223,10 @@ def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix, read from its lower triangle.
 
     Orders up to ``_DENSE_MAX`` use the dense eigensolve. Larger matrices take
-    the eigenvalues theta_0 <= theta_1 <= ... of the leading ``_BLOCK`` block,
-    upper bounds on lambda_min by Cauchy interlacing, and shift to
+    the eigenvalues theta_0 <= theta_1 <= ... of the ``_BLOCK`` block centred
+    on the median row of the nine smallest diagonal entries (clipped to the
+    matrix), upper bounds on
+    lambda_min by Cauchy interlacing, and shift to
     sigma = theta_0 - max((theta_8 - theta_0) / 2, 1e-8 (1 + |theta_0|)).
     A successful Cholesky factorization of A - sigma I (in rectangular full
     packed storage, n(n+1)/2 doubles) proves lambda_min > sigma. A block

@@ -88,9 +88,11 @@ def test_min_eigenvalue_matches_power_iteration():
 
 @pytest.fixture(scope="module")
 def galerkin_1024(critical_pair):
-    """Assembled and shifted Galerkin matrices at N = 1024 for L = 32, 128, 512."""
+    """Assembled and shifted Galerkin matrices at N = 1024 for L = 32, 128,
+    512 and 1024; at L = 1024 the minimizing mode (m ~ 0.26 L) lies outside
+    the leading block."""
     out = {}
-    for L in (32.0, 128.0, 512.0):
+    for L in (32.0, 128.0, 512.0, 1024.0):
         A = assemble(build_profile(L, pair=critical_pair), 1024).entries
         kp = (np.pi / L) * np.arange(1, 1025)
         shifted = A.copy()
@@ -106,7 +108,7 @@ def _no_dense_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
 
-@pytest.mark.parametrize("L", [32.0, 128.0, 512.0])
+@pytest.mark.parametrize("L", [32.0, 128.0, 512.0, 1024.0])
 @pytest.mark.parametrize("N", [512, 1024])
 def test_shift_invert_matches_dense(galerkin_1024, monkeypatch, L, N):
     # Galerkin matrices nest, so the N = 512 matrices are leading blocks
@@ -123,6 +125,28 @@ def test_rfp_diagonal_positions():
         assert info == 0
         assert np.array_equal(packed[coercivity._rfp_diagonal(n)], np.arange(1.0, n + 1))
         assert np.count_nonzero(packed) == n
+
+
+def _coupled_tail(n, low):
+    """diag(1, ..., n) with its last two rows coupled into a pair with
+    eigenvalues low and 2n - low: the diagonal minimum stays at row 0, so
+    the shift block is the leading one and low lies off the diagonal."""
+    A = np.diag(np.arange(1.0, n + 1))
+    A[-2:, -2:] = [[n, n - low], [n - low, n]]
+    return A
+
+
+def _counted_solves(monkeypatch):
+    """Patch lapack.dpftrs to record the column count of each packed solve."""
+    widths = []
+    dpftrs = lapack.dpftrs
+
+    def counted(n, chol, b, **kw):
+        widths.append(b.shape[1])
+        return dpftrs(n, chol, b, **kw)
+
+    monkeypatch.setattr(lapack, "dpftrs", counted)
+    return widths
 
 
 @pytest.mark.parametrize("n", [600, 601])
@@ -156,6 +180,37 @@ def test_minimum_just_above_start_eigenvalue_is_found(monkeypatch):
     assert abs(min_eigenvalue(np.diag(d)) - 0.999) < 1e-12
 
 
+@pytest.mark.parametrize("n", [600, 601])
+def test_coupled_minimum_below_shift_falls_back(monkeypatch, n):
+    # as above with the minimum in an off-diagonal pair: the Cholesky of
+    # A - sigma I fails on the pair and the dense solve runs once
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert abs(min_eigenvalue(_coupled_tail(n, -5.0)) + 5.0) < 1e-12
+    assert calls == [(n, n)]
+
+
+@pytest.mark.parametrize("low", [-2.0, 0.999])
+def test_coupled_minimum_above_shift_is_found(monkeypatch, low):
+    # the pair lies outside the shift block and off the diagonal: the
+    # factorization succeeds and the Krylov search must find it
+    _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(_coupled_tail(600, low)) - low) < 1e-12
+
+
+def test_lone_diagonal_outlier_keeps_leading_shift_block(monkeypatch):
+    # the block follows the nine smallest diagonal entries, not the outlier
+    # alone, so sigma lands near -3 and the factorization fails before any
+    # packed solve; a block around the outlier would put sigma ~240 below
+    # -5 and stall on the clustered rest of the spectrum
+    d = np.arange(1.0, 601.0)
+    d[-1] = -5.0
+    widths = _counted_solves(monkeypatch)
+    assert min_eigenvalue(np.diag(d)) == -5.0
+    assert widths == []
+
+
 def test_degenerate_spectrum_needs_no_dense_solve(monkeypatch):
     # every product lies in the basis and every Ritz value is equal
     _no_dense_eigensolve(monkeypatch)
@@ -163,21 +218,19 @@ def test_degenerate_spectrum_needs_no_dense_solve(monkeypatch):
 
 
 def test_block_krylov_solves_few_blocks(galerkin_1024, monkeypatch):
-    # one packed solve per Krylov block, each with _KRYLOV_BLOCK columns
-    A = galerkin_1024[128.0][0]
-    ref = float(np.linalg.eigvalsh(A)[0])
-    widths = []
-    dpftrs = lapack.dpftrs
-
-    def counted(n, chol, b, **kw):
-        widths.append(b.shape[1])
-        return dpftrs(n, chol, b, **kw)
-
-    monkeypatch.setattr(lapack, "dpftrs", counted)
+    # one packed solve per Krylov block, each with _KRYLOV_BLOCK columns; at
+    # L = 1024 the minimizing mode (m ~ 0.26 L) lies outside the leading
+    # block, so only a shift block that follows it keeps the factorization
+    mats = [galerkin_1024[128.0][0], *galerkin_1024[1024.0]]
+    assert all(np.argmin(np.diagonal(A)) >= coercivity._BLOCK for A in mats[1:])
+    refs = [float(np.linalg.eigvalsh(A)[0]) for A in mats]
+    widths = _counted_solves(monkeypatch)
     _no_dense_eigensolve(monkeypatch)
-    assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
-    assert 2 <= len(widths) <= 6
-    assert set(widths) == {coercivity._KRYLOV_BLOCK}
+    for A, ref in zip(mats, refs):
+        widths.clear()
+        assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
+        assert 2 <= len(widths) <= 6
+        assert set(widths) == {coercivity._KRYLOV_BLOCK}
 
 
 def test_block_cap_falls_back_to_dense_once(galerkin_1024, monkeypatch):
