@@ -30,6 +30,7 @@ from .potential import (
     check_admissible,
     mollifier,
     norms,
+    scaled_profile,
     smooth,
 )
 from .coercivity import (

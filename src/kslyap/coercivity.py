@@ -10,8 +10,9 @@ one is accepted only after a mode-doubling convergence check.
 
 Small Galerkin matrices get a dense eigensolve. Above a measured crossover
 the smallest eigenvalue comes from a shift-and-invert block Krylov method:
-the eigenvalues of the block centred on the smallest diagonal entries
-(upper bounds by Cauchy interlacing) place a shift sigma below them, a
+the nine smallest eigenvalues of the block centred on the smallest diagonal
+entries (upper bounds by Cauchy interlacing), from a partial eigensolve of
+that block, place a shift sigma below them, a
 Cholesky factorization of A - sigma I in rectangular full packed storage
 proves lambda_min > sigma, and Rayleigh-Ritz on a block Krylov space of the
 inverse, one packed solve with eight right-hand sides per block, finds the
@@ -151,9 +152,9 @@ def _shift_invert_min(A):
     centre = int(np.sort(np.argpartition(np.diagonal(A), 8)[:9])[4])
     lo = min(max(centre - _BLOCK // 2, 0), n - _BLOCK)
     block = slice(lo, lo + _BLOCK)
-    try:
-        theta, vecs = np.linalg.eigh(A[block, block])
-    except np.linalg.LinAlgError:
+    # only theta_0..theta_8 and the vectors of theta_0..theta_6 are read
+    theta, vecs, _, _, info = lapack.dsyevr(A[block, block], range="I", il=1, iu=9, lower=1)
+    if info != 0:
         return None
     sigma = theta[0] - max(0.5 * (theta[8] - theta[0]), 1e-8 * (1.0 + abs(theta[0])))
     if not np.isfinite(sigma):
@@ -223,9 +224,10 @@ def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix, read from its lower triangle.
 
     Orders up to ``_DENSE_MAX`` use the dense eigensolve. Larger matrices take
-    the eigenvalues theta_0 <= theta_1 <= ... of the ``_BLOCK`` block centred
+    the eigenvalues theta_0 <= ... <= theta_8 of the ``_BLOCK`` block centred
     on the median row of the nine smallest diagonal entries (clipped to the
-    matrix), upper bounds on
+    matrix), from a partial eigensolve (LAPACK ``dsyevr``, nine eigenpairs
+    of the block's lower triangle), upper bounds on
     lambda_min by Cauchy interlacing, and shift to
     sigma = theta_0 - max((theta_8 - theta_0) / 2, 1e-8 (1 + |theta_0|)).
     A successful Cholesky factorization of A - sigma I (in rectangular full

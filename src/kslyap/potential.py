@@ -232,11 +232,6 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
     )
 
 
-#: cosine moments c_0..c_8192 are computed with each profile: certification
-#: at its default mode cap N = 4096 reads moments up to 2N
-_MOMENTS = 2 * 4096 + 1
-
-
 @dataclass(frozen=True, eq=False)
 class PotentialProfile:
     """phi_x on the uniform half-open grid of n points over [-L, L).
@@ -246,8 +241,8 @@ class PotentialProfile:
     potential is compactly supported, so W stays near 5k samples however
     large n grows; a caller-supplied dense profile (``from_samples``) is the
     case j0 = 0, W = n. Cosine moments, norms and phi at solver nodes are
-    computed from the window in O(W + N) memory. The dense arrays phi, phi_x
-    and phi_xx are built only when read.
+    computed from the window in O(W + N) memory, each when first read. The
+    dense arrays phi, phi_x and phi_xx are built only when read.
     """
 
     L: float
@@ -271,7 +266,7 @@ class PotentialProfile:
         edges = np.concatenate(([0.0], window, [0.0]))
         ramp = np.cumsum(0.5 * self.dx * (edges[:-1] + edges[1:]))
         object.__setattr__(self, "_window_integral", np.concatenate(([0.0], ramp)))
-        object.__setattr__(self, "_moments", self._compute_moments(_MOMENTS))
+        object.__setattr__(self, "_moments", np.empty(0))
 
     @classmethod
     def from_samples(cls, L, phi_x, mean_q, exponents, source=None) -> "PotentialProfile":
@@ -347,13 +342,17 @@ class PotentialProfile:
 
     def cosine_moments(self, count: int) -> np.ndarray:
         """Trapezoid cosine moments C_m = int phi_x cos(m pi x / L) dx for
-        m < count (count <= n/2 + 1). The first 8193 are computed with the
-        profile; a larger count recomputes and keeps them."""
+        m < count (count <= n/2 + 1). They are computed on the first call,
+        as many as that call's transform length yields at no extra cost
+        (at most n/2 + 1); a larger count recomputes and keeps them."""
         if count > self.n // 2 + 1:
             raise ValueError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}")
-        if self._moments.size < count:
-            object.__setattr__(self, "_moments", self._compute_moments(count))
-        return self._moments[:count]
+        moments = self._moments
+        if moments.size < count:
+            W = self.window.size
+            moments = self._compute_moments(_pow2(W + count - 1) - W + 1)
+            object.__setattr__(self, "_moments", moments)
+        return moments[:count]
 
     @cached_property
     def norms(self) -> "ProfileNorms":
@@ -506,7 +505,14 @@ def build_profile(
         pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
     if params is None:
         params = PiecewiseParams()
-    sp = smooth(params, smoothing)
+    return scaled_profile(smooth(params, smoothing), L, pair)
+
+
+def scaled_profile(sp: SmoothedPotential, L: float, pair: ExponentPair) -> PotentialProfile:
+    """Profile of the smoothed potential rescaled critically to [-L, L):
+    q(x) = L^{c2} qtilde(x L^{c1}), sampled only where it is nonzero. The
+    smoothed potential does not depend on L, so callers that build
+    profiles at many L smooth once and rescale it for each."""
     n, j0, q = _scaled_window(sp, L, pair)
     return assemble_profile(q, L, pair=pair, source=sp, n=n, j0=j0)
 

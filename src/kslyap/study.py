@@ -14,8 +14,16 @@ import numpy as np
 
 from .attractor import forcing_constant, radius
 from .coercivity import certify
-from .exponents import ExponentPair
-from .potential import DomainTooSmallError, PiecewiseParams, SmoothingParams, build_profile, norms
+from .exponents import ExponentPair, OperatorOrder, solve_critical_exponents
+from .potential import (
+    DomainTooSmallError,
+    PiecewiseParams,
+    SmoothedPotential,
+    SmoothingParams,
+    norms,
+    scaled_profile,
+    smooth,
+)
 from .solver import SolveConfig, default_grid, default_transient, random_initial, simulate
 
 
@@ -94,18 +102,21 @@ def read_sweep_csv(path):
 
 def _sweep_one(
     L,
-    pair=None,
-    params=None,
-    smoothing=None,
+    sp: SmoothedPotential | Exception,
+    pair,
     run_simulation=False,
     gamma=0.0,
     t_end=None,
     seed=0,
 ) -> SweepRecord:
+    """One sweep row from the sweep's smoothed potential, or from the
+    exception that building it raised, which becomes the row's error."""
     try:
         if L < 8:
             raise DomainTooSmallError(f"sweep requires L >= 8, got {L:g}")
-        profile = build_profile(L, pair=pair, params=params, smoothing=smoothing)
+        if isinstance(sp, Exception):
+            raise sp
+        profile = scaled_profile(sp, L, pair)
         report = certify(profile)
         nrm = norms(profile)
         M2 = forcing_constant(profile)
@@ -155,15 +166,23 @@ def sweep(
 ):
     """Build, certify, and bound a profile for each L; optionally simulate.
 
-    Rows are flushed to csv_path in input order as soon as available, so an
-    interrupted sweep leaves a valid prefix. Per-L failures are recorded in
-    the row's error column and do not stop the sweep.
+    The exponent pair and the smoothed potential do not depend on L: they
+    are computed once per call, and every row rescales the same smoothed
+    potential. Rows are flushed to csv_path in input order as soon as
+    available, so an interrupted sweep leaves a valid prefix. Per-L failures
+    are recorded in the row's error column and do not stop the sweep; a
+    failure to smooth is recorded on every row.
     """
     L_list = list(L_list)
+    try:
+        if pair is None:
+            pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
+        sp = smooth(params if params is not None else PiecewiseParams(), smoothing)
+    except Exception as exc:  # noqa: BLE001 - _sweep_one turns it into error rows
+        sp = exc
     kwargs = dict(
+        sp=sp,
         pair=pair,
-        params=params,
-        smoothing=smoothing,
         run_simulation=run_simulation,
         gamma=gamma,
         t_end=t_end,

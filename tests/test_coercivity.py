@@ -233,6 +233,22 @@ def test_block_krylov_solves_few_blocks(galerkin_1024, monkeypatch):
         assert set(widths) == {coercivity._KRYLOV_BLOCK}
 
 
+def test_shift_block_takes_partial_eigensolve(galerkin_1024, monkeypatch):
+    # the shift reads theta_0..theta_8 only: nine eigenpairs of the block
+    # come from a partial eigensolve, not a full eigh
+    A = galerkin_1024[128.0][0]
+    ref = float(np.linalg.eigvalsh(A)[0])
+
+    def refuse(a, UPLO="L"):
+        raise AssertionError("full block eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    widths = _counted_solves(monkeypatch)
+    _no_dense_eigensolve(monkeypatch)
+    assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
+    assert 2 <= len(widths) <= 6
+
+
 def test_block_cap_falls_back_to_dense_once(galerkin_1024, monkeypatch):
     A = galerkin_1024[128.0][0][:512, :512]
     block = min_eigenvalue(A)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from kslyap import potential
 from kslyap._accel import gram_from_cosine
 from kslyap.coercivity import certify
 from kslyap.potential import (
@@ -284,6 +285,39 @@ def test_profile_matches_dense_reference(L, dense):
         assert np.max(np.abs(p.phi_nodes(N) - nodes)) <= phi_tol * np.max(np.abs(phi))
     report = certify(p)
     assert abs(report.delta_margin - _dense_margin(moments, L, report.N_sequence[-1])) <= 1e-8
+
+
+def _counted_window_dfts(monkeypatch):
+    """Patch the chirp-z transform to record the moment count of each call."""
+    counts = []
+    window_dft = potential._window_dft
+
+    def counted(v, n, count):
+        counts.append(count)
+        return window_dft(v, n, count)
+
+    monkeypatch.setattr(potential, "_window_dft", counted)
+    return counts
+
+
+def test_moments_computed_on_demand(monkeypatch, critical_pair):
+    calls = _counted_window_dfts(monkeypatch)
+    built = [build_profile(L, pair=critical_pair) for L in (32.0, 512.0)]
+    PotentialProfile.from_samples(64.0, np.linspace(-1.0, 1.0, 4096), -1.0, critical_pair)
+    assert calls == []
+    counts = [129, 1025, 4097, 8193]
+    for p in built:
+        ref = p._compute_moments(8193)
+        tol = 1e-12 * np.max(np.abs(ref))
+        calls.clear()
+        for c in counts:
+            assert np.max(np.abs(p.cosine_moments(c) - ref[:c])) <= tol
+        rising = len(calls)
+        assert 1 <= rising <= len(counts)
+        for c in counts[::-1]:
+            got = p.cosine_moments(c)
+            assert got.size == c and np.max(np.abs(got - ref[:c])) <= tol
+        assert len(calls) == rising  # smaller requests reuse the kept moments
 
 
 @pytest.mark.parametrize("L", [2048.0, 1e4])

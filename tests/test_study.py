@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kslyap import study
+from kslyap.coercivity import certify
+from kslyap.potential import PiecewiseParams, SmoothingParams, build_profile, smooth
 from kslyap.study import (
     ConditionViolatedError,
     FitError,
@@ -51,6 +54,40 @@ def test_sweep_margins_pinned():
     recorded = {32.0: 69.64420135006127, 64.0: 69.64080783266311}
     for rec in sweep(list(recorded)):
         assert abs(rec.delta_margin - recorded[rec.L]) <= 1e-12 * recorded[rec.L]
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_smooths_once(monkeypatch, workers):
+    # every row rescales one smoothed potential, with one exponent solve
+    counts = _count_calls(monkeypatch, study, ["smooth", "solve_critical_exponents"])
+    records = sweep([32.0, 64.0, 128.0], workers=workers)
+    assert counts == {"smooth": 1, "solve_critical_exponents": 1}
+    for rec in records:
+        assert repr(rec.delta_margin) == repr(certify(build_profile(rec.L)).delta_margin)
+
+
+def test_sweep_reports_failed_smoothing_on_every_row():
+    bad = SmoothingParams(delta=0.5, mu=0.75)  # smooth needs delta < a/4
+    with pytest.raises(ValueError) as exc:
+        smooth(PiecewiseParams(), bad)
+    expected = f"ValueError: {exc.value}"
+    records = sweep([32.0, 4.0, 64.0], smoothing=bad)
+    assert [r.error for r in records] == [expected, "DomainTooSmallError: sweep requires L >= 8, got 4", expected]
+    assert not any(r.certified or r.delta_margin is not None for r in records)
+    assert sweep([32.0, 4.0, 64.0], smoothing=bad, workers=2) == records
 
 
 def test_sweep_csv_round_trip(sweep_out):
