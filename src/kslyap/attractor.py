@@ -133,9 +133,11 @@ def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: Lyapun
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("trajectory sampling must be uniform")
-    phi_s = profile.phi_nodes(trajectory.N)
-    dx = 2.0 * trajectory.L / trajectory.N
-    u_all = np.fft.ifft(trajectory.states * trajectory.N, axis=1).real
+    N = trajectory.N
+    phi_s = profile.phi_nodes(N)
+    dx = 2.0 * trajectory.L / N
+    # simulate's states are Hermitian, so their m >= 0 half fixes u
+    u_all = np.fft.irfft(trajectory.states[:, : N // 2 + 1], n=N, axis=1, norm="forward")
     dist2 = dx * np.sum((u_all - phi_s[None, :]) ** 2, axis=1)
     ddt = (dist2[2:] - dist2[:-2]) / (2.0 * dts[0])
     residuals = ddt + constants.lam * trajectory.l2[1:-1] ** 2 - constants.M2

@@ -10,7 +10,8 @@ from kslyap.solver import (
     SpectralState,
     _etdrk4_coeffs,
     _full,
-    _nonlinear,
+    _half_ddx,
+    _rfft_square,
     default_grid,
     default_transient,
     linear_symbol,
@@ -179,10 +180,10 @@ def test_spatially_resolved_beyond_128():
 
 def test_nonlinearity_of_single_mode_is_exact():
     N, L = 64, 8.0
-    g = _etdrk4_coeffs(L, N, 0.05, 0.0)[-1]
     w = np.zeros(N // 2 + 1, dtype=complex)
     w[3] = -0.5j  # u = sin(3 pi x / L), half spectrum
-    out = _full(_nonlinear(w, g))
+    nl = _rfft_square(w, np.empty(N), np.empty(N // 2 + 1, dtype=complex))
+    out = _full(_half_ddx(L, N) * nl)
     # u u_x pumps only the doubled mode: +-6, amplitude 3 k0 / 4
     k0 = np.pi / L
     assert np.isclose(out[6], -0.75j * k0 * 1.0, rtol=1e-13)
@@ -191,16 +192,23 @@ def test_nonlinearity_of_single_mode_is_exact():
     assert np.max(np.abs(rest)) < 1e-15
 
 
-def _reference_step(v, L, N, dt, gamma, odd_only):
-    """Independent ETDRK4 step on the full complex spectrum (complex FFTs,
-    Hermitian symmetrization as the reality projection)."""
-    m = np.fft.fftfreq(N, d=1.0 / N)
-    sig = linear_symbol(L, N, gamma)
+def _contour_coeffs(sig, dt):
+    """Q, f1, f2, f3 by the contour-mean formulas, each exponential and
+    power evaluated where it appears."""
     LR = dt * sig[:, None] + np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
     Q = dt * np.mean((np.exp(LR / 2) - 1.0) / LR, axis=1).real
     f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1).real
     f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (-2.0 + LR)) / LR**3, axis=1).real
     f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1).real
+    return Q, f1, f2, f3
+
+
+def _reference_step(v, L, N, dt, gamma, odd_only):
+    """Independent ETDRK4 step on the full complex spectrum (complex FFTs,
+    Hermitian symmetrization as the reality projection)."""
+    m = np.fft.fftfreq(N, d=1.0 / N)
+    sig = linear_symbol(L, N, gamma)
+    Q, f1, f2, f3 = _contour_coeffs(sig, dt)
     E, E2 = np.exp(dt * sig), np.exp(0.5 * dt * sig)
     ikd = 0.5j * (np.pi / L) * m * (np.abs(m) <= N // 3)
     nl = lambda w: ikd * np.fft.fft(np.fft.ifft(w * N).real ** 2) / N  # noqa: E731
@@ -217,10 +225,34 @@ def _reference_step(v, L, N, dt, gamma, odd_only):
     return v
 
 
-@pytest.mark.parametrize("odd_only", [True, False])
-def test_half_spectrum_kernel_matches_full_complex_reference(odd_only):
+@pytest.mark.parametrize(
+    "L, N, dt, gamma",
+    [(16.0 * np.pi, 256, 0.05, 0.1), (32.0 * np.pi, 512, 0.05, 0.0), (10.0, 64, 0.5, 0.0)],
+    ids=["16pi", "32pi", "10"],
+)
+def test_coefficients_fold_the_dealiased_derivative(L, N, dt, gamma):
+    # the cached phi-coefficients are the contour means times g, bit for bit
+    sig = linear_symbol(L, N, gamma)[: N // 2 + 1]
+    Q, f1, f2, f3 = _contour_coeffs(sig, dt)
+    g = _half_ddx(L, N)
+    E, E2, Qg, f1g, f2x2g, f3g = _etdrk4_coeffs(L, N, dt, gamma)
+    assert np.array_equal(E, np.exp(dt * sig)) and np.array_equal(E2, np.exp(0.5 * dt * sig))
+    for folded, plain in ((Qg, Q), (f1g, f1), (f2x2g, 2.0 * f2), (f3g, f3)):
+        assert np.array_equal(folded, plain * g)
+    # g is i k/(2N) on the 2/3-rule band and 0 above it
+    m = np.arange(N // 2 + 1)
+    assert np.all(g[m > N // 3] == 0.0)
+    assert np.allclose(g[1 : N // 3 + 1], 0.5j * (np.pi / L) * m[1 : N // 3 + 1] / N, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "odd_only, gamma",
+    [(True, 0.1), (False, 0.1), (True, 0.0), (False, 0.0)],
+    ids=["True", "False", "True-gamma0", "False-gamma0"],
+)
+def test_half_spectrum_kernel_matches_full_complex_reference(odd_only, gamma):
     L, N, n_steps = 16.0 * np.pi, 256, 400
-    cfg = SolveConfig(gamma=0.1, dt=0.05, t_end=n_steps * 0.05, record_every=n_steps, odd_only=odd_only)
+    cfg = SolveConfig(gamma=gamma, dt=0.05, t_end=n_steps * 0.05, record_every=n_steps, odd_only=odd_only)
     st = random_initial(L, N, seed=3, odd_only=odd_only)
     ref = st.uhat.copy()
     state = st
@@ -233,6 +265,25 @@ def test_half_spectrum_kernel_matches_full_complex_reference(odd_only):
     traj = simulate(st, cfg)
     assert np.array_equal(traj.states[-1], state.uhat)
     assert traj.t[-1] == n_steps * cfg.dt
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("odd_only", [True, False])
+def test_simulate_samples_equal_the_step_sequence(odd_only, N):
+    # simulate alternates two state buffers; every sample must still be the
+    # step sequence bit for bit, and no returned state may share a buffer
+    L = N / 12.0 * np.pi  # default_grid(L) == N
+    st = random_initial(L, N, seed=5, amplitude=2.0, odd_only=odd_only)
+    cfg = SolveConfig(gamma=0.1, dt=0.05, t_end=30 * 0.05, record_every=1, transient=0.5, odd_only=odd_only)
+    traj = simulate(st, cfg)
+    state = st
+    assert np.array_equal(traj.states[0], st.uhat)
+    for i in range(1, traj.t.size):
+        state = step(state, cfg)
+        kept = state.uhat.copy()
+        step(state, cfg)
+        assert np.array_equal(state.uhat, kept)
+        assert np.array_equal(traj.states[i], state.uhat)
 
 
 def test_sample_at_transient_is_excluded():
