@@ -1,11 +1,15 @@
 """Galerkin assembly, eigenvalue certification, and the one-dimensional
 inequality checks behind it."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 from kslyap import coercivity
+from kslyap._accel import gram_from_cosine
 from kslyap.coercivity import (
     CertificationInconclusiveError,
     CoercivityReport,
@@ -332,6 +336,174 @@ def test_min_eigenvalue_ignores_non_finite_upper_triangle(monkeypatch, n, bad):
     if n > coercivity._DENSE_MAX:
         _no_dense_eigensolve(monkeypatch)
     assert abs(min_eigenvalue(A) - 1.0) < 1e-12
+
+
+def _refuse(monkeypatch, *names):
+    """Make each named coercivity function, or np.linalg.eigvalsh, fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused call")
+
+    for name in names:
+        monkeypatch.setattr(*((np.linalg, name) if name == "eigvalsh" else (coercivity, name)), refuse)
+
+
+def _shifted(m):
+    """certify's shifted variant: a quarter of the leading term and of the
+    identity off the diagonal, sharing the window's compression."""
+    kp = (np.pi / m.L) * np.arange(1, m.N + 1)
+    leading = kp**4 if m.order is OperatorOrder.FOURTH else kp**2
+    return m._shifted(0.25 * leading + 0.25)
+
+
+@pytest.mark.parametrize("order", list(OperatorOrder))
+@pytest.mark.parametrize("N", [64, 512])
+def test_entries_are_the_gram_fill(profile32, order, N):
+    # built on first read, bit for bit the moment fill plus the symbol
+    kp = (np.pi / 32.0) * np.arange(1, N + 1)
+    A = gram_from_cosine(profile32.cosine_moments(2 * N + 1), N) / 32.0
+    A[np.diag_indices_from(A)] += _symbol(32.0, N) if order is OperatorOrder.FOURTH else kp**2 - 1.0
+    m = assemble(profile32, N, order)
+    assert "entries" not in vars(m)
+    assert np.array_equal(m.entries, A)
+
+
+@pytest.fixture(scope="module")
+def structured(critical_pair):
+    """assemble(build_profile(L), N) with its shifted variant, and both
+    smallest eigenvalues from eigvalsh and from the packed path."""
+    out = {}
+    for L in (32.0, 128.0, 512.0, 1024.0):
+        profile = build_profile(L, pair=critical_pair)
+        for N in (512, 1024):
+            mats = (assemble(profile, N), _shifted(assemble(profile, N)))
+            # filled on copies, so the matrices under test hold no dense array
+            fills = [replace(m).entries for m in mats]
+            refs = [(float(np.linalg.eigvalsh(A)[0]), coercivity._packed_min(A)) for A in fills]
+            out[L, N] = list(zip(mats, refs))
+    return out
+
+
+@pytest.mark.parametrize("L", [32.0, 128.0, 512.0, 1024.0])
+@pytest.mark.parametrize("N", [512, 1024])
+def test_structured_matches_dense_and_packed(structured, monkeypatch, L, N):
+    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    for m, refs in structured[L, N]:
+        lam = min_eigenvalue(m)
+        for ref in refs:
+            assert abs(lam - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def test_structured_matches_packed_at_2048(critical_pair, monkeypatch):
+    m = assemble(build_profile(128.0, pair=critical_pair), 2048)
+    mats = (m, _shifted(m))
+    refs = [coercivity._packed_min(replace(A).entries) for A in mats]
+    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    for A, ref in zip(mats, refs):
+        assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_structured_second_order(profile32, monkeypatch, N):
+    # the well is supercritical here: lambda_min lies far below the shift
+    # block's sigma, and the Weyl shift min Delta + min(0, lambda_min(C)) is
+    # what the inertia count proves
+    mats = [assemble(profile32, N, OperatorOrder.SECOND)]
+    mats.append(_shifted(mats[0]))
+    refs = [float(np.linalg.eigvalsh(m.entries)[0]) for m in mats]
+    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    for m, ref in zip(mats, refs):
+        assert abs(min_eigenvalue(m) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def test_shifted_variant_shares_compression(profile32):
+    m = assemble(profile32, 512)
+    s = _shifted(m)
+    min_eigenvalue(m)
+    assert s._window is m._window and "compressed" in vars(m._window)
+
+
+def test_shifted_variant_takes_over_dense_fill(profile32):
+    # certify's dense levels fill once: the shifted form is the filled
+    # matrix with its diagonal lowered in place, as a fresh fill would be
+    m = assemble(profile32, 128)
+    A = m.entries.copy()
+    shift = np.linspace(1.0, 2.0, 128)
+    s = m._shifted(shift)
+    assert "entries" not in vars(m) and "entries" in vars(s)
+    assert np.array_equal(s.entries, A - np.diag(shift))
+    assert np.array_equal(m.entries, A)
+
+
+def test_profiles_without_window_take_packed_path(make_flat_profile, profile32, monkeypatch):
+    # from_samples stores phi_x as one window over the whole grid: no low
+    # rank part, so the array path runs and gives its value bit for bit
+    samples = PotentialProfile.from_samples(
+        32.0, profile32.phi_x, profile32.mean_q, profile32.exponents, source=profile32.source
+    )
+    mats = [assemble(samples, 512), assemble(make_flat_profile(L=64.0, n=16384, slope=0.0), 512)]
+    values = [min_eigenvalue(m.entries) for m in mats]
+    windowed = min_eigenvalue(assemble(profile32, 512))
+    assert abs(values[0] - windowed) <= 1e-9 * (1.0 + abs(windowed))
+    _refuse(monkeypatch, "_structured_min")
+    assert all(m.phi_x_off is None for m in mats)
+    assert [min_eigenvalue(m) for m in mats] == values
+
+
+def test_rank_past_cap_takes_packed_path(profile32, monkeypatch):
+    m = assemble(profile32, 512)
+    value = min_eigenvalue(m.entries)
+    monkeypatch.setattr(coercivity, "_RANK_MAX", 8)
+    assert m._window.compressed is None
+    assert min_eigenvalue(m) == value
+
+
+def test_inertia_count_matches_model_spectrum(profile32):
+    # #{Delta < sigma} + #{C < 0} - #{S < 0} against eigvalsh of the model,
+    # below, between and above its eigenvalues and with one Delta < sigma;
+    # the Woodbury solve is backward stable
+    m = assemble(profile32, 512)
+    U, C = m._window.compressed
+    delta = m.diagonal + m.phi_x_off
+    model = (U * C) @ U.T + np.diag(delta)
+    spectrum = np.linalg.eigvalsh(model)
+    X = np.random.default_rng(3).standard_normal((512, 8))
+    for sigma in (spectrum[0] - 1.0, spectrum[0] + 1e-6, 0.5 * (spectrum[2] + spectrum[3]), delta.min() + 1e-9):
+        count, solve = coercivity._woodbury(delta, U, C, sigma)
+        assert count == np.count_nonzero(spectrum < sigma)
+        Y = solve(X)
+        M = model - sigma * np.eye(512)
+        assert np.linalg.norm(M @ Y - X) <= 1e-14 * np.linalg.norm(M, 2) * np.linalg.norm(Y)
+
+
+def test_structured_path_allocates_no_dense_matrix(critical_pair):
+    profile = build_profile(128.0, pair=critical_pair)
+    tracemalloc.start()
+    try:
+        min_eigenvalue(assemble(profile, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2048 x 2048 array alone is 32 MB
+    assert peak < 8 * 2**20
+
+
+# an infinite window sample makes the moment transform warn on inf - inf
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["window", "diagonal", "phi_x_off"])
+def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, bad, where):
+    if where == "window":
+        window = profile32.window.copy()
+        window[window.size // 3] = bad
+        m = assemble(replace(profile32, window=window), 512)
+    else:
+        m = assemble(profile32, 512)
+        m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal)) if where == "diagonal" else m
+        m = replace(m, phi_x_off=bad, _window=None) if where == "phi_x_off" else m
+    _refuse(monkeypatch, "_woodbury", "_block_krylov", "_packed_min", "eigvalsh")
+    with pytest.raises(EigensolverError):
+        min_eigenvalue(m)
 
 
 def test_certify_constructed_profile(profile32):

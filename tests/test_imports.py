@@ -1,6 +1,8 @@
-"""The import graph: the package loads numpy only. scipy.linalg (LAPACK's
-packed Cholesky routines) is imported on the first Galerkin matrix above the
-dense crossover, and no other scipy subpackage is ever loaded."""
+"""The import graph: the package loads numpy only. Galerkin matrices from
+constructed profiles are solved with numpy alone at every size. scipy.linalg
+(LAPACK's packed Cholesky routines) is imported on the first raw array, or
+matrix without a low-rank window, above the dense crossover, and no other
+scipy subpackage is ever loaded."""
 
 import json
 import os
@@ -47,6 +49,18 @@ def test_dense_run_loads_no_scipy():
     assert _fresh(code) == []
 
 
+def test_structured_eigensolves_load_no_scipy():
+    code = (
+        "import json, sys\n"
+        "from kslyap.coercivity import assemble, certify, min_eigenvalue\n"
+        "from kslyap.potential import build_profile\n"
+        "assert max(certify(build_profile(512.0)).N_sequence) >= 512\n"
+        "min_eigenvalue(assemble(build_profile(128.0), 2048))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    assert _fresh(code) == []
+
+
 def test_first_large_matrix_loads_scipy_linalg():
     code = (
         "import json, sys\n"
@@ -69,8 +83,9 @@ def test_import_loads_no_unused_scipy_subpackage():
 
 
 def test_first_lapack_use_inside_worker_threads():
-    # certify reaches N = 512 at L = 512 only, inside the pool, so the
-    # deferred import runs on a worker thread
+    # certify reaches N = 512 at L = 512 only, inside the pool; that level
+    # takes the numpy-only structured path, so the rows must not depend on
+    # the thread that computes them, whatever the pool runs first
     code = (
         "import dataclasses, json, sys\n"
         "from kslyap import study\n"
