@@ -33,15 +33,11 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class LyapunovConstants:
-    """Decay rate, forcing constant, and the bookkeeping constants of the
-    estimate they came from (Cauchy-Schwarz weights and rescale factors)."""
+    """Decay rate lambda and forcing constant M^2 of the differential
+    inequality d/dt |u - phi|_2^2 <= -lambda |u|_2^2 + M^2."""
 
     lam: float
     M2: float
-    p: float = 0.5
-    q_cs: float = 1.0
-    beta: float = 64.0
-    gamma_rescale: float = 16.0
 
     def __post_init__(self):
         if self.lam <= 0:

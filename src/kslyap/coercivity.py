@@ -8,36 +8,24 @@ with the single pinning condition u(0) = 0. A negative smallest eigenvalue at
 finite mode count is conclusive (Rayleigh-Ritz gives upper bounds); a positive
 one is accepted only after a mode-doubling convergence check.
 
-Small Galerkin matrices get a dense eigensolve. Above a measured crossover
-the smallest eigenvalue comes from a shift-and-invert block Krylov method:
-the nine smallest eigenvalues of the block centred on the smallest diagonal
-entries (upper bounds by Cauchy interlacing) place a shift sigma below
-them, a proof that A - sigma I is positive definite shows lambda_min >
-sigma, and Rayleigh-Ritz on a block Krylov space of (A - sigma I)^{-1}, one
-solve with eight right-hand sides per block, finds the eigenvalue nearest
-sigma. Two factor-and-solve steps serve that loop.
+``min_eigenvalue`` takes the first of three steps that succeeds:
 
-- Structured: the matrix ``assemble`` builds from a constructed profile is
-  a diagonal Delta (kinetic symbol plus phi_x's constant phi_x_off) plus
-  the Gram matrix G_w of the potential's window. The critical scaling
-  shrinks the window like L^{-1/3}, so G_w has numerical rank r of a few
-  to a few dozen. G_w is applied from the window's cosine moments by FFT
-  and compressed once to U C U^T by a randomized range finder; a
-  Haynsworth inertia count proves Delta - sigma I + U C U^T positive
-  definite, each solve is a Woodbury solve in O(N r) per column, and the
-  value returned is the Rayleigh quotient of the final Ritz vector on A
-  itself. No N x N array is built and only numpy is used.
-- Packed: raw arrays, profiles without a window (``from_samples``) and
-  windows whose rank exceeds the compression cap get a Cholesky
-  factorization of A - sigma I in rectangular full packed storage and
-  packed solves. Only this step needs LAPACK's packed routines, so scipy
-  is imported on its first use and a run that never takes it loads numpy
-  only.
-
-When a step fails (no proof at the shift, or no convergence), the next one
-runs: structured, then packed, then the dense eigensolve.
+- Secular, for every matrix ``assemble`` builds from a constructed profile,
+  at every N: A = Delta + G_w, a diagonal plus the Gram matrix of the
+  potential's window, which the critical scaling keeps at numerical rank r
+  of one to a few dozen. Haynsworth inertia counts of a small bordered
+  secular matrix bracket lambda_min of the compressed model Delta + U C U^T,
+  Newton's method closes the bracket, and the value returned is the
+  Rayleigh quotient on A of the model's closed-form eigenvector: an upper
+  bound on A's lambda_min. numpy only, and no N x N array.
+- Packed, for arrays above ``_DENSE_MAX``, profiles without a window and
+  matrices the secular step gives up on: a Cholesky factorization of
+  A - sigma I in rectangular full packed storage and block Krylov on its
+  inverse. Only this step imports scipy, on its first use.
+- Dense: ``numpy.linalg.eigvalsh`` for smaller arrays and as the last resort.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -60,10 +48,11 @@ class CertificationInconclusiveError(RuntimeError):
     """Mode-doubling cap reached without eigenvalue convergence (not a disproof)."""
 
 
-# the range finder starts with this many random columns and doubles them
-# until the trailing Ritz values of Q^T G_w Q are negligible, up to
-# _RANK_MAX columns (and N / 4); past that cap the packed step runs
-_RANK_START = 16
+# the range finder starts from ceil(N W / n) + 3 _OVERSAMPLE columns for a
+# window of W of the grid's n points (the rank measured at most
+# ceil(N W / n) + 7 over L = 8..8192, N = 64..2048) and doubles them until
+# the trailing Ritz values of Q^T G_w Q are negligible, up to _RANK_MAX
+# columns (and N / 4); past that cap the packed step runs
 _RANK_MAX = 128
 # columns beyond the numerical rank that a converged range finder must show
 _OVERSAMPLE = 4
@@ -75,13 +64,30 @@ _OVERSAMPLE = 4
 # the largest Ritz value: at L = 8192, N = 512 the largest is 0.026 and
 # the floor 1e-12.
 _RANK_TOL = 1e-12
+# Newton's method on the secular eigenvalue stops once its step is below
+# _SECULAR_TOL (1 + |sigma|), and gives up after _SECULAR_PROBES probes; 2-9
+# were needed over L = 12..8192, N = 64..2048, both orders and both forms
+_SECULAR_TOL = 1e-13
+_SECULAR_PROBES = 16
+
+
+def _test_rows(start, stop, n):
+    """Rows start..stop-1 of a fixed pseudo-random matrix with n columns,
+    uniform on [-1, 1): splitmix64 of each entry's index. Not numpy.random,
+    whose first use costs a fresh process 10-20 ms and 0.3 MB."""
+    z = np.arange(start * n + 1, stop * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> 31)) >> 11).astype(float).reshape(stop - start, n) * 2.0**-52 - 1.0
 
 
 @dataclass(frozen=True, eq=False)
 class _WindowGram:
     """G_w[j, k] = (w_|j-k| - w_(j+k)) / (2L) for j, k = 1..N, the Gram
     matrix of the potential's window, from its cosine moments
-    w = c - 2 L phi_x_off delta_0 (c_0..c_2N).
+    w = c - 2 L phi_x_off delta_0 (c_0..c_2N). ``share`` is the window's
+    fraction W / n of the grid, from which the range finder predicts the
+    rank.
 
     Toeplitz minus Hankel in w is convolution with w's even extension of
     the odd extension of x, so G_w x is read off one circular convolution
@@ -92,6 +98,7 @@ class _WindowGram:
     phi_x_off: float
     L: float
     N: int
+    share: float
 
     @cached_property
     def _window_moments(self):
@@ -120,14 +127,14 @@ class _WindowGram:
     @cached_property
     def compressed(self):
         """(U, C) with G_w ~ U diag(C) U^T, U orthonormal N x r, from a
-        seeded randomized range finder; None past the column cap."""
-        rng = np.random.default_rng(0)
+        randomized range finder on ``_test_rows``; None past the column cap."""
         floor = np.abs(self._window_moments).max() / (2.0 * self.L)
-        # products G_w Omega of the random columns drawn so far
+        cap = min(_RANK_MAX, self.N // 4)
+        # products G_w Omega of the test columns drawn so far
         Y = np.empty((0, self.N))
-        k = _RANK_START
-        while k <= min(_RANK_MAX, self.N // 4):
-            Y = np.concatenate((Y, self.apply(rng.standard_normal((k - Y.shape[0], self.N)))))
+        k = math.ceil(self.N * self.share) + 3 * _OVERSAMPLE
+        while k <= cap:
+            Y = np.concatenate((Y, self.apply(_test_rows(Y.shape[0], k, self.N))))
             Q = np.linalg.qr(Y.T)[0]
             B = self.apply(np.ascontiguousarray(Q.T)) @ Q
             theta, V = np.linalg.eigh(0.5 * (B + B.T))
@@ -147,9 +154,10 @@ class QuadFormMatrix:
     ``phi_x_off`` is phi_x's constant value off the potential's window, or
     None for a profile without one (``from_samples``). With it, the matrix
     is Delta + G_w: the diagonal Delta = diagonal + phi_x_off and the
-    window's Gram matrix, which ``min_eigenvalue`` applies and compresses
-    from the moments. ``entries``, the dense N x N array, is built when
-    first read.
+    window's Gram matrix, which ``assemble`` attaches and ``min_eigenvalue``
+    applies and compresses from the moments (a matrix built without it
+    takes the array path). ``entries``, the dense N x N array, is built
+    when first read.
     """
 
     L: float
@@ -161,10 +169,6 @@ class QuadFormMatrix:
     # G_w with its FFT symbol and compression, each built on first use;
     # dataclasses.replace passes it on, so a shifted copy shares them
     _window: _WindowGram | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._window is None and self.phi_x_off is not None:
-            object.__setattr__(self, "_window", _WindowGram(self.moments, self.phi_x_off, self.L, self.N))
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -224,41 +228,35 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
         raise UnderResolvedGridError(f"grid has {n} points, need >= {4 * N} for N = {N}")
     L = profile.L
     windowed = profile.window.size < n
+    moments = profile.cosine_moments(2 * N + 1)
     return QuadFormMatrix(
         L=L,
         N=N,
         order=order,
-        moments=profile.cosine_moments(2 * N + 1),
+        moments=moments,
         diagonal=_kinetic_diagonal(L, N, order),
         phi_x_off=profile.phi_x_off if windowed else None,
+        _window=_WindowGram(moments, profile.phi_x_off, L, N, profile.window.size / n) if windowed else None,
     )
 
 
-# Orders up to this get the dense eigensolve; above it the packed Cholesky
-# and block Krylov are cheaper (one BLAS thread: 10.5 vs 8-10 ms at n = 384,
-# 22 vs 9-26 ms at 512, 1.2 s vs 0.14-0.24 s at 2048).
+# Arrays up to this order get the dense eigensolve; above it the packed
+# Cholesky and block Krylov are cheaper (one BLAS thread: 10.5 vs 8-10 ms at
+# n = 384, 22 vs 9-26 ms at 512, 1.2 s vs 0.14-0.24 s at 2048). Matrices
+# from constructed profiles take the secular step at every order first.
 _DENSE_MAX = 384
 # order of the block, centred on the smallest diagonal entries, whose
-# eigenvalues place the shift
+# eigenvalues place the packed step's shift
 _BLOCK = 128
 # right-hand sides per solve: one pass over the packed factor serves eight
 # vectors in about 1.2 times the time of one (n = 2048, one BLAS thread)
 _KRYLOV_BLOCK = 8
 # Krylov blocks before the fallback; 3-10 were needed at L = 32..512
 _KRYLOV_MAX_BLOCKS = 12
-# stop once |r|^2 <= _RESIDUAL_TOL mu gap + (eta mu)^2, gap = mu_1 - mu_2
-# floored at 1e-8 mu: with exact solves the Ritz value mu is then within
-# 1e-14 mu of an eigenvalue. eta bounds the relative error of one solve,
-# under which the residual cannot fall: 0 for the packed solve (backward
-# stable; its floor stays under the first term) and _WOODBURY_ETA for the
-# Woodbury solve. Refined once, that solve's error measured at most 3e-12
-# relative, and its backward error 4e-14, at the shifts the loop uses
-# (L = 12..2048, N = 512..2048, both orders); unrefined, its backward error
-# reached 2e-8. A residual at the floor leaves the Ritz value within
-# 1e-12 mu of an eigenvalue even at the smallest gap.
+# stop once |r|^2 <= _RESIDUAL_TOL mu gap, gap = mu_1 - mu_2 floored at
+# 1e-8 mu: the Ritz value mu is then within 1e-14 mu of an eigenvalue (the
+# packed solve is backward stable, so its rounding stays under this floor)
 _RESIDUAL_TOL = 1e-14
-_PACKED_ETA = 0.0
-_WOODBURY_ETA = 1e-10
 # a column whose part outside the basis is this small against its own norm
 # is treated as lying in the basis; a larger part is normalized, and its
 # direction is then accurate to about 1e-16 / _DEFLATE_TOL. At 1e-10 that
@@ -297,12 +295,6 @@ def _lapack_pairs(M, lo, hi, lower):
     return (theta, vecs) if info == 0 else None
 
 
-def _numpy_pairs(M, lo, hi, lower):
-    """As ``_lapack_pairs``, from numpy's full eigensolve."""
-    theta, vecs = np.linalg.eigh(M, UPLO="L" if lower else "U")
-    return theta[lo : hi + 1], vecs[:, lo : hi + 1]
-
-
 def _shift_block(diagonal):
     """The principal block of _BLOCK rows centred on the median row of the
     nine smallest diagonal entries (the shift reads theta_0..theta_8),
@@ -318,11 +310,11 @@ def _shift(theta):
     return theta[0] - max(0.5 * (theta[8] - theta[0]), 1e-8 * (1.0 + abs(theta[0])))
 
 
-def _block_krylov(n, solve, pairs, block, vecs, eta):
+def _block_krylov(n, solve, block, vecs):
     """Block Krylov Rayleigh-Ritz for the largest eigenvalue mu of
-    B = (A - sigma I)^{-1}, given ``solve(X) = B X``, the eigenpair routine
-    ``pairs`` and the shift block's eigenvectors; returns (mu, x) with x
-    the Ritz vector of mu, or None when it does not converge."""
+    B = (A - sigma I)^{-1}, given ``solve(X) = B X`` and the shift block's
+    eigenvectors; returns (mu, x) with x the Ritz vector of mu, or None when
+    it does not converge."""
     b = _KRYLOV_BLOCK
     rng = np.random.default_rng(0)
     # orthonormal basis Q, its products W = B Q and, in the upper triangle
@@ -354,7 +346,7 @@ def _block_krylov(n, solve, pairs, block, vecs, eta):
             # Rayleigh-Ritz on the unlocked basis: its two largest Ritz values
             # and the top Ritz vector x, with residual B x - mu x
             keep = np.r_[free, b:m]
-            found = pairs(H[np.ix_(keep, keep)], keep.size - 2, keep.size - 1, False)
+            found = _lapack_pairs(H[np.ix_(keep, keep)], keep.size - 2, keep.size - 1, False)
             if found is None:
                 return None
             mu, y = found
@@ -363,7 +355,7 @@ def _block_krylov(n, solve, pairs, block, vecs, eta):
             x[keep] = y[:, 1]
             qx = Q[:, :m] @ x
             r = W[:, :m] @ x - top * qx
-            if r @ r <= _RESIDUAL_TOL * top * max(top - mu[0], 1e-8 * top) + (eta * top) ** 2:
+            if r @ r <= _RESIDUAL_TOL * top * max(top - mu[0], 1e-8 * top):
                 best = int(np.argmax(locked))
                 if locked[best] > top:
                     return locked[best], Q[:, best]
@@ -411,129 +403,131 @@ def _packed_min(A):
         out, info = lapack.dpftrs(n, chol, X, uplo="U")
         return out if info == 0 else None
 
-    found = _block_krylov(n, solve, _lapack_pairs, block, vecs, _PACKED_ETA)
+    found = _block_krylov(n, solve, block, vecs)
     if found is None:
         return None
     lam = sigma + 1.0 / found[0]
     return float(lam) if found[0] > 0 and np.isfinite(lam) else None
 
 
-def _woodbury(delta, U, C, sigma):
-    """(count, solve) for M = diag(delta) - sigma I + U diag(C) U^T.
+class _Secular:
+    """Inertia counts and Newton steps for lambda_min of the model
+    M = diag(delta) + U diag(C) U^T. With W = U |C|^{1/2}, s = sign(C) and
+    E = diag(delta_out) - sigma, the entries of delta in ``inner`` stay rows
+    of the bordered secular matrix
+    B = [[diag(delta_in) - sigma, W_in], [W_in^T, -diag(s) - W_out^T E^{-1} W_out]],
+    the Schur complement of E in K = [[Delta - sigma, W], [W^T, -diag(s)]],
+    whose other Schur complement is M - sigma I. By Haynsworth inertia
+    additivity M has n = #{delta_out < sigma} + #{B < 0} - #{C > 0}
+    eigenvalues below sigma. Where E > 0 no eigenvalue of B rises with
+    sigma, so h, the one of index #{C > 0}, is >= 0 below lambda_min and
+    < 0 above. For h's unit eigenvector [u; t], x = [u; -E^{-1} W_out t] has
+    (M - sigma I) x = h ([u; 0] + W diag(s) t) and dh/dsigma = -|x|^2."""
 
-    count is M's number of negative eigenvalues by Haynsworth inertia
-    additivity: K = [[D, U], [U^T, -C^{-1}]] with D = diag(delta) - sigma I
-    has the Schur complements M (of -C^{-1}) and -S (of D), where S is the
-    capacitance matrix C^{-1} + U^T D^{-1} U, so
-    In(M) + In(-C^{-1}) = In(D) + In(-S) and, for nonsingular S,
-    count = #{delta < sigma} + #{C < 0} - #{S's negative eigenvalues}, and
-    M is nonsingular. solve(X) = M^{-1} X by the Woodbury formula,
-    D^{-1} X - D^{-1} U S^{-1} U^T D^{-1} X, refined once against M; each
-    pass is O(N r) per column. None when D or S is singular.
-    """
-    D = delta - sigma
-    if not D.all():
-        return None
-    DU = U / D[:, None]
-    S = U.T @ DU
-    S[np.diag_indices_from(S)] += 1.0 / C
-    s, V = np.linalg.eigh(S)
-    if not s.all():
-        return None
-    count = np.count_nonzero(D < 0) + np.count_nonzero(C < 0) - np.count_nonzero(s < 0)
-    # D^{-1} U S^{-1} U^T D^{-1} = (DU V) s^{-1} (DU V)^T
-    DUV = DU @ V
+    def __init__(self, delta, U, C, inner):
+        W = U * np.sqrt(np.abs(C))
+        self.inner = inner
+        self.d_in, self.d_out = delta[inner], delta[~inner]
+        self.W_in, self.W_out = W[inner], W[~inner]
+        self.signs = np.sign(C)
+        self.positive = np.count_nonzero(C > 0)
 
-    def apply_inverse(X):
-        return X / D[:, None] - DUV @ ((DUV.T @ X) / s[:, None])
-
-    def solve(X):
-        Y = apply_inverse(X)
-        return Y + apply_inverse(X - D[:, None] * Y - U @ (C[:, None] * (U.T @ Y)))
-
-    return count, solve
+    def probe(self, sigma):
+        """(n, h, x) at sigma; None where E is singular."""
+        E = self.d_out - sigma
+        if not E.all():
+            return None
+        Y = self.W_out / E[:, None]
+        j = self.d_in.size
+        B = np.zeros((j + self.signs.size,) * 2)
+        B[:j, j:] = self.W_in
+        B[j:, :j] = self.W_in.T
+        B[j:, j:] = -(self.W_out.T @ Y)
+        B[np.diag_indices_from(B)] -= np.concatenate((sigma - self.d_in, self.signs))
+        beta, V = np.linalg.eigh(B)
+        n = np.count_nonzero(E < 0) + np.count_nonzero(beta < 0) - self.positive
+        v = V[:, self.positive]
+        x = np.empty(self.inner.size)
+        x[self.inner] = v[:j]
+        x[~self.inner] = -(Y @ v[j:])
+        return n, beta[self.positive], x
 
 
 def _structured_min(m):
     """Smallest eigenvalue of the matrix Delta + G_w from ``assemble``,
-    without an N x N array: block Krylov on the inverse of the compressed
-    model Delta + U C U^T by Woodbury solves, then the Rayleigh quotient of
-    its Ritz vector on A itself. None past the compression cap or when no
-    shift is proved below the model's spectrum or Krylov does not converge."""
+    without an N x N array; None without a window, past the compression
+    cap, when n = 0 fails at the Weyl bound lo or when Newton does not
+    converge in ``_SECULAR_PROBES`` probes. hi, the model's smallest
+    diagonal entry, is a Rayleigh quotient, so at or above lambda_min; the
+    entries of Delta up to hi are bordered rows, so h has no pole in
+    [lo, hi]. Each probe moves lo (n = 0) or hi (n > 0) to itself, and a
+    Newton step that leaves [lo, hi] goes to hi from lo, later to the
+    midpoint."""
     if not (np.isfinite(m.moments).all() and np.isfinite(m.diagonal).all() and np.isfinite(m.phi_x_off)):
         raise EigensolverError("matrix has a non-finite moment or diagonal entry")
-    low_rank = m._window.compressed
+    low_rank = None if m._window is None else m._window.compressed
     if low_rank is None:
         return None
     U, C = low_rank
-    n, L, c = m.N, m.L, m.moments
-    # A's diagonal and shift block, with the same rounding as ``entries``
-    i = np.arange(n)
-    block = _shift_block((c[0] - c[2 * i + 2]) * 0.5 / L + m.diagonal)
-    i = i[block]
-    A_block = (c[np.abs(i[:, None] - i)] - c[i[:, None] + i + 2]) * 0.5 / L
-    A_block[np.diag_indices_from(A_block)] += m.diagonal[block]
-    theta, vecs = _numpy_pairs(A_block, 0, 8, True)
     delta = m.diagonal + m.phi_x_off
-    # when the block's shift is not below the spectrum, Weyl's inequality
-    # puts min Delta + min(0, lambda_min(C)) there
     weyl = delta.min() + min(0.0, C.min(initial=0.0))
-    for sigma in (_shift(theta), weyl - 1e-8 * (1.0 + abs(weyl))):
-        model = _woodbury(delta, U, C, sigma)
-        if model is not None and model[0] == 0:
-            break
-    else:
+    lo = weyl - 1e-8 * (1.0 + abs(weyl))
+    hi = float(np.min(delta + (U * U) @ C))
+    model = _Secular(delta, U, C, delta <= hi)
+    found = model.probe(lo)
+    if found is None or found[0] != 0:
         return None
-    found = _block_krylov(n, model[1], _numpy_pairs, block, vecs, _WOODBURY_ETA)
-    if found is None:
-        return None
-    x = found[1] / np.linalg.norm(found[1])
-    return float(x @ (delta * x) + x @ m._window.apply(x[None, :])[0])
+    sigma = lo + found[1] / (found[2] @ found[2])
+    if not lo < sigma < hi:
+        sigma = hi
+    for _ in range(_SECULAR_PROBES - 1):
+        found = model.probe(sigma)
+        if found is None:
+            return None
+        n, h, x = found
+        lo, hi = (sigma, hi) if n == 0 else (lo, sigma)
+        step = h / (x @ x)
+        if abs(step) <= _SECULAR_TOL * (1.0 + abs(sigma)):
+            x /= np.linalg.norm(x)
+            return float(x @ (delta * x) + x @ m._window.apply(x[None, :])[0])
+        sigma += step
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
+    return None
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix, read from its lower triangle.
 
-    ``m`` is an array or a ``QuadFormMatrix``. Orders up to ``_DENSE_MAX``
-    use the dense eigensolve. Larger matrices take the eigenvalues
-    theta_0 <= ... <= theta_8 of the ``_BLOCK`` block centred on the median
-    row of the nine smallest diagonal entries (clipped to the matrix), upper
-    bounds on lambda_min by Cauchy interlacing, and shift to
-    sigma = theta_0 - max((theta_8 - theta_0) / 2, 1e-8 (1 + |theta_0|)).
-    A block Krylov Rayleigh-Ritz on (A - sigma I)^{-1} then finds its
-    largest eigenvalue mu: it starts from theta_0..theta_6's block
-    eigenvectors and one seeded random vector, and each step is one solve
-    with ``_KRYLOV_BLOCK`` right-hand sides. A start vector that is an exact
-    eigenvector (A block diagonal) keeps its eigenvalue as a candidate but
-    is left out of the convergence test, and a product that falls inside
-    the basis is replaced by a random column. The factor-and-solve step is
-    one of two:
+    ``m`` is an array or a ``QuadFormMatrix``. The steps:
 
-    - Structured, for a ``QuadFormMatrix`` with a window (``phi_x_off``
-      set): A = Delta + G_w, G_w compressed to U C U^T (rank r) by a
-      seeded randomized range finder whose columns double from
-      ``_RANK_START`` until the trailing Ritz values of Q^T G_w Q fall
-      below ``_RANK_TOL`` of the largest, up to ``_RANK_MAX`` columns. A
-      zero Haynsworth inertia count of Delta - sigma I + U C U^T proves it
-      positive definite; when it is not zero, the shift is retried once
-      just below min Delta + min(0, lambda_min(C)), which Weyl's
-      inequality puts below the model's spectrum. Each solve is a
-      Woodbury solve refined once against the model, and the value
-      returned is the Rayleigh quotient of the final Ritz vector on A,
-      applied from the moments: still a Rayleigh-Ritz upper bound.
-      The block eigenpairs come from numpy, so this step imports no scipy
-      and builds no N x N array. A NaN or infinity in the moments, the
-      diagonal or phi_x_off raises ``EigensolverError`` before any solve.
-    - Packed, for arrays, windowless matrices (``from_samples`` profiles)
-      and any matrix the structured step gives up on: a partial eigensolve
-      of the block (LAPACK ``dsyevr``, nine eigenpairs) and a Cholesky
-      factorization of A - sigma I in rectangular full packed storage
-      (n(n+1)/2 doubles), whose success proves lambda_min > sigma; each
-      solve is one packed solve, and lambda_min = sigma + 1/mu.
+    - Secular, for a ``QuadFormMatrix`` with a window (``phi_x_off`` set),
+      at every N: the model M = Delta + U C U^T, with G_w compressed by a
+      randomized range finder that starts from the rank its window
+      predicts. ``_Secular`` counts M's eigenvalues below any sigma,
+      n(sigma), by Haynsworth inertia additivity: n = 0 proves the Weyl bound
+      min Delta + min(0, min C) - 1e-8 (1 + |.|) below M's spectrum, and
+      Newton's method inside the bracket the counts keep finds
+      lambda_min(M) in 2-9 probes of O(N r^2). The value returned is the
+      Rayleigh quotient on A, applied from the moments, of M's closed-form
+      eigenvector: a Rayleigh-Ritz upper bound on A's lambda_min. A NaN or
+      infinity in the moments, the diagonal or phi_x_off raises
+      ``EigensolverError`` before any solve.
+    - Packed, for arrays above ``_DENSE_MAX``, windowless matrices
+      (``from_samples`` profiles) and any matrix the secular step gives up
+      on: the shift sigma = theta_0 - max((theta_8 - theta_0) / 2,
+      1e-8 (1 + |theta_0|)) below the eigenvalues theta of the ``_BLOCK``
+      block centred on the median row of the nine smallest diagonal entries
+      (upper bounds by Cauchy interlacing), a Cholesky factorization of
+      A - sigma I in rectangular full packed storage that proves
+      lambda_min > sigma, and block Krylov Rayleigh-Ritz on
+      (A - sigma I)^{-1}, ``_KRYLOV_BLOCK`` right-hand sides per solve.
+    - Dense ``eigvalsh``: arrays up to ``_DENSE_MAX``, and the last resort.
 
-    A failed proof or an iteration unconverged after ``_KRYLOV_MAX_BLOCKS``
-    blocks passes on to the next step, the packed and then the dense
-    eigensolve. The input is not modified.
+    A failed proof, a rank past the cap or an iteration unconverged after
+    ``_SECULAR_PROBES`` probes or ``_KRYLOV_MAX_BLOCKS`` blocks passes on
+    to the next step; a ``QuadFormMatrix`` then goes on as its ``entries``.
+    The input is not modified.
 
     For arrays, a NaN or infinity on the diagonal raises ``EigensolverError``
     before any solve (LAPACK's dense eigensolve can return a finite value
@@ -542,7 +536,7 @@ def min_eigenvalue(m) -> float:
     the O(n^2) check. The strict upper triangle is never read.
     """
     if isinstance(m, QuadFormMatrix):
-        if m.N > _DENSE_MAX and m.phi_x_off is not None:
+        if m.phi_x_off is not None:
             lam = _structured_min(m)
             if lam is not None:
                 return lam

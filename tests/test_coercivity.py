@@ -1,6 +1,7 @@
 """Galerkin assembly, eigenvalue certification, and the one-dimensional
 inequality checks behind it."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -403,17 +404,114 @@ def test_structured_matches_packed_at_2048(critical_pair, monkeypatch):
         assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
-@pytest.mark.parametrize("N", [512, 1024])
+def _probes(monkeypatch):
+    """Patch _Secular.probe to record the sigma of each probe."""
+    sigmas = []
+    probe = coercivity._Secular.probe
+    monkeypatch.setattr(coercivity._Secular, "probe", lambda self, sigma: sigmas.append(sigma) or probe(self, sigma))
+    return sigmas
+
+
+@pytest.mark.parametrize("N", [256, 512, 1024])
 def test_structured_second_order(profile32, monkeypatch, N):
-    # the well is supercritical here: lambda_min lies far below the shift
-    # block's sigma, and the Weyl shift min Delta + min(0, lambda_min(C)) is
-    # what the inertia count proves
+    # the well is supercritical here: lambda_min lies hundreds below
+    # min Delta, so the smallest entry of Delta is a pole of the r-row
+    # secular matrix between lambda_min and the bracket's upper end hi (the
+    # model's smallest diagonal entry), which a Newton step from hi would
+    # cross; kept as a row of the bordered matrix, it leaves no pole there
     mats = [assemble(profile32, N, OperatorOrder.SECOND)]
     mats.append(_shifted(mats[0]))
-    refs = [float(np.linalg.eigvalsh(m.entries)[0]) for m in mats]
+    refs = [float(np.linalg.eigvalsh(replace(m).entries)[0]) for m in mats]
     _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    sigmas = _probes(monkeypatch)
     for m, ref in zip(mats, refs):
+        sigmas.clear()
         assert abs(min_eigenvalue(m) - ref) <= 1e-9 * (1.0 + abs(ref))
+        U, C = m._window.compressed
+        delta = m.diagonal + m.phi_x_off
+        assert ref < delta.min() - 100.0 and delta.min() < np.min(delta + (U * U) @ C)
+        assert len(sigmas) <= 12
+
+
+@pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 2048.0, 8192.0])
+def test_secular_matches_reference(critical_pair, monkeypatch, L):
+    # every windowed matrix at N = 64..2048, both orders and both forms, in
+    # at most 12 probes; the reference is eigvalsh while |A| < 1e8 and the
+    # packed path above, where eigvalsh's backward error eps |A| is past
+    # the bound
+    profile = build_profile(L, pair=critical_pair)
+    cases = []
+    for N in (64, 128, 256, 512, 1024, 2048):
+        for order in OperatorOrder:
+            m = assemble(profile, N, order)
+            for A in (m, _shifted(m)):
+                # filled on a copy, so the matrix under test holds no dense array
+                fill = replace(A).entries
+                dense = np.abs(np.diagonal(fill)).max() < 1e8
+                cases.append((A, float(np.linalg.eigvalsh(fill)[0]) if dense else coercivity._packed_min(fill)))
+    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    sigmas = _probes(monkeypatch)
+    for A, ref in cases:
+        sigmas.clear()
+        assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
+        assert len(sigmas) <= 12
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_small_windowed_levels_build_no_dense_matrix(profile32, monkeypatch, N):
+    # below the dense crossover as well, both forms take the secular path:
+    # no fill, no dense and no packed solve
+    m = assemble(profile32, N)
+    mats = (m, _shifted(m))
+    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    for A in mats:
+        min_eigenvalue(A)
+    assert all("entries" not in vars(A) for A in mats)
+
+
+def test_failed_count_falls_through_to_packed_path(profile32, monkeypatch):
+    # a count that never proves the Weyl bound: the packed path answers,
+    # with the array path's value
+    m = assemble(profile32, 512)
+    value = min_eigenvalue(replace(m).entries)
+    probe = coercivity._Secular.probe
+    monkeypatch.setattr(coercivity._Secular, "probe", lambda self, sigma: (1, *probe(self, sigma)[1:]))
+    calls = []
+    packed = coercivity._packed_min
+    monkeypatch.setattr(coercivity, "_packed_min", lambda A: calls.append(A.shape) or packed(A))
+    assert min_eigenvalue(m) == value
+    assert calls == [(512, 512)]
+
+
+def _applied(monkeypatch):
+    """Patch _WindowGram.apply to record the row count of each call."""
+    rows = []
+    apply = coercivity._WindowGram.apply
+    monkeypatch.setattr(coercivity._WindowGram, "apply", lambda self, X: rows.append(X.shape[0]) or apply(self, X))
+    return rows
+
+
+def test_range_finder_gives_up_before_any_product(critical_pair, monkeypatch):
+    # at L = 8, N = 2048 the window predicts rank ceil(N W / n) + 8 = 138,
+    # past _RANK_MAX: no product is formed, and the packed path answers
+    # with the array path's value
+    m = assemble(build_profile(8.0, pair=critical_pair), 2048)
+    value = min_eigenvalue(replace(m).entries)
+    rows = _applied(monkeypatch)
+    assert min_eigenvalue(m) == value
+    assert rows == []
+
+
+@pytest.mark.parametrize("L", [12.0, 128.0, 8192.0])
+@pytest.mark.parametrize("N", [64, 2048])
+def test_range_finder_starts_from_predicted_rank(critical_pair, monkeypatch, L, N):
+    # one pass of ceil(N W / n) + 3 _OVERSAMPLE columns finds the rank
+    profile = build_profile(L, pair=critical_pair)
+    k = math.ceil(N * profile.window.size / profile.n) + 3 * coercivity._OVERSAMPLE
+    rows = _applied(monkeypatch)
+    U, C = assemble(profile, N)._window.compressed
+    assert rows == [k, k]
+    assert C.size <= k - coercivity._OVERSAMPLE
 
 
 def test_shifted_variant_shares_compression(profile32):
@@ -459,21 +557,19 @@ def test_rank_past_cap_takes_packed_path(profile32, monkeypatch):
 
 
 def test_inertia_count_matches_model_spectrum(profile32):
-    # #{Delta < sigma} + #{C < 0} - #{S < 0} against eigvalsh of the model,
-    # below, between and above its eigenvalues and with one Delta < sigma;
-    # the Woodbury solve is backward stable
+    # #{Delta_out < sigma} + #{B < 0} - #{C > 0} against eigvalsh of the
+    # model, below, between and above its eigenvalues and with one
+    # Delta < sigma, for the plain r-row secular matrix (no row of Delta
+    # kept) and for the bordered one the secular step uses
     m = assemble(profile32, 512)
     U, C = m._window.compressed
     delta = m.diagonal + m.phi_x_off
     model = (U * C) @ U.T + np.diag(delta)
     spectrum = np.linalg.eigvalsh(model)
-    X = np.random.default_rng(3).standard_normal((512, 8))
-    for sigma in (spectrum[0] - 1.0, spectrum[0] + 1e-6, 0.5 * (spectrum[2] + spectrum[3]), delta.min() + 1e-9):
-        count, solve = coercivity._woodbury(delta, U, C, sigma)
-        assert count == np.count_nonzero(spectrum < sigma)
-        Y = solve(X)
-        M = model - sigma * np.eye(512)
-        assert np.linalg.norm(M @ Y - X) <= 1e-14 * np.linalg.norm(M, 2) * np.linalg.norm(Y)
+    for inner in (np.zeros(512, bool), delta <= np.diagonal(model).min()):
+        secular = coercivity._Secular(delta, U, C, inner)
+        for sigma in (spectrum[0] - 1.0, spectrum[0] + 1e-6, 0.5 * (spectrum[2] + spectrum[3]), delta.min() + 1e-9):
+            assert secular.probe(sigma)[0] == np.count_nonzero(spectrum < sigma)
 
 
 def test_structured_path_allocates_no_dense_matrix(critical_pair):
@@ -501,7 +597,7 @@ def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, 
         m = assemble(profile32, 512)
         m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal)) if where == "diagonal" else m
         m = replace(m, phi_x_off=bad, _window=None) if where == "phi_x_off" else m
-    _refuse(monkeypatch, "_woodbury", "_block_krylov", "_packed_min", "eigvalsh")
+    _refuse(monkeypatch, "_Secular", "_packed_min", "eigvalsh")
     with pytest.raises(EigensolverError):
         min_eigenvalue(m)
 
