@@ -13,8 +13,9 @@ one is accepted only after a mode-doubling convergence check.
 - Secular, for every matrix ``assemble`` builds from a constructed profile,
   at every N: A = Delta + G_w, a diagonal plus the Gram matrix of the
   potential's window, which the critical scaling keeps at numerical rank r
-  of one to a few dozen. Haynsworth inertia counts of a small bordered
-  secular matrix bracket lambda_min of the compressed model Delta + U C U^T,
+  of one to a few dozen. A randomized range finder compresses G_w to
+  U C U^T from one batched FFT product per pass. Haynsworth inertia counts
+  of a small bordered secular matrix bracket lambda_min of that model,
   Newton's method closes the bracket, and the value returned is the
   Rayleigh quotient on A of the model's closed-form eigenvector: an upper
   bound on A's lambda_min. numpy only, and no N x N array.
@@ -51,13 +52,14 @@ class CertificationInconclusiveError(RuntimeError):
 # the range finder starts from ceil(N W / n) + 3 _OVERSAMPLE columns for a
 # window of W of the grid's n points (the rank measured at most
 # ceil(N W / n) + 7 over L = 8..8192, N = 64..2048) and doubles them until
-# the trailing Ritz values of Q^T G_w Q are negligible, up to _RANK_MAX
-# columns (and N / 4); past that cap the packed step runs
+# the trailing Ritz values of B, the model G_w ~ Q B Q^T solved from the
+# one product per pass, are negligible, up to _RANK_MAX columns (and
+# N / 4); past that cap the packed step runs
 _RANK_MAX = 128
 # columns beyond the numerical rank that a converged range finder must show
 _OVERSAMPLE = 4
-# a Ritz value of Q^T G_w Q is negligible below _RANK_TOL times the larger
-# of the largest one and max|w| / 2L. Each entry of G_w is a difference of
+# a Ritz value of B is negligible below _RANK_TOL times the larger of the
+# largest one and max|w| / 2L. Each entry of G_w is a difference of
 # moments of size up to max|w| / 2L, and their rounding puts G_w's spectrum
 # on a noise floor near 1e-14 of that (L = 8..8192, N = 512..2048). Where
 # the window is narrow against the modes that floor is far above 1e-12 of
@@ -91,7 +93,9 @@ class _WindowGram:
 
     Toeplitz minus Hankel in w is convolution with w's even extension of
     the odd extension of x, so G_w x is read off one circular convolution
-    of length 4N (indices 1..N, which no wrap-around reaches).
+    of length 4N (indices 1..N, which no wrap-around reaches). ``apply``
+    takes one such product for a batch of rows, and ``compressed`` needs
+    one batch per range-finder pass.
     """
 
     moments: np.ndarray
@@ -117,26 +121,44 @@ class _WindowGram:
         return np.fft.rfft(h).real / (2.0 * self.L)
 
     def apply(self, X):
-        """G_w applied to each row of X (k x N): one batched rfft."""
+        """G_w applied to each row of X (k x N): one batched rfft and irfft,
+        the inverse written back into the zero-padded input buffer."""
         k, n = X.shape
         x = np.zeros((k, 4 * n))
         x[:, 1 : n + 1] = X
         x[:, 3 * n :] = -X[:, ::-1]
-        return np.fft.irfft(np.fft.rfft(x) * self._symbol, 4 * n)[:, 1 : n + 1]
+        spectrum = np.fft.rfft(x)
+        spectrum *= self._symbol
+        return np.fft.irfft(spectrum, 4 * n, out=x)[:, 1 : n + 1]
 
     @cached_property
     def compressed(self):
-        """(U, C) with G_w ~ U diag(C) U^T, U orthonormal N x r, from a
-        randomized range finder on ``_test_rows``; None past the column cap."""
+        """(U, C) with G_w ~ U diag(C) U^T, U orthonormal N x r, from one
+        product Y = Omega G_w per pass of a randomized range finder on the
+        test rows Omega (``_test_rows``); None past the column cap.
+
+        With Q R = Y^T, the model G_w = Q B Q^T reproduces Y exactly when
+        (Omega Q) B^T = R^T, so that k x k system gives B without a second
+        product Q^T G_w Q (the single-pass range finder for a symmetric
+        matrix; Halko, Martinsson and Tropp 2011, section 5.5). Rounding in
+        an ill-conditioned Omega Q shows up as Ritz values of B above the
+        tolerance, so the count check doubles the columns, as it does for a
+        singular Omega Q, and past the cap the packed step answers."""
         floor = np.abs(self._window_moments).max() / (2.0 * self.L)
         cap = min(_RANK_MAX, self.N // 4)
-        # products G_w Omega of the test columns drawn so far
-        Y = np.empty((0, self.N))
+        # the test rows Omega drawn so far and their products Y = Omega G_w
+        Omega = Y = np.empty((0, self.N))
         k = math.ceil(self.N * self.share) + 3 * _OVERSAMPLE
         while k <= cap:
-            Y = np.concatenate((Y, self.apply(_test_rows(Y.shape[0], k, self.N))))
-            Q = np.linalg.qr(Y.T)[0]
-            B = self.apply(np.ascontiguousarray(Q.T)) @ Q
+            rows = _test_rows(Y.shape[0], k, self.N)
+            Omega = np.concatenate((Omega, rows))
+            Y = np.concatenate((Y, self.apply(rows)))
+            Q, R = np.linalg.qr(Y.T)
+            try:
+                B = np.linalg.solve(Omega @ Q, R.T)
+            except np.linalg.LinAlgError:
+                k *= 2
+                continue
             theta, V = np.linalg.eigh(0.5 * (B + B.T))
             keep = np.abs(theta) > _RANK_TOL * max(np.abs(theta).max(), floor)
             if np.count_nonzero(keep) <= k - _OVERSAMPLE:
@@ -426,11 +448,20 @@ class _Secular:
 
     def __init__(self, delta, U, C, inner):
         W = U * np.sqrt(np.abs(C))
-        self.inner = inner
-        self.d_in, self.d_out = delta[inner], delta[~inner]
-        self.W_in, self.W_out = W[inner], W[~inner]
-        self.signs = np.sign(C)
+        self.size = delta.size
+        self.in_idx, self.out_idx = np.flatnonzero(inner), np.flatnonzero(~inner)
+        self.d_out = delta[self.out_idx]
+        self.W_out = W[self.out_idx]
         self.positive = np.count_nonzero(C > 0)
+        # the parts of B that do not depend on sigma: the border W_in, and
+        # on the diagonal delta_in and -s, to which each probe adds -sigma
+        # and the Schur block
+        j = self.in_idx.size
+        W_in = W[self.in_idx]
+        self.border = np.zeros((j + C.size,) * 2)
+        self.border[:j, j:] = W_in
+        self.border[j:, :j] = W_in.T
+        self.base = np.concatenate((delta[self.in_idx], -np.sign(C)))
 
     def probe(self, sigma):
         """(n, h, x) at sigma; None where E is singular."""
@@ -438,18 +469,18 @@ class _Secular:
         if not E.all():
             return None
         Y = self.W_out / E[:, None]
-        j = self.d_in.size
-        B = np.zeros((j + self.signs.size,) * 2)
-        B[:j, j:] = self.W_in
-        B[j:, :j] = self.W_in.T
+        j = self.in_idx.size
+        B = self.border.copy()
         B[j:, j:] = -(self.W_out.T @ Y)
-        B[np.diag_indices_from(B)] -= np.concatenate((sigma - self.d_in, self.signs))
+        diagonal = B.reshape(-1)[:: B.shape[0] + 1]
+        diagonal += self.base
+        diagonal[:j] -= sigma
         beta, V = np.linalg.eigh(B)
         n = np.count_nonzero(E < 0) + np.count_nonzero(beta < 0) - self.positive
         v = V[:, self.positive]
-        x = np.empty(self.inner.size)
-        x[self.inner] = v[:j]
-        x[~self.inner] = -(Y @ v[j:])
+        x = np.empty(self.size)
+        x[self.in_idx] = v[:j]
+        x[self.out_idx] = -(Y @ v[j:])
         return n, beta[self.positive], x
 
 
@@ -504,7 +535,8 @@ def min_eigenvalue(m) -> float:
     - Secular, for a ``QuadFormMatrix`` with a window (``phi_x_off`` set),
       at every N: the model M = Delta + U C U^T, with G_w compressed by a
       randomized range finder that starts from the rank its window
-      predicts. ``_Secular`` counts M's eigenvalues below any sigma,
+      predicts and solves the model from its one product per pass.
+      ``_Secular`` counts M's eigenvalues below any sigma,
       n(sigma), by Haynsworth inertia additivity: n = 0 proves the Weyl bound
       min Delta + min(0, min C) - 1e-8 (1 + |.|) below M's spectrum, and
       Newton's method inside the bracket the counts keep finds

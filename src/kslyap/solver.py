@@ -44,7 +44,7 @@ class SpectralState:
         return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
 
     def u(self) -> np.ndarray:
-        return np.fft.ifft(self.uhat * self.N).real
+        return np.fft.irfft(_half(self.uhat), n=self.N, norm="forward")
 
     @property
     def norm_l2(self) -> float:
@@ -255,7 +255,8 @@ class Trajectory:
     config: SolveConfig
 
     def u(self, i: int) -> np.ndarray:
-        return np.fft.ifft(self.states[i] * self.N).real
+        # simulate's states are Hermitian, so their m >= 0 half fixes u
+        return np.fft.irfft(self.states[i, : self.N // 2 + 1], n=self.N, norm="forward")
 
 
 def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:

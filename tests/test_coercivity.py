@@ -505,13 +505,59 @@ def test_range_finder_gives_up_before_any_product(critical_pair, monkeypatch):
 @pytest.mark.parametrize("L", [12.0, 128.0, 8192.0])
 @pytest.mark.parametrize("N", [64, 2048])
 def test_range_finder_starts_from_predicted_rank(critical_pair, monkeypatch, L, N):
-    # one pass of ceil(N W / n) + 3 _OVERSAMPLE columns finds the rank
+    # one pass of ceil(N W / n) + 3 _OVERSAMPLE columns finds the rank, and
+    # the pass takes one product: the model is solved from it, not from a
+    # second product Q^T G_w Q
     profile = build_profile(L, pair=critical_pair)
     k = math.ceil(N * profile.window.size / profile.n) + 3 * coercivity._OVERSAMPLE
     rows = _applied(monkeypatch)
     U, C = assemble(profile, N)._window.compressed
-    assert rows == [k, k]
+    assert rows == [k]
     assert C.size <= k - coercivity._OVERSAMPLE
+
+
+def test_singular_sketch_doubles_the_columns(profile32, monkeypatch):
+    # a k x k system (Omega Q) B^T = R^T that cannot be solved is treated
+    # as an unconverged pass: the columns double, and the value stays
+    value = min_eigenvalue(assemble(profile32, 512))
+    m = assemble(profile32, 512)
+    solve = np.linalg.solve
+    calls = []
+
+    def fail_once(a, b):
+        calls.append(a.shape[0])
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_once)
+    rows = _applied(monkeypatch)
+    assert abs(min_eigenvalue(m) - value) <= 1e-9 * (1.0 + abs(value))
+    k = rows[0]
+    assert rows == [k, k, 1] and calls == [k, 2 * k]
+
+
+@pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 8192.0])
+@pytest.mark.parametrize("N", [64, 2048])
+def test_one_product_model_matches_two_sided_projection(critical_pair, L, N):
+    # the model U C U^T solved from Y = Omega G_w against Q^T G_w Q formed
+    # from a second product with the same basis Q: on fixed inputs the
+    # one-product error is within 10 times the two-product one
+    window = assemble(build_profile(L, pair=critical_pair), N)._window
+    U, C = window.compressed
+    k = math.ceil(N * window.share) + 3 * coercivity._OVERSAMPLE
+    Q = np.linalg.qr(window.apply(coercivity._test_rows(0, k, N)).T)[0]
+    B = window.apply(np.ascontiguousarray(Q.T)) @ Q
+    theta, V = np.linalg.eigh(0.5 * (B + B.T))
+    keep = np.abs(theta) > coercivity._RANK_TOL * max(np.abs(theta).max(), np.abs(window._window_moments).max() / (2.0 * L))
+    U2, C2 = Q @ V[:, keep], theta[keep]
+    X = coercivity._test_rows(1000, 1004, N)
+    exact = window.apply(X)
+
+    def error(U, C):
+        return np.abs(exact - ((X @ U) * C) @ U.T).max() / np.abs(exact).max()
+
+    assert error(U, C) <= 10.0 * error(U2, C2)
 
 
 def test_shifted_variant_shares_compression(profile32):
@@ -570,6 +616,53 @@ def test_inertia_count_matches_model_spectrum(profile32):
         secular = coercivity._Secular(delta, U, C, inner)
         for sigma in (spectrum[0] - 1.0, spectrum[0] + 1e-6, 0.5 * (spectrum[2] + spectrum[3]), delta.min() + 1e-9):
             assert secular.probe(sigma)[0] == np.count_nonzero(spectrum < sigma)
+
+
+def _probe_oracle(delta, U, C, inner, sigma):
+    """The bordered secular probe with boolean-mask gathers and its
+    diagonal assembled per call: the reference for ``_Secular.probe``."""
+    W = U * np.sqrt(np.abs(C))
+    d_in, d_out = delta[inner], delta[~inner]
+    W_in, W_out = W[inner], W[~inner]
+    signs = np.sign(C)
+    positive = np.count_nonzero(C > 0)
+    E = d_out - sigma
+    if not E.all():
+        return None
+    Y = W_out / E[:, None]
+    j = d_in.size
+    B = np.zeros((j + signs.size,) * 2)
+    B[:j, j:] = W_in
+    B[j:, :j] = W_in.T
+    B[j:, j:] = -(W_out.T @ Y)
+    B[np.diag_indices_from(B)] -= np.concatenate((sigma - d_in, signs))
+    beta, V = np.linalg.eigh(B)
+    n = np.count_nonzero(E < 0) + np.count_nonzero(beta < 0) - positive
+    v = V[:, positive]
+    x = np.empty(inner.size)
+    x[inner] = v[:j]
+    x[~inner] = -(Y @ v[j:])
+    return n, beta[positive], x
+
+
+@pytest.mark.parametrize("order", list(OperatorOrder))
+def test_probe_matches_oracle_bit_for_bit(profile32, order):
+    # the precomputed border and base diagonal give the same (n, h, x) as
+    # the per-probe assembly, bit for bit, below, inside and above the
+    # bracket and with entries of Delta below sigma
+    m = assemble(profile32, 512, order)
+    U, C = m._window.compressed
+    delta = m.diagonal + m.phi_x_off
+    hi = float(np.min(delta + (U * U) @ C))
+    inner = delta <= hi
+    secular = coercivity._Secular(delta, U, C, inner)
+    lam = min_eigenvalue(m)
+    for sigma in (delta.min() - 10.0, lam - 1e-3, lam, lam + 1e-9, hi, hi + 1.0, np.sort(delta)[3] + 0.5):
+        n, h, x = secular.probe(sigma)
+        n_ref, h_ref, x_ref = _probe_oracle(delta, U, C, inner, sigma)
+        assert n == n_ref and h == h_ref and np.array_equal(x, x_ref)
+    pole = delta[~inner][0]
+    assert secular.probe(pole) is None and _probe_oracle(delta, U, C, inner, pole) is None
 
 
 def test_structured_path_allocates_no_dense_matrix(critical_pair):

@@ -84,6 +84,22 @@ def test_random_initial_odd_subspace():
     assert np.max(np.abs(u + mirrored)) < 1e-13
 
 
+def test_state_fields_match_full_inverse_transform():
+    # u() is an irfft of the m >= 0 half; the full complex ifft, whose real
+    # part is the field of the spectrum's Hermitian part, is the oracle
+    rng = np.random.default_rng(11)
+    hermitian = random_initial(16.0, 128, seed=4).uhat
+    general = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    for uhat in (hermitian, general):
+        ref = np.fft.ifft(uhat * 128).real
+        u = SpectralState(L=16.0, N=128, uhat=uhat).u()
+        assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
+    traj = simulate(random_initial(16.0, 128, seed=4), SolveConfig(dt=0.05, t_end=1.0, record_every=5, transient=0.5))
+    for i in (0, traj.t.size - 1):
+        ref = np.fft.ifft(traj.states[i] * 128).real
+        assert np.abs(traj.u(i) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_random_initial_validation():
     with pytest.raises(ValueError):
         random_initial(8.0, 100)
