@@ -1,13 +1,40 @@
 """The numerical kernels: the smoothstep mollifier, the smoothed potential
-evaluated pointwise (on the smoothing grid and the profile window), and the
-N x N potential Gram matrix filled from cosine coefficients.
+evaluated pointwise (on the smoothing grid and the profile window), the
+N x N potential Gram matrix filled from cosine coefficients, and the seeded
+splitmix64 stream that every random draw in the package comes from.
 
 The pointwise kernels take any array shape and return a float for scalar
 input.
 """
 
+import operator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+# splitmix64's state increment (the golden ratio times 2^64) and its mixers
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix53(seed, start, stop):
+    """Entries start..stop-1 of the splitmix64 stream ``seed``, each as its
+    top 53 bits: integers k in [0, 2^53), exact in float64, so k 2^-53 is
+    uniform on [0, 1). Entry i hashes the state seed + (i + 1) 0x9E3779B97F4A7C15
+    (mod 2^64); seeds of 2^64 and above wrap.
+
+    The arithmetic runs on uint64 arrays, which wrap silently under every
+    numpy promotion rule (uint64 scalars warn on overflow)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return ((z ^ (z >> 31)) >> 11).astype(float)
 
 
 def _float_if_scalar(out):

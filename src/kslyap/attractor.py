@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import PotentialProfile, norms
-from .solver import Trajectory
+from .solver import Trajectory, _power
 
 #: default weights in M^2 = GRAD_COEFF*|phi_x|^2 + HESS_COEFF*|phi_xx|^2;
 #: GRAD_COEFF is the amplitude rescale factor, HESS_COEFF = 2*rescale^3
@@ -119,6 +119,13 @@ class MonitorReport:
     residuals: np.ndarray
 
 
+def _distance2(trajectory: Trajectory, profile: PotentialProfile) -> np.ndarray:
+    """|u - phi|_2^2 on the solver grid at every sample, by Parseval on the
+    half spectrum."""
+    phi_hat = np.fft.rfft(profile.phi_nodes(trajectory.N), norm="forward")
+    return 2.0 * trajectory.L * np.sum(_power(trajectory.half - phi_hat), axis=1)
+
+
 def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: LyapunovConstants) -> MonitorReport:
     """Residual r(t) = d/dt |u - phi|_2^2 + lam |u|_2^2 - M2 along the sampled
     trajectory, d/dt by centered differences on the native sampling. Counts
@@ -129,12 +136,7 @@ def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: Lyapun
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("trajectory sampling must be uniform")
-    N = trajectory.N
-    phi_s = profile.phi_nodes(N)
-    dx = 2.0 * trajectory.L / N
-    # simulate's states are Hermitian, so their m >= 0 half fixes u
-    u_all = np.fft.irfft(trajectory.states[:, : N // 2 + 1], n=N, axis=1, norm="forward")
-    dist2 = dx * np.sum((u_all - phi_s[None, :]) ** 2, axis=1)
+    dist2 = _distance2(trajectory, profile)
     ddt = (dist2[2:] - dist2[:-2]) / (2.0 * dts[0])
     residuals = ddt + constants.lam * trajectory.l2[1:-1] ** 2 - constants.M2
     tolerance = 1e-6 * (1.0 + constants.M2)

@@ -256,7 +256,6 @@ def _cmd_sweep(args, get, out_dir):
         gamma=get("gamma", 0.0),
         t_end=get("t_end", None, float),
         seed=get("seed", 0, int),
-        workers=get("workers", 1, int),
     )
     if get("json", False):
         print(json.dumps([rec.__dict__ for rec in records], indent=2))
@@ -306,7 +305,6 @@ def _common_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output directory (default .)")
     sub.add_argument("--json", action="store_const", const=True, help="machine-readable output")
-    sub.add_argument("--workers", type=int, help="worker threads for sweeps")
     sub.add_argument("--seed", type=int, help="random seed")
 
 

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._accel import gram_from_cosine
+from ._accel import gram_from_cosine, splitmix53
 from .exponents import OperatorOrder
 from .potential import PotentialProfile, SmoothedPotential, _simpson
 
@@ -73,14 +73,12 @@ _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
 
 
-def _test_rows(start, stop, n):
+def _test_rows(start, stop, n, stream=0):
     """Rows start..stop-1 of a fixed pseudo-random matrix with n columns,
-    uniform on [-1, 1): splitmix64 of each entry's index. Not numpy.random,
-    whose first use costs a fresh process 10-20 ms and 0.3 MB."""
-    z = np.arange(start * n + 1, stop * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-    return ((z ^ (z >> 31)) >> 11).astype(float).reshape(stop - start, n) * 2.0**-52 - 1.0
+    uniform on [-1, 1): entries of the splitmix64 stream ``stream`` in row
+    order. Stream 0 gives the range finder's test rows, stream 1 the block
+    Krylov start and restart columns."""
+    return splitmix53(stream, start * n, stop * n).reshape(stop - start, n) * 2.0**-52 - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +336,6 @@ def _block_krylov(n, solve, block, vecs):
     eigenvectors; returns (mu, x) with x the Ritz vector of mu, or None when
     it does not converge."""
     b = _KRYLOV_BLOCK
-    rng = np.random.default_rng(0)
     # orthonormal basis Q, its products W = B Q and, in the upper triangle
     # that the Rayleigh-Ritz step reads, H = Q^T W; the start block is
     # theta_0..theta_6's block eigenvectors and a random column
@@ -346,7 +343,8 @@ def _block_krylov(n, solve, block, vecs):
     W = np.empty_like(Q)
     H = np.zeros((Q.shape[1], Q.shape[1]))
     Q[block, : b - 1] = vecs[:, : b - 1]
-    Q[:, b - 1] = rng.standard_normal(n)
+    Q[:, b - 1] = _test_rows(0, 1, n, stream=1)[0]
+    drawn = 1  # random columns taken so far
     Q[:, :b] = np.linalg.qr(Q[:, :b])[0]
     for j in range(_KRYLOV_MAX_BLOCKS):
         m = b * (j + 1)
@@ -390,7 +388,9 @@ def _block_krylov(n, solve, block, vecs):
         dependent = np.abs(np.diagonal(R)) <= _DEFLATE_TOL * np.linalg.norm(W[:, new], axis=0)
         if dependent.any():
             # restart each product that lies in the basis from a random column
-            P[:, dependent] = rng.standard_normal((n, int(dependent.sum())))
+            k = int(dependent.sum())
+            P[:, dependent] = _test_rows(drawn, drawn + k, n, stream=1).T
+            drawn += k
             _orthogonalize(P, Q[:, :m])
             Q[:, m : m + b], _ = np.linalg.qr(P)
     return None

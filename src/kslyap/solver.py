@@ -3,22 +3,25 @@ Kuramoto-Sivashinsky equation u_t = -u_xxxx - u_xx + u u_x (+ gamma u for the
 destabilized variant), on x in [-L, L) with zero-mean data.
 
 Fourier coefficients are stored normalized, uhat = fft(u)/N, so Parseval reads
-|u|_2^2 = 2L * sum |uhat|^2. States and trajectories hold the full spectrum;
-time stepping runs on the real-FFT half spectrum m = 0..N/2, rfft(u)/N, so
-one kernel serves `step` and `simulate`. It runs in buffers allocated once
-per call of either, with every transform written into one (`out=`, numpy >=
-2.0), and the dealiased derivative folded into the ETDRK4 coefficients, so
-a step costs eight transforms and ~20 in-place products and sums at numpy's
-per-call overhead. The linear part is treated exactly;
-the ETD phi-function coefficients are averaged over a complex contour to
-avoid cancellation at small |sigma*dt| (Cox & Matthews 2002; Kassam &
-Trefethen 2005).
+|u|_2^2 = 2L * sum |uhat|^2. States hold the full spectrum; time stepping
+runs on the real-FFT half spectrum m = 0..N/2, rfft(u)/N, so one kernel
+serves `step` and `simulate`, and trajectories record that half. The kernel
+runs in buffers allocated once per call of either, with every transform
+written into one (`out=`, numpy >= 2.0), and the dealiased derivative folded
+into the ETDRK4 coefficients, so a step costs eight transforms and ~20
+in-place products and sums at numpy's per-call overhead. The linear part is
+treated exactly; the ETD phi-function coefficients are averaged over a
+complex contour to avoid cancellation at small |sigma*dt| (Cox & Matthews
+2002; Kassam & Trefethen 2005).
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+
+from ._accel import splitmix53
 
 
 class BlowUpError(RuntimeError):
@@ -140,20 +143,14 @@ def _half(uhat):
     return 0.5 * (uhat[..., : N // 2 + 1] + np.conj(uhat[..., -np.arange(N // 2 + 1) % N]))
 
 
-def _mirror(full):
-    """Fill modes m < 0 of FFT-ordered spectra (last axis) in place from
-    m = 1..N/2-1, as real data requires."""
-    N = full.shape[-1]
-    full[..., N // 2 + 1 :] = np.conj(full[..., N // 2 - 1 : 0 : -1])
-    return full
-
-
 def _full(w):
-    """Full FFT-ordered coefficients (last axis) from half spectra w."""
+    """Full FFT-ordered coefficients (last axis) from half spectra w: modes
+    m < 0 mirror m = 1..N/2-1, as real data requires."""
     h = w.shape[-1]
     out = np.empty(w.shape[:-1] + (2 * (h - 1),), dtype=complex)
     out[..., :h] = w
-    return _mirror(out)
+    out[..., h:] = np.conj(w[..., h - 2 : 0 : -1])
+    return out
 
 
 def _power(w):
@@ -246,7 +243,7 @@ class Trajectory:
     L: float
     N: int
     t: np.ndarray
-    states: np.ndarray  # (n_samples, N) complex, normalized coefficients
+    half: np.ndarray  # (n_samples, N/2+1) complex, normalized coefficients m = 0..N/2
     l2: np.ndarray
     l2_grad: np.ndarray
     l2_hess: np.ndarray
@@ -254,9 +251,14 @@ class Trajectory:
     transient: float
     config: SolveConfig
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        """(n_samples, N) complex: the full FFT-ordered spectra, built on
+        first read."""
+        return _full(self.half)
+
     def u(self, i: int) -> np.ndarray:
-        # simulate's states are Hermitian, so their m >= 0 half fixes u
-        return np.fft.irfft(self.states[i, : self.N // 2 + 1], n=self.N, norm="forward")
+        return np.fft.irfft(self.half[i], n=self.N, norm="forward")
 
 
 def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
@@ -269,8 +271,7 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
     n_steps = int(round(cfg.t_end / cfg.dt))
     rec_idx = np.arange(0, n_steps + 1, cfg.record_every)
     kernel = _Kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
-    states = np.empty((rec_idx.size, N), dtype=complex)
-    half = states[:, : N // 2 + 1]  # recorded in the loop; m < 0 mirrored after it
+    half = np.empty((rec_idx.size, N // 2 + 1), dtype=complex)
 
     v = half[0] = _project(_half(initial.uhat), cfg.odd_only)
     w = np.empty_like(v)
@@ -279,7 +280,6 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
         v, w = w, v
         if i % cfg.record_every == 0:
             half[i // cfg.record_every] = v
-    _mirror(states)
 
     t_out = initial.t + cfg.dt * rec_idx
     k2 = ((np.pi / L) * np.arange(N // 2 + 1)) ** 2
@@ -293,7 +293,7 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
         L=L,
         N=N,
         t=t_out,
-        states=states,
+        half=half,
         l2=l2,
         l2_grad=l2_grad,
         l2_hess=l2_hess,
@@ -303,22 +303,37 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
     )
 
 
+def _normals(seed, n):
+    """n standard normals from the splitmix64 stream ``seed`` (a nonnegative
+    integer), by Box-Muller: entries 2i and 2i+1 of the stream, as uniforms
+    on (0, 1], give normals 2i and 2i+1."""
+    pairs = (n + 1) // 2
+    u = (splitmix53(seed, 0, 2 * pairs) + 1.0) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:n]
+
+
 def random_initial(L: float, N: int, seed: int = 0, amplitude: float = 1.0, odd_only: bool = False) -> SpectralState:
     """Band-limited random initial data on the lowest max(1, floor(L/pi))
-    modes, zero mean, |u|_2 = amplitude, deterministic in the seed."""
+    modes, zero mean, |u|_2 = amplitude, deterministic in the seed (a
+    nonnegative integer). For z the normals of the seed's stream (0-based),
+    mode m = 1..n gets i z_(m-1) with odd_only, else z_(2m-2) + i z_(2m-1)."""
     if N < 8 or N & (N - 1):
         raise ValueError("N must be a power of two >= 8")
-    rng = np.random.default_rng(seed)
     n_modes = max(1, int(L / np.pi))
     n_modes = min(n_modes, N // 3)
     v = np.zeros(N, dtype=complex)
-    for m in range(1, n_modes + 1):
-        if odd_only:
-            coeff = 1j * rng.standard_normal()
-        else:
-            coeff = rng.standard_normal() + 1j * rng.standard_normal()
-        v[m] = coeff
-        v[-m] = np.conj(coeff)
+    if odd_only:
+        coeff = 1j * _normals(seed, n_modes)
+    else:
+        z = _normals(seed, 2 * n_modes)
+        coeff = z[0::2] + 1j * z[1::2]
+    v[1 : n_modes + 1] = coeff
+    v[-1 : -n_modes - 1 : -1] = np.conj(coeff)
     norm = math.sqrt(2.0 * L * float(np.sum(np.abs(v) ** 2)))
     if norm > 0:
         v *= amplitude / norm

@@ -5,7 +5,6 @@ interruption; floats are written with repr for exact round-trips.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -172,7 +171,12 @@ def sweep(
     available, so an interrupted sweep leaves a valid prefix. Per-L failures
     are recorded in the row's error column and do not stop the sweep; a
     failure to smooth is recorded on every row.
+
+    Rows are computed serially: a thread pool was measured no faster on
+    L = 32..1024. ``workers`` stays for callers that pass ``workers=1``.
     """
+    if workers != 1:
+        raise ValueError(f"sweeps run serially; workers must be 1, got {workers}")
     L_list = list(L_list)
     try:
         if pair is None:
@@ -180,14 +184,6 @@ def sweep(
         sp = smooth(params if params is not None else PiecewiseParams(), smoothing)
     except Exception as exc:  # noqa: BLE001 - _sweep_one turns it into error rows
         sp = exc
-    kwargs = dict(
-        sp=sp,
-        pair=pair,
-        run_simulation=run_simulation,
-        gamma=gamma,
-        t_end=t_end,
-        seed=seed,
-    )
     fh = writer = None
     if csv_path is not None:
         fh = open(csv_path, "w", newline="")
@@ -195,21 +191,13 @@ def sweep(
         writer.writerow(_CSV_FIELDS)
         fh.flush()
     records = []
-
-    def emit(rec):
-        records.append(rec)
-        if writer is not None:
-            writer.writerow(_record_to_row(rec))
-            fh.flush()
-
     try:
-        if workers <= 1:
-            for L in L_list:
-                emit(_sweep_one(L, **kwargs))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for rec in pool.map(lambda L: _sweep_one(L, **kwargs), L_list):
-                    emit(rec)
+        for L in L_list:
+            rec = _sweep_one(L, sp, pair, run_simulation, gamma, t_end, seed)
+            records.append(rec)
+            if writer is not None:
+                writer.writerow(_record_to_row(rec))
+                fh.flush()
     finally:
         if fh is not None:
             fh.close()

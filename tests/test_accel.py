@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hankel, toeplitz
 
-from kslyap import _accel
+from kslyap import _accel, coercivity
 from kslyap.coercivity import assemble
 
 
@@ -109,3 +109,34 @@ def test_scalar_in_float_out_and_shapes_kept(default_sp):
 def test_gram_needs_enough_coefficients():
     with pytest.raises(ValueError):
         _accel.gram_from_cosine(np.zeros(8), 8)
+
+
+def _frozen_test_rows(start, stop, n):
+    # the range finder's test rows as first written, before the hash moved
+    # into the seeded stream
+    z = np.arange(start * n + 1, stop * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> 31)) >> 11).astype(float).reshape(stop - start, n) * 2.0**-52 - 1.0
+
+
+@pytest.mark.parametrize("start, stop, n", [(0, 1, 64), (0, 40, 512), (12, 76, 2048), (1000, 1004, 77)])
+def test_stream_zero_is_the_frozen_test_rows(start, stop, n):
+    rows = _accel.splitmix53(0, start * n, stop * n).reshape(stop - start, n) * 2.0**-52 - 1.0
+    assert np.array_equal(rows, _frozen_test_rows(start, stop, n))
+    assert np.array_equal(coercivity._test_rows(start, stop, n), rows)
+
+
+def test_stream_values_and_seeds():
+    k = _accel.splitmix53(5, 0, 10000)
+    assert k.dtype == np.float64
+    assert np.all(k == np.floor(k)) and k.min() >= 0.0 and k.max() < 2.0**53
+    assert abs(k.mean() * 2.0**-53 - 0.5) < 0.01
+    # stream s is stream 0 shifted in state by s: entry i of stream
+    # 0x9E3779B97F4A7C15 is entry i + 1 of stream 0
+    assert np.array_equal(_accel.splitmix53(0x9E3779B97F4A7C15, 0, 50), _accel.splitmix53(0, 1, 51))
+    assert np.array_equal(_accel.splitmix53(5, 3, 9), k[3:9])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _accel.splitmix53(-1, 0, 4)
+    with pytest.raises(TypeError):
+        _accel.splitmix53(1.5, 0, 4)

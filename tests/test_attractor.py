@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from kslyap.attractor import (
     InsufficientDataError,
     LyapunovConstants,
     NotCertifiedError,
+    _distance2,
     forcing_constant,
     headline_bound,
     monitor,
     radius,
 )
 from kslyap.coercivity import certify
-from kslyap.potential import PotentialProfile, norms
-from kslyap.solver import SolveConfig, SpectralState, random_initial, simulate
+from kslyap.potential import PotentialProfile, build_profile, norms
+from kslyap.solver import SolveConfig, SpectralState, default_grid, random_initial, simulate
 
 
 def test_radius_examples():
@@ -164,3 +166,69 @@ def test_monitor_accepts_true_decay_rate(make_flat_profile):
     assert rep.max_residual < rep.tolerance
     # with phi = 0 the distance is |u|^2 itself and it contracts monotonically
     assert np.all(np.diff(traj.l2) < 0)
+
+
+def _grid_distance(traj, profile):
+    """|u - phi|_2^2 per sample from the fields on the grid: the reference
+    for monitor's Parseval sum on the half spectrum."""
+    u = np.fft.irfft(traj.half, n=traj.N, axis=1, norm="forward")
+    return (2.0 * traj.L / traj.N) * np.sum((u - profile.phi_nodes(traj.N)) ** 2, axis=1)
+
+
+def _reference_violations(traj, profile, constants):
+    dist2 = _grid_distance(traj, profile)
+    ddt = (dist2[2:] - dist2[:-2]) / (2.0 * (traj.t[1] - traj.t[0]))
+    residuals = ddt + constants.lam * traj.l2[1:-1] ** 2 - constants.M2
+    return int(np.sum(residuals > 1e-6 * (1.0 + constants.M2)))
+
+
+@pytest.fixture(scope="module")
+def monitored_runs():
+    """Criterion-6-shaped runs on a shortened horizon: odd data at L = 16 pi
+    and 32 pi, gamma 0 and 0.1, with the certified constants."""
+    runs = []
+    for L in (16.0 * np.pi, 32.0 * np.pi):
+        profile = build_profile(L)
+        constants = LyapunovConstants(lam=certify(profile).delta_margin, M2=forcing_constant(profile))
+        for gamma in (0.0, 0.1):
+            cfg = SolveConfig(gamma=gamma, t_end=20.0, transient=10.0, record_every=20, odd_only=True)
+            traj = simulate(random_initial(L, default_grid(L), seed=0, odd_only=True), cfg)
+            runs.append((traj, profile, constants))
+    return runs
+
+
+def test_monitor_parseval_distance_matches_the_grid_sum(monitored_runs):
+    for traj, profile, _ in monitored_runs:
+        ref = _grid_distance(traj, profile)
+        assert np.abs(_distance2(traj, profile) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_monitor_violations_match_the_grid_sum(monitored_runs, make_flat_profile):
+    decaying = simulate(random_initial(2.0, 64, seed=1), SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1))
+    inflated = (decaying, make_flat_profile(L=2.0, n=4096, slope=0.0), LyapunovConstants(lam=10.0, M2=0.0))
+    counts = []
+    for traj, profile, constants in monitored_runs + [inflated]:
+        counts.append(monitor(traj, profile, constants).violations)
+        assert counts[-1] == _reference_violations(traj, profile, constants)
+        assert "states" not in vars(traj)
+    assert counts[:-1] == [0, 0, 0, 0] and counts[-1] > 0
+
+
+def test_simulate_and_monitor_peak_memory(monitored_runs):
+    # 1001 samples at L = 32 pi, N = 512: the recorded half spectra take
+    # 4.1 MB. With full mirrored spectra and the monitor's grid fields the
+    # traced peak was 16.5 MB (4.0x); the half spectrum and the Parseval
+    # distance take it to 12.4 MB (3.0x)
+    _, profile, constants = monitored_runs[2]
+    L, N = profile.L, default_grid(profile.L)
+    initial = random_initial(L, N, seed=0, odd_only=True)
+    cfg = SolveConfig(t_end=50.0, transient=10.0, record_every=1, odd_only=True)
+    tracemalloc.start()
+    try:
+        traj = simulate(initial, cfg)
+        monitor(traj, profile, constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.half.nbytes == 1001 * (N // 2 + 1) * 16
+    assert peak < 3.5 * traj.half.nbytes

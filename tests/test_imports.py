@@ -82,20 +82,23 @@ def test_import_loads_no_unused_scipy_subpackage():
     assert _fresh(code) == []
 
 
-def test_first_lapack_use_inside_worker_threads():
-    # certify reaches N = 512 at L = 512 only, inside the pool; that level
-    # takes the numpy-only structured path, so the rows must not depend on
-    # the thread that computes them, whatever the pool runs first
+def test_ensemble_run_loads_no_random_or_thread_modules():
+    # the solver path draws its initial data from the package's splitmix64
+    # stream: numpy.random would pull in secrets, hashlib and OpenSSL (about
+    # 6 MB), and sweeps run without a thread pool
     code = (
-        "import dataclasses, json, sys\n"
-        "from kslyap import study\n"
-        "rows = [study.sweep([256.0, 512.0], workers=w) for w in (2, 1)]\n"
-        "print(json.dumps([[dataclasses.asdict(r) for r in rs] for rs in rows]))\n"
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from kslyap import attractor, coercivity, potential, solver, study\n"
+        "for L in (16.0 * np.pi, 32.0 * np.pi):\n"
+        "    profile = potential.build_profile(L)\n"
+        "    report = coercivity.certify(profile)\n"
+        "    constants = attractor.LyapunovConstants(report.delta_margin, attractor.forcing_constant(profile))\n"
+        "    cfg = solver.SolveConfig(t_end=2.0, transient=1.0, record_every=5, odd_only=True)\n"
+        "    initial = solver.random_initial(L, solver.default_grid(L), seed=1, odd_only=True)\n"
+        "    attractor.monitor(solver.simulate(initial, cfg), profile, constants)\n"
+        "assert len(study.sweep([32.0, 64.0, 128.0, 256.0, 512.0])) == 5\n"
+        "names = ['numpy.random', 'secrets', 'hashlib', 'concurrent.futures']\n"
+        "print(json.dumps([m for m in sys.modules if m in names or m.split('.')[0] == 'scipy']))\n"
     )
-    threaded, serial = _fresh(code)
-    assert [r["L"] for r in threaded] == [r["L"] for r in serial] == [256.0, 512.0]
-    for row, ref in zip(threaded, serial):
-        assert row["error"] is None and ref["error"] is None
-        for name, value in ref.items():
-            if isinstance(value, float):
-                assert abs(row[name] - value) <= 1e-12 * abs(value), name
+    assert _fresh(code) == []

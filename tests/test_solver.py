@@ -1,6 +1,8 @@
 """Pseudospectral ETDRK4 integrator: linear symbol, invariant subspaces,
 convergence orders, and recording."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from kslyap.solver import (
     _etdrk4_coeffs,
     _full,
     _half_ddx,
+    _normals,
     _rfft_square,
     default_grid,
     default_transient,
@@ -105,6 +108,35 @@ def test_random_initial_validation():
         random_initial(8.0, 100)
     with pytest.raises(ValueError):
         random_initial(8.0, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_initial(8.0, 64, seed=-1)
+
+
+def test_normals_are_standard():
+    n = 4000
+    z = _normals(0, n)
+    assert z.shape == (n,)
+    assert abs(z.mean()) <= 4.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) <= 0.05
+    # an odd count is the prefix of the next even one
+    assert np.array_equal(_normals(0, 7), _normals(0, 8)[:7])
+
+
+@pytest.mark.parametrize("odd_only", [True, False])
+def test_random_initial_seeds_give_distinct_data(odd_only):
+    data = np.array([random_initial(32.0, 128, seed=s, odd_only=odd_only).uhat for s in range(100)])
+    gaps = np.abs(data[:, None, :] - data[None, :, :]).max(axis=2)
+    assert np.all(gaps[~np.eye(100, dtype=bool)] > 0.0)
+
+
+def test_random_initial_seed_arithmetic_does_not_warn():
+    # uint64 scalars warn on overflow; the stream's state wraps silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 3, 2**63, 2**64 - 1, 2**64 + 3, np.int64(5)):
+            assert np.isfinite(random_initial(50.0, 256, seed=seed, odd_only=True).uhat).all()
+    # seeds wrap modulo 2^64
+    assert np.array_equal(random_initial(50.0, 256, seed=2**64 + 3).uhat, random_initial(50.0, 256, seed=3).uhat)
 
 
 def test_config_validation():
@@ -300,6 +332,30 @@ def test_simulate_samples_equal_the_step_sequence(odd_only, N):
         step(state, cfg)
         assert np.array_equal(state.uhat, kept)
         assert np.array_equal(traj.states[i], state.uhat)
+
+
+def _mirrored(half, N):
+    """The full spectra simulate stored before trajectories kept the half:
+    m >= 0 recorded, m < 0 mirrored in place."""
+    states = np.empty((half.shape[0], N), dtype=complex)
+    states[:, : N // 2 + 1] = half
+    states[:, N // 2 + 1 :] = np.conj(states[:, N // 2 - 1 : 0 : -1])
+    return states
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("odd_only", [True, False])
+def test_trajectory_states_rebuilt_from_the_half_spectrum(odd_only, N):
+    L = N / 12.0 * np.pi
+    st = random_initial(L, N, seed=6, amplitude=2.0, odd_only=odd_only)
+    traj = simulate(st, SolveConfig(dt=0.05, t_end=2.0, record_every=4, transient=0.5, odd_only=odd_only))
+    assert traj.half.shape == (traj.t.size, N // 2 + 1)
+    for i in (0, traj.t.size - 1):
+        traj.u(i)
+    assert "states" not in vars(traj)  # nothing above built the full array
+    assert traj.states.shape == (traj.t.size, N)
+    assert np.array_equal(traj.states, _mirrored(traj.half, N))
+    assert traj.states is traj.states  # built once
 
 
 def test_sample_at_transient_is_excluded():

@@ -69,11 +69,10 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_smooths_once(monkeypatch, workers):
+def test_sweep_smooths_once(monkeypatch):
     # every row rescales one smoothed potential, with one exponent solve
     counts = _count_calls(monkeypatch, study, ["smooth", "solve_critical_exponents"])
-    records = sweep([32.0, 64.0, 128.0], workers=workers)
+    records = sweep([32.0, 64.0, 128.0], workers=1)
     assert counts == {"smooth": 1, "solve_critical_exponents": 1}
     for rec in records:
         assert repr(rec.delta_margin) == repr(certify(build_profile(rec.L)).delta_margin)
@@ -87,7 +86,6 @@ def test_sweep_reports_failed_smoothing_on_every_row():
     records = sweep([32.0, 4.0, 64.0], smoothing=bad)
     assert [r.error for r in records] == [expected, "DomainTooSmallError: sweep requires L >= 8, got 4", expected]
     assert not any(r.certified or r.delta_margin is not None for r in records)
-    assert sweep([32.0, 4.0, 64.0], smoothing=bad, workers=2) == records
 
 
 def test_sweep_csv_round_trip(sweep_out):
@@ -129,12 +127,9 @@ def test_sweep_empty_list(tmp_path):
     assert path.read_text().strip().count("\n") == 0  # header only
 
 
-def test_sweep_parallel_matches_serial(sweep_out, tmp_path):
-    records, path = sweep_out
-    path2 = tmp_path / "sweep2.csv"
-    records2 = sweep(SWEEP_LS, csv_path=path2, workers=2)
-    assert records2 == records
-    assert path2.read_bytes() == path.read_bytes()
+def test_sweep_runs_serially():
+    with pytest.raises(ValueError, match="workers"):
+        sweep([32.0], workers=2)
 
 
 def test_fit_exact_power_law():
