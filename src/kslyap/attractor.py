@@ -119,11 +119,21 @@ class MonitorReport:
     residuals: np.ndarray
 
 
+# samples per block of _distance2: a block's difference from phi takes
+# 64 (N/2 + 1) complex numbers (264 KB at N = 512), and a trajectory of up to
+# 64 samples is one block
+_DISTANCE_BLOCK = 64
+
+
 def _distance2(trajectory: Trajectory, profile: PotentialProfile) -> np.ndarray:
     """|u - phi|_2^2 on the solver grid at every sample, by Parseval on the
-    half spectrum."""
+    half spectrum, one block of ``_DISTANCE_BLOCK`` samples at a time."""
     phi_hat = np.fft.rfft(profile.phi_nodes(trajectory.N), norm="forward")
-    return 2.0 * trajectory.L * np.sum(_power(trajectory.half - phi_hat), axis=1)
+    half = trajectory.half
+    out = np.empty(half.shape[0])
+    for i in range(0, half.shape[0], _DISTANCE_BLOCK):
+        out[i : i + _DISTANCE_BLOCK] = np.sum(_power(half[i : i + _DISTANCE_BLOCK] - phi_hat), axis=1)
+    return 2.0 * trajectory.L * out
 
 
 def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: LyapunovConstants) -> MonitorReport:

@@ -6,7 +6,8 @@ first-order form with the smoothed potential).
 The odd sine basis e_k = L^{-1/2} sin(k pi x / L) encodes periodicity together
 with the single pinning condition u(0) = 0. A negative smallest eigenvalue at
 finite mode count is conclusive (Rayleigh-Ritz gives upper bounds); a positive
-one is accepted only after a mode-doubling convergence check.
+one is accepted only after a mode-doubling convergence check, whose ladder
+starts where the sine subspace holds the form's minimizing mode (``certify``).
 
 ``min_eigenvalue`` takes the first of three steps that succeeds:
 
@@ -163,6 +164,18 @@ class _WindowGram:
                 return Q @ V[:, keep], theta[keep]
             k *= 2
         return None
+
+    def lend(self, lower):
+        """Give ``lower``, the window Gram of the first lower.N modes, this
+        one's compression: G_w(lower.N) is the leading block of G_w(N), so
+        rows 1..lower.N of U with the same C model it with the same error,
+        entry for entry. Those rows are not orthonormal, but their norm is at
+        most 1, which is all ``_secular_vector`` needs. Past the column cap
+        nothing is lent, and ``lower`` compresses itself."""
+        low_rank = self.compressed
+        if low_rank is not None:
+            U, C = low_rank
+            vars(lower)["compressed"] = (U[: lower.N], C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,16 +497,24 @@ class _Secular:
         return n, beta[self.positive], x
 
 
-def _structured_min(m):
-    """Smallest eigenvalue of the matrix Delta + G_w from ``assemble``,
-    without an N x N array; None without a window, past the compression
-    cap, when n = 0 fails at the Weyl bound lo or when Newton does not
-    converge in ``_SECULAR_PROBES`` probes. hi, the model's smallest
-    diagonal entry, is a Rayleigh quotient, so at or above lambda_min; the
-    entries of Delta up to hi are bordered rows, so h has no pole in
-    [lo, hi]. Each probe moves lo (n = 0) or hi (n > 0) to itself, and a
-    Newton step that leaves [lo, hi] goes to hi from lo, later to the
-    midpoint."""
+def _secular_vector(m):
+    """Unit eigenvector of lambda_min of the secular model of the matrix
+    Delta + G_w from ``assemble``, without an N x N array; None without a
+    window, past the compression cap, when n = 0 fails at the Weyl bound lo
+    or when Newton does not converge in ``_SECULAR_PROBES`` probes. hi, the
+    model's smallest diagonal entry, is a Rayleigh quotient, so at or above
+    lambda_min; the entries of Delta up to hi are bordered rows, so h has no
+    pole in [lo, hi]. Each probe moves lo (n = 0) or hi (n > 0) to itself,
+    and a Newton step that leaves [lo, hi] goes to hi from lo, later to the
+    midpoint.
+
+    U need not be orthonormal: the inertia counts and the Newton bracket
+    hold for any model Delta + U diag(C) U^T, and the Weyl bound
+    min Delta + min(0, min C) holds whenever |U| <= 1, as for the leading
+    rows of an orthonormal U that ``certify`` lends a level from the one
+    above it."""
+    if m.phi_x_off is None:
+        return None
     if not (np.isfinite(m.moments).all() and np.isfinite(m.diagonal).all() and np.isfinite(m.phi_x_off)):
         raise EigensolverError("matrix has a non-finite moment or diagonal entry")
     low_rank = None if m._window is None else m._window.compressed
@@ -519,12 +540,45 @@ def _structured_min(m):
         lo, hi = (sigma, hi) if n == 0 else (lo, sigma)
         step = h / (x @ x)
         if abs(step) <= _SECULAR_TOL * (1.0 + abs(sigma)):
-            x /= np.linalg.norm(x)
-            return float(x @ (delta * x) + x @ m._window.apply(x[None, :])[0])
+            return x / np.linalg.norm(x)
         sigma += step
         if not lo < sigma < hi:
             sigma = 0.5 * (lo + hi)
     return None
+
+
+def _rayleigh(forms, X):
+    """Rayleigh quotients x^T A x of the unit rows x of X on the matching
+    matrices of ``forms``, which share one window: their diagonals are read
+    directly and G_w X comes from one batched product."""
+    GX = forms[0]._window.apply(X)
+    return [float(x @ ((A.diagonal + A.phi_x_off) * x) + x @ g) for A, x, g in zip(forms, X, GX)]
+
+
+def _structured_min(m):
+    """Smallest eigenvalue of the matrix Delta + G_w from ``assemble``: the
+    Rayleigh quotient on it of ``_secular_vector``, an upper bound on
+    lambda_min; None where that gives up."""
+    x = _secular_vector(m)
+    return None if x is None else _rayleigh((m,), x[None, :])[0]
+
+
+def _array_min(m):
+    """Packed, then dense smallest eigenvalue of an array or of the entries
+    of a ``QuadFormMatrix`` (see ``min_eigenvalue``)."""
+    entries = m.entries if isinstance(m, QuadFormMatrix) else np.asarray(m, dtype=float)
+    if entries.ndim == 2 and not np.isfinite(np.diagonal(entries)).all():
+        raise EigensolverError("matrix has a non-finite diagonal entry")
+    if entries.ndim == 2 and entries.shape[0] == entries.shape[1] > _DENSE_MAX:
+        lam = _packed_min(entries)
+        if lam is not None:
+            return lam
+    if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
+        raise EigensolverError("matrix has a non-finite entry in its lower triangle")
+    try:
+        return float(np.linalg.eigvalsh(entries)[0])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(str(exc)) from exc
 
 
 def min_eigenvalue(m) -> float:
@@ -567,33 +621,36 @@ def min_eigenvalue(m) -> float:
     factorization fail and raises before the dense solve, which alone pays
     the O(n^2) check. The strict upper triangle is never read.
     """
-    if isinstance(m, QuadFormMatrix):
-        if m.phi_x_off is not None:
-            lam = _structured_min(m)
-            if lam is not None:
-                return lam
-        entries = m.entries
-    else:
-        entries = np.asarray(m, dtype=float)
-    if entries.ndim == 2 and not np.isfinite(np.diagonal(entries)).all():
-        raise EigensolverError("matrix has a non-finite diagonal entry")
-    if entries.ndim == 2 and entries.shape[0] == entries.shape[1] > _DENSE_MAX:
-        lam = _packed_min(entries)
+    if isinstance(m, QuadFormMatrix) and m.phi_x_off is not None:
+        lam = _structured_min(m)
         if lam is not None:
             return lam
-    if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
-        raise EigensolverError("matrix has a non-finite entry in its lower triangle")
-    try:
-        return float(np.linalg.eigvalsh(entries)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(str(exc)) from exc
+    return _array_min(m)
+
+
+def _level_minima(A, shift):
+    """(lambda_min of A, lambda_min of A - diag(shift)) for one ``certify``
+    level. Where both forms take the secular step, their closing Rayleigh
+    quotients come from one batched product on the window they share. A
+    form the step gives up on takes the array path, A before its shifted
+    copy is made, so that the copy takes over A's dense fill."""
+    x = _secular_vector(A)
+    lam = _array_min(A) if x is None else None
+    S = A._shifted(shift)
+    y = _secular_vector(S)
+    if x is not None and y is not None:
+        return tuple(_rayleigh((A, S), np.stack((x, y))))
+    if x is not None:
+        lam = _rayleigh((A,), x[None, :])[0]
+    margin = _array_min(S) if y is None else _rayleigh((S,), y[None, :])[0]
+    return lam, margin
 
 
 def certify(
     profile: PotentialProfile,
     order: OperatorOrder = OperatorOrder.FOURTH,
     n_start: int = 64,
-    n_cap: int = 4096,
+    n_cap: int | None = None,
     rtol: float = 1e-6,
 ) -> CoercivityReport:
     """Mode-doubling certification of the form and its shifted variant.
@@ -602,38 +659,53 @@ def certify(
     int (3/4) u_xx^2 - u_x^2 + (phi_x - 1/4) u^2, whose nonnegativity is the
     target inequality; the second-order form shifts analogously. Both smallest
     eigenvalues must be stable under doubling before the report is issued.
-    Each level assembles once; the shifted variant differs only in its
-    diagonal and shares the dense fill or the window's compression.
+
+    The ladder starts at N_0 = max(n_start, 2^ceil(log2(L / 2))): the form's
+    minimizing mode sits near m = 0.26 L, which the sine subspace holds once
+    N >= L / 4, and two levels below that would agree on values that miss
+    it. Without ``n_cap`` the ladder stops at max(4096, 2 N_0); an explicit
+    ``n_cap`` is the last level allowed.
+
+    Levels come in pairs (N, 2N), each assembled once, with one window
+    compression, of level 2N: G_w(N) is the leading N x N block of G_w(2N),
+    so level N takes rows 1..N of its U with the same C (``_WindowGram.lend``).
+    A level whose double is past the cap or the grid's resolution
+    compresses its own window. Both forms of a level share the dense fill or
+    the compression, and one closing product.
     """
-    lam_prev = shift_prev = None
+    N = max(n_start, 1 << max(0, math.ceil(math.log2(profile.L / 2.0))))
+    cap = max(4096, 2 * N) if n_cap is None else n_cap
     used = []
-    N = n_start
-    lam = shift = None
-    while N <= n_cap:
-        A = assemble(profile, N, order)
+    lam = margin = upper = None
+    while N <= cap:
+        if upper is not None:
+            A, upper = upper, None
+        else:
+            A = assemble(profile, N, order)
+            if 2 * N <= cap and profile.n >= 8 * N:
+                upper = assemble(profile, 2 * N, order)
+                if upper._window is not None:
+                    upper._window.lend(A._window)
         kp = (np.pi / profile.L) * np.arange(1, N + 1)
         leading = kp**4 if order is OperatorOrder.FOURTH else kp**2
-        lam = min_eigenvalue(A)
-        shift = min_eigenvalue(A._shifted(0.25 * leading + 0.25))
+        lam_prev, margin_prev = lam, margin
+        lam, margin = _level_minima(A, 0.25 * leading + 0.25)
         used.append(N)
         if (
             lam_prev is not None
             and abs(lam - lam_prev) < rtol * (1.0 + abs(lam))
-            and abs(shift - shift_prev) < rtol * (1.0 + abs(shift))
+            and abs(margin - margin_prev) < rtol * (1.0 + abs(margin))
         ):
             return CoercivityReport(
                 lambda_min=lam,
-                delta_margin=shift,
+                delta_margin=margin,
                 N_sequence=tuple(used),
                 converged=True,
                 order=order,
             )
-        lam_prev, shift_prev = lam, shift
         N *= 2
-    raise CertificationInconclusiveError(
-        f"eigenvalues not converged at mode cap {n_cap} (last lambda_min {lam:.6g}, "
-        f"margin {shift:.6g}); not a disproof"
-    )
+    last = f"last lambda_min {lam:.6g}, margin {margin:.6g}" if used else f"first level {N} is past it"
+    raise CertificationInconclusiveError(f"eigenvalues not converged at mode cap {cap} ({last}); not a disproof")
 
 
 def _fd1(u, h):

@@ -761,6 +761,65 @@ def test_certify_inconclusive_at_cap(profile32):
         certify(profile32, n_start=64, n_cap=64)
 
 
+def test_certify_honours_a_cap_below_the_first_level(critical_pair):
+    # at L = 8192 the ladder starts at N = 4096, past an explicit cap of 2048
+    with pytest.raises(CertificationInconclusiveError, match="first level 4096"):
+        certify(build_profile(8192.0, pair=critical_pair), n_cap=2048)
+
+
+@pytest.mark.parametrize(
+    "L, levels", [(32.0, (64, 128)), (64.0, (64, 128)), (128.0, (64, 128)), (256.0, (128, 256)), (512.0, (256, 512))]
+)
+def test_certify_lends_the_upper_compression(critical_pair, monkeypatch, L, levels):
+    # the ladder starts at max(64, 2^ceil(log2(L/2))), and its first level
+    # takes the leading rows of the second level's compression: the same
+    # lambda, for both forms, as a fresh compression of its own window
+    profile = build_profile(L, pair=critical_pair)
+    N = levels[0]
+    fresh = [min_eigenvalue(A) for A in (assemble(profile, N), _shifted(assemble(profile, N)))]
+    m = assemble(profile, N)
+    assemble(profile, 2 * N)._window.lend(m._window)
+    lent = [min_eigenvalue(A) for A in (m, _shifted(m))]
+    assert np.abs(np.subtract(lent, fresh)).max() <= 1e-12
+    # one range-finder pass, of level 2N, and one closing product of two
+    # rows per level
+    rows = _applied(monkeypatch)
+    assert certify(profile).N_sequence == levels
+    assert len(rows) == 3 and rows[1:] == [2, 2]
+
+
+def test_certify_level_with_one_form_past_the_secular_step(profile32, monkeypatch):
+    # a form the secular step gives up on takes the array path on its own;
+    # the other keeps its secular value and closes with a one-row product
+    report = certify(profile32)
+    vector = coercivity._secular_vector
+    forms = []
+
+    def give_up_on_shifted(m):
+        # each level asks for A's vector, then for its shifted copy's
+        forms.append(m)
+        return vector(m) if len(forms) % 2 else None
+
+    monkeypatch.setattr(coercivity, "_secular_vector", give_up_on_shifted)
+    rows = _applied(monkeypatch)
+    again = certify(profile32)
+    assert again.N_sequence == report.N_sequence and again.lambda_min == report.lambda_min
+    assert abs(again.delta_margin - report.delta_margin) <= 1e-9 * report.delta_margin
+    assert rows[1:] == [1, 1] and all("entries" in vars(m) for m in forms[1::2])
+
+
+def test_certify_reaches_the_minimizing_mode_at_large_L(critical_pair):
+    # the form's minimizing mode sits near m = 0.26 L: two levels with
+    # N < L / 4 miss it and agree on phi_x's constant part less 1/4, margin
+    # 69.9729 at L = 65536. The references are single solves at N = 32768,
+    # the first level that holds the mode
+    assert certify(build_profile(8192.0, pair=critical_pair)).certified
+    report = certify(build_profile(65536.0, pair=critical_pair))
+    assert report.certified and report.N_sequence == (32768, 65536)
+    assert abs(report.delta_margin - 69.63958732298403) <= 1e-6
+    assert abs(report.lambda_min - 69.9729206563173) <= 1e-6
+
+
 def test_rayleigh_ritz_monotone_in_mode_count(profile32):
     lams = [min_eigenvalue(assemble(profile32, N)) for N in (64, 128, 256, 512)]
     for a, b in zip(lams, lams[1:]):
