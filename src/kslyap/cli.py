@@ -198,10 +198,9 @@ def _cmd_simulate(args, get, out_dir):
         t_end=t_end,
         transient=transient,
         record_every=get("record_every", 10, int),
-        seed=get("seed", 0, int),
         odd_only=get("odd", False),
     )
-    initial = random_initial(L, N, seed=cfg.seed, amplitude=get("amplitude", 1.0), odd_only=cfg.odd_only)
+    initial = random_initial(L, N, seed=get("seed", 0, int), amplitude=get("amplitude", 1.0), odd_only=cfg.odd_only)
     traj = simulate(initial, cfg)
 
     residuals = None

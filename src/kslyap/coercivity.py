@@ -9,22 +9,20 @@ finite mode count is conclusive (Rayleigh-Ritz gives upper bounds); a positive
 one is accepted only after a mode-doubling convergence check, whose ladder
 starts where the sine subspace holds the form's minimizing mode (``certify``).
 
-``min_eigenvalue`` takes the first of three steps that succeeds:
+``min_eigenvalue`` takes one of two steps, numpy only:
 
-- Secular, for every matrix ``assemble`` builds from a constructed profile,
-  at every N: A = Delta + G_w, a diagonal plus the Gram matrix of the
-  potential's window, which the critical scaling keeps at numerical rank r
-  of one to a few dozen. A randomized range finder compresses G_w to
-  U C U^T from one batched FFT product per pass. Haynsworth inertia counts
-  of a small bordered secular matrix bracket lambda_min of that model,
-  Newton's method closes the bracket, and the value returned is the
-  Rayleigh quotient on A of the model's closed-form eigenvector: an upper
-  bound on A's lambda_min. numpy only, and no N x N array.
-- Packed, for arrays above ``_DENSE_MAX``, profiles without a window and
-  matrices the secular step gives up on: a Cholesky factorization of
-  A - sigma I in rectangular full packed storage and block Krylov on its
-  inverse. Only this step imports scipy, on its first use.
-- Dense: ``numpy.linalg.eigvalsh`` for smaller arrays and as the last resort.
+- Secular, for every matrix ``assemble`` builds, at every N:
+  A = Delta + G_w, a diagonal plus the Gram matrix of phi_x's departure
+  from its constant off the window, which the critical scaling keeps at
+  numerical rank r of one to a few dozen (rank 0 for a constant phi_x,
+  whose window is empty). A randomized range finder
+  compresses G_w to U C U^T from one batched FFT product per pass.
+  Haynsworth inertia counts of a small bordered secular matrix bracket
+  lambda_min of that model, Newton's method closes the bracket, and the
+  value returned is the Rayleigh quotient on A of the model's closed-form
+  eigenvector: an upper bound on A's lambda_min. No N x N array.
+- Dense ``numpy.linalg.eigvalsh``, for raw arrays and for what the secular
+  step does not solve, up to order ``_FILL_MAX`` for a ``QuadFormMatrix``.
 """
 
 import math
@@ -55,7 +53,7 @@ class CertificationInconclusiveError(RuntimeError):
 # ceil(N W / n) + 7 over L = 8..8192, N = 64..2048) and doubles them until
 # the trailing Ritz values of B, the model G_w ~ Q B Q^T solved from the
 # one product per pass, are negligible, up to _RANK_MAX columns (and
-# N / 4); past that cap the packed step runs
+# N / 4); past that cap the dense step runs
 _RANK_MAX = 128
 # columns beyond the numerical rank that a converged range finder must show
 _OVERSAMPLE = 4
@@ -72,14 +70,17 @@ _RANK_TOL = 1e-12
 # were needed over L = 12..8192, N = 64..2048, both orders and both forms
 _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
+# a QuadFormMatrix above this order that the secular step does not solve
+# raises instead of filling its N x N entries (134 MB at 4096; 34 GB at
+# the N = 65536 a large-L ladder reaches)
+_FILL_MAX = 4096
 
 
-def _test_rows(start, stop, n, stream=0):
-    """Rows start..stop-1 of a fixed pseudo-random matrix with n columns,
-    uniform on [-1, 1): entries of the splitmix64 stream ``stream`` in row
-    order. Stream 0 gives the range finder's test rows, stream 1 the block
-    Krylov start and restart columns."""
-    return splitmix53(stream, start * n, stop * n).reshape(stop - start, n) * 2.0**-52 - 1.0
+def _test_rows(start, stop, n):
+    """Rows start..stop-1 of the range finder's fixed pseudo-random test
+    matrix with n columns, uniform on [-1, 1): entries of splitmix64 stream
+    0 in row order."""
+    return splitmix53(0, start * n, stop * n).reshape(stop - start, n) * 2.0**-52 - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +92,11 @@ class _WindowGram:
     rank.
 
     Toeplitz minus Hankel in w is convolution with w's even extension of
-    the odd extension of x, so G_w x is read off one circular convolution
-    of length 4N (indices 1..N, which no wrap-around reaches). ``apply``
-    takes one such product for a batch of rows, and ``compressed`` needs
-    one batch per range-finder pass.
+    the odd extension of x (x_-k = -x_k), whose lags j - k run over
+    -(N-1)..2N for outputs j = 1..N: 3N distinct residues, so G_w x is read
+    off one circular convolution of length 3N that no wrap-around aliases.
+    ``apply`` takes one such product for a batch of rows, and
+    ``compressed`` needs one batch per range-finder pass.
     """
 
     moments: np.ndarray
@@ -111,30 +113,32 @@ class _WindowGram:
 
     @cached_property
     def _symbol(self):
+        # h[r] = w_|d| for the lag d = r (mod 3N) in -(N-1)..2N
         n = self.N
         w = self._window_moments
-        h = np.zeros(4 * n)
+        h = np.empty(3 * n)
         h[: 2 * n + 1] = w
-        h[2 * n + 1 :] = w[2 * n - 1 : 0 : -1]
-        # h is even, so its transform is real
-        return np.fft.rfft(h).real / (2.0 * self.L)
+        h[2 * n + 1 :] = w[n - 1 : 0 : -1]
+        return np.fft.rfft(h) / (2.0 * self.L)
 
     def apply(self, X):
         """G_w applied to each row of X (k x N): one batched rfft and irfft,
-        the inverse written back into the zero-padded input buffer."""
+        the inverse written back into the zero-padded input buffer, which
+        holds x at 1..N and -x reversed at 2N..3N-1."""
         k, n = X.shape
-        x = np.zeros((k, 4 * n))
+        x = np.zeros((k, 3 * n))
         x[:, 1 : n + 1] = X
-        x[:, 3 * n :] = -X[:, ::-1]
+        x[:, 2 * n :] = -X[:, ::-1]
         spectrum = np.fft.rfft(x)
         spectrum *= self._symbol
-        return np.fft.irfft(spectrum, 4 * n, out=x)[:, 1 : n + 1]
+        return np.fft.irfft(spectrum, 3 * n, out=x)[:, 1 : n + 1]
 
     @cached_property
     def compressed(self):
         """(U, C) with G_w ~ U diag(C) U^T, U orthonormal N x r, from one
         product Y = Omega G_w per pass of a randomized range finder on the
-        test rows Omega (``_test_rows``); None past the column cap.
+        test rows Omega (``_test_rows``); None past the column cap. An empty
+        window has G_w = 0: rank 0, and no product.
 
         With Q R = Y^T, the model G_w = Q B Q^T reproduces Y exactly when
         (Omega Q) B^T = R^T, so that k x k system gives B without a second
@@ -142,7 +146,9 @@ class _WindowGram:
         matrix; Halko, Martinsson and Tropp 2011, section 5.5). Rounding in
         an ill-conditioned Omega Q shows up as Ritz values of B above the
         tolerance, so the count check doubles the columns, as it does for a
-        singular Omega Q, and past the cap the packed step answers."""
+        singular Omega Q, and past the cap the dense step answers."""
+        if not self.share:
+            return np.empty((self.N, 0)), np.empty(0)
         floor = np.abs(self._window_moments).max() / (2.0 * self.L)
         cap = min(_RANK_MAX, self.N // 4)
         # the test rows Omega drawn so far and their products Y = Omega G_w
@@ -184,13 +190,12 @@ class QuadFormMatrix:
     Gram matrix of phi_x, G[j, k] = (c_|j-k| - c_(j+k)) / (2L) for its
     cosine moments c_0..c_2N, plus ``diagonal`` on the diagonal.
 
-    ``phi_x_off`` is phi_x's constant value off the potential's window, or
-    None for a profile without one (``from_samples``). With it, the matrix
-    is Delta + G_w: the diagonal Delta = diagonal + phi_x_off and the
-    window's Gram matrix, which ``assemble`` attaches and ``min_eigenvalue``
-    applies and compresses from the moments (a matrix built without it
-    takes the array path). ``entries``, the dense N x N array, is built
-    when first read.
+    ``phi_x_off`` is phi_x's constant value off the potential's window, so
+    the matrix is Delta + G_w: the diagonal Delta = diagonal + phi_x_off and
+    the window's Gram matrix, which ``assemble`` attaches and
+    ``min_eigenvalue`` applies and compresses from the moments (a matrix
+    built without it takes the dense step). ``entries``, the dense N x N
+    array, is built when first read.
     """
 
     L: float
@@ -198,7 +203,7 @@ class QuadFormMatrix:
     order: OperatorOrder
     moments: np.ndarray
     diagonal: np.ndarray
-    phi_x_off: float | None = None
+    phi_x_off: float
     # G_w with its FFT symbol and compression, each built on first use;
     # dataclasses.replace passes it on, so a shifted copy shares them
     _window: _WindowGram | None = field(default=None, repr=False)
@@ -260,7 +265,6 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     if n < 4 * N:
         raise UnderResolvedGridError(f"grid has {n} points, need >= {4 * N} for N = {N}")
     L = profile.L
-    windowed = profile.window.size < n
     moments = profile.cosine_moments(2 * N + 1)
     return QuadFormMatrix(
         L=L,
@@ -268,181 +272,9 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
         order=order,
         moments=moments,
         diagonal=_kinetic_diagonal(L, N, order),
-        phi_x_off=profile.phi_x_off if windowed else None,
-        _window=_WindowGram(moments, profile.phi_x_off, L, N, profile.window.size / n) if windowed else None,
+        phi_x_off=profile.phi_x_off,
+        _window=_WindowGram(moments, profile.phi_x_off, L, N, profile.window.size / n),
     )
-
-
-# Arrays up to this order get the dense eigensolve; above it the packed
-# Cholesky and block Krylov are cheaper (one BLAS thread: 10.5 vs 8-10 ms at
-# n = 384, 22 vs 9-26 ms at 512, 1.2 s vs 0.14-0.24 s at 2048). Matrices
-# from constructed profiles take the secular step at every order first.
-_DENSE_MAX = 384
-# order of the block, centred on the smallest diagonal entries, whose
-# eigenvalues place the packed step's shift
-_BLOCK = 128
-# right-hand sides per solve: one pass over the packed factor serves eight
-# vectors in about 1.2 times the time of one (n = 2048, one BLAS thread)
-_KRYLOV_BLOCK = 8
-# Krylov blocks before the fallback; 3-10 were needed at L = 32..512
-_KRYLOV_MAX_BLOCKS = 12
-# stop once |r|^2 <= _RESIDUAL_TOL mu gap, gap = mu_1 - mu_2 floored at
-# 1e-8 mu: the Ritz value mu is then within 1e-14 mu of an eigenvalue (the
-# packed solve is backward stable, so its rounding stays under this floor)
-_RESIDUAL_TOL = 1e-14
-# a column whose part outside the basis is this small against its own norm
-# is treated as lying in the basis; a larger part is normalized, and its
-# direction is then accurate to about 1e-16 / _DEFLATE_TOL. At 1e-10 that
-# left 1e-6 of rounding in the basis from the start block's products, and
-# the residual stalled above the stop rule: over L = 8..8192,
-# N = 512..2048, both orders and both steps, 9 of 265 runs did not
-# converge at 1e-10 and 2 at 1e-8 (second order at L = 8 and 100, where
-# the packed factorization fails as well)
-_DEFLATE_TOL = 1e-8
-
-
-def _rfp_diagonal(n):
-    """Positions of A[i, i] in the rectangular full packed array that
-    ``dtrttf(transr="N", uplo="U")`` returns: with k = n // 2 and leading
-    dimension n + 1 - n % 2, column j holds A[k+j, k+j] in row k + j and
-    A[j, j] in row k + j + 1."""
-    i = np.arange(n)
-    k = n // 2
-    lda = n + 1 - n % 2
-    return np.where(i < k, i * lda + k + i + 1, (i - k) * lda + i)
-
-
-def _orthogonalize(P, Q):
-    """Remove from the columns of P their components in the orthonormal
-    columns of Q (block Gram-Schmidt, two passes), in place."""
-    for _ in range(2):
-        P -= Q @ (Q.T @ P)
-
-
-def _lapack_pairs(M, lo, hi, lower):
-    """Eigenpairs lo..hi (ascending, 0-based) of the symmetric M from one
-    triangle, by LAPACK ``dsyevr``; None when it fails."""
-    from scipy.linalg import lapack
-
-    theta, vecs, _, _, info = lapack.dsyevr(M, range="I", il=lo + 1, iu=hi + 1, lower=int(lower))
-    return (theta, vecs) if info == 0 else None
-
-
-def _shift_block(diagonal):
-    """The principal block of _BLOCK rows centred on the median row of the
-    nine smallest diagonal entries (the shift reads theta_0..theta_8),
-    clipped to [0, n): the minimizing mode sits there, and one outlying
-    entry cannot pull the block away from the rest of the low spectrum."""
-    centre = int(np.sort(np.argpartition(diagonal, 8)[:9])[4])
-    lo = min(max(centre - _BLOCK // 2, 0), diagonal.size - _BLOCK)
-    return slice(lo, lo + _BLOCK)
-
-
-def _shift(theta):
-    """sigma below the block's theta_0 by half the spread of theta_0..theta_8."""
-    return theta[0] - max(0.5 * (theta[8] - theta[0]), 1e-8 * (1.0 + abs(theta[0])))
-
-
-def _block_krylov(n, solve, block, vecs):
-    """Block Krylov Rayleigh-Ritz for the largest eigenvalue mu of
-    B = (A - sigma I)^{-1}, given ``solve(X) = B X`` and the shift block's
-    eigenvectors; returns (mu, x) with x the Ritz vector of mu, or None when
-    it does not converge."""
-    b = _KRYLOV_BLOCK
-    # orthonormal basis Q, its products W = B Q and, in the upper triangle
-    # that the Rayleigh-Ritz step reads, H = Q^T W; the start block is
-    # theta_0..theta_6's block eigenvectors and a random column
-    Q = np.zeros((n, b * _KRYLOV_MAX_BLOCKS), order="F")
-    W = np.empty_like(Q)
-    H = np.zeros((Q.shape[1], Q.shape[1]))
-    Q[block, : b - 1] = vecs[:, : b - 1]
-    Q[:, b - 1] = _test_rows(0, 1, n, stream=1)[0]
-    drawn = 1  # random columns taken so far
-    Q[:, :b] = np.linalg.qr(Q[:, :b])[0]
-    for j in range(_KRYLOV_MAX_BLOCKS):
-        m = b * (j + 1)
-        new = slice(m - b, m)
-        product = solve(Q[:, new])
-        if product is None or not np.isfinite(product).all():
-            return None
-        W[:, new] = product
-        H[:m, new] = Q[:, :m].T @ W[:, new]
-        if j == 0:
-            # start columns that are eigenvectors (A block diagonal) are locked:
-            # their eigenvalues are exact, and their zero residuals must not
-            # end the search of the rest of the basis for a larger one
-            rq = np.diagonal(H)[:b]
-            exact = np.linalg.norm(W[:, :b] - rq * Q[:, :b], axis=0) <= _DEFLATE_TOL * np.abs(rq)
-            locked = np.where(exact, rq, -np.inf)
-            free = np.flatnonzero(~exact)
-        else:
-            # Rayleigh-Ritz on the unlocked basis: its two largest Ritz values
-            # and the top Ritz vector x, with residual B x - mu x
-            keep = np.r_[free, b:m]
-            found = _lapack_pairs(H[np.ix_(keep, keep)], keep.size - 2, keep.size - 1, False)
-            if found is None:
-                return None
-            mu, y = found
-            top = mu[1]
-            x = np.zeros(m)
-            x[keep] = y[:, 1]
-            qx = Q[:, :m] @ x
-            r = W[:, :m] @ x - top * qx
-            if r @ r <= _RESIDUAL_TOL * top * max(top - mu[0], 1e-8 * top):
-                best = int(np.argmax(locked))
-                if locked[best] > top:
-                    return locked[best], Q[:, best]
-                return top, qx
-        if m == Q.shape[1]:
-            return None
-        P = W[:, new].copy()
-        _orthogonalize(P, Q[:, :m])
-        Q[:, m : m + b], R = np.linalg.qr(P)
-        dependent = np.abs(np.diagonal(R)) <= _DEFLATE_TOL * np.linalg.norm(W[:, new], axis=0)
-        if dependent.any():
-            # restart each product that lies in the basis from a random column
-            k = int(dependent.sum())
-            P[:, dependent] = _test_rows(drawn, drawn + k, n, stream=1).T
-            drawn += k
-            _orthogonalize(P, Q[:, :m])
-            Q[:, m : m + b], _ = np.linalg.qr(P)
-    return None
-
-
-def _packed_min(A):
-    """Smallest eigenvalue of the square matrix A (lower triangle) by block
-    Krylov on the inverse of a packed Cholesky factor of A - sigma I, or
-    None when the shift is not below the spectrum or the iteration does not
-    converge."""
-    # imported here, not at the top: see the module docstring
-    from scipy.linalg import lapack
-
-    n = A.shape[0]
-    block = _shift_block(np.diagonal(A))
-    # only theta_0..theta_8 and the vectors of theta_0..theta_6 are read
-    found = _lapack_pairs(A[block, block], 0, 8, True)
-    if found is None:
-        return None
-    theta, vecs = found
-    sigma = _shift(theta)
-    if not np.isfinite(sigma):
-        return None
-    # the upper triangle of A.T (Fortran order, no copy) is A's lower triangle
-    packed, _ = lapack.dtrttf(A.T, uplo="U")
-    packed[_rfp_diagonal(n)] -= sigma
-    chol, info = lapack.dpftrf(n, packed, uplo="U", overwrite_a=1)
-    if info != 0:
-        return None  # info > 0: A - sigma I is not positive definite
-
-    def solve(X):
-        out, info = lapack.dpftrs(n, chol, X, uplo="U")
-        return out if info == 0 else None
-
-    found = _block_krylov(n, solve, block, vecs)
-    if found is None:
-        return None
-    lam = sigma + 1.0 / found[0]
-    return float(lam) if found[0] > 0 and np.isfinite(lam) else None
 
 
 class _Secular:
@@ -513,8 +345,6 @@ def _secular_vector(m):
     min Delta + min(0, min C) holds whenever |U| <= 1, as for the leading
     rows of an orthonormal U that ``certify`` lends a level from the one
     above it."""
-    if m.phi_x_off is None:
-        return None
     if not (np.isfinite(m.moments).all() and np.isfinite(m.diagonal).all() and np.isfinite(m.phi_x_off)):
         raise EigensolverError("matrix has a non-finite moment or diagonal entry")
     low_rank = None if m._window is None else m._window.compressed
@@ -555,24 +385,15 @@ def _rayleigh(forms, X):
     return [float(x @ ((A.diagonal + A.phi_x_off) * x) + x @ g) for A, x, g in zip(forms, X, GX)]
 
 
-def _structured_min(m):
-    """Smallest eigenvalue of the matrix Delta + G_w from ``assemble``: the
-    Rayleigh quotient on it of ``_secular_vector``, an upper bound on
-    lambda_min; None where that gives up."""
-    x = _secular_vector(m)
-    return None if x is None else _rayleigh((m,), x[None, :])[0]
-
-
 def _array_min(m):
-    """Packed, then dense smallest eigenvalue of an array or of the entries
-    of a ``QuadFormMatrix`` (see ``min_eigenvalue``)."""
+    """Dense smallest eigenvalue of an array or of the entries of a
+    ``QuadFormMatrix`` (see ``min_eigenvalue``)."""
+    if isinstance(m, QuadFormMatrix) and m.N > _FILL_MAX:
+        raise EigensolverError(
+            f"the secular eigensolve gave up at N = {m.N}, and the dense fallback would fill an "
+            f"{m.N} x {m.N} array ({8 * m.N**2 / 2**30:.3g} GiB); it stops at N = {_FILL_MAX}"
+        )
     entries = m.entries if isinstance(m, QuadFormMatrix) else np.asarray(m, dtype=float)
-    if entries.ndim == 2 and not np.isfinite(np.diagonal(entries)).all():
-        raise EigensolverError("matrix has a non-finite diagonal entry")
-    if entries.ndim == 2 and entries.shape[0] == entries.shape[1] > _DENSE_MAX:
-        lam = _packed_min(entries)
-        if lam is not None:
-            return lam
     if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
         raise EigensolverError("matrix has a non-finite entry in its lower triangle")
     try:
@@ -586,53 +407,37 @@ def min_eigenvalue(m) -> float:
 
     ``m`` is an array or a ``QuadFormMatrix``. The steps:
 
-    - Secular, for a ``QuadFormMatrix`` with a window (``phi_x_off`` set),
-      at every N: the model M = Delta + U C U^T, with G_w compressed by a
-      randomized range finder that starts from the rank its window
-      predicts and solves the model from its one product per pass.
-      ``_Secular`` counts M's eigenvalues below any sigma,
-      n(sigma), by Haynsworth inertia additivity: n = 0 proves the Weyl bound
-      min Delta + min(0, min C) - 1e-8 (1 + |.|) below M's spectrum, and
-      Newton's method inside the bracket the counts keep finds
-      lambda_min(M) in 2-9 probes of O(N r^2). The value returned is the
-      Rayleigh quotient on A, applied from the moments, of M's closed-form
-      eigenvector: a Rayleigh-Ritz upper bound on A's lambda_min. A NaN or
-      infinity in the moments, the diagonal or phi_x_off raises
-      ``EigensolverError`` before any solve.
-    - Packed, for arrays above ``_DENSE_MAX``, windowless matrices
-      (``from_samples`` profiles) and any matrix the secular step gives up
-      on: the shift sigma = theta_0 - max((theta_8 - theta_0) / 2,
-      1e-8 (1 + |theta_0|)) below the eigenvalues theta of the ``_BLOCK``
-      block centred on the median row of the nine smallest diagonal entries
-      (upper bounds by Cauchy interlacing), a Cholesky factorization of
-      A - sigma I in rectangular full packed storage that proves
-      lambda_min > sigma, and block Krylov Rayleigh-Ritz on
-      (A - sigma I)^{-1}, ``_KRYLOV_BLOCK`` right-hand sides per solve.
-    - Dense ``eigvalsh``: arrays up to ``_DENSE_MAX``, and the last resort.
+    - Secular, for a ``QuadFormMatrix`` from ``assemble``, at every N: G_w
+      is compressed to U C U^T (rank 0, with no product, for an empty
+      window), ``_Secular``'s Haynsworth inertia counts prove the Weyl
+      bound min Delta + min(0, min C) - 1e-8 (1 + |.|) below the model's
+      spectrum, and Newton's method inside the bracket the counts keep
+      finds the model's lambda_min in 2-9 probes of O(N r^2). The value
+      returned is the Rayleigh quotient on A, applied from the moments, of
+      the model's closed-form eigenvector: a Rayleigh-Ritz upper bound on
+      A's lambda_min. A NaN or infinity in the moments, the diagonal or
+      phi_x_off raises ``EigensolverError`` before any solve.
+    - Dense ``eigvalsh``, for arrays and where the secular step gives up:
+      a rank past the column cap (as for a window that spans most of the
+      grid), a failed Weyl count, or Newton unconverged after
+      ``_SECULAR_PROBES`` probes. A ``QuadFormMatrix`` goes on as its
+      ``entries``; above order ``_FILL_MAX`` it raises ``EigensolverError``
+      instead of filling them.
 
-    A failed proof, a rank past the cap or an iteration unconverged after
-    ``_SECULAR_PROBES`` probes or ``_KRYLOV_MAX_BLOCKS`` blocks passes on
-    to the next step; a ``QuadFormMatrix`` then goes on as its ``entries``.
-    The input is not modified.
-
-    For arrays, a NaN or infinity on the diagonal raises ``EigensolverError``
-    before any solve (LAPACK's dense eigensolve can return a finite value
-    for a NaN diagonal). One in the strict lower triangle makes the packed
-    factorization fail and raises before the dense solve, which alone pays
-    the O(n^2) check. The strict upper triangle is never read.
+    A NaN or infinity in the lower triangle raises ``EigensolverError``
+    before the dense solve (LAPACK's can return a finite value for a NaN
+    diagonal). The strict upper triangle is never read, and the input is
+    not modified.
     """
-    if isinstance(m, QuadFormMatrix) and m.phi_x_off is not None:
-        lam = _structured_min(m)
-        if lam is not None:
-            return lam
-    return _array_min(m)
+    x = _secular_vector(m) if isinstance(m, QuadFormMatrix) else None
+    return _array_min(m) if x is None else _rayleigh((m,), x[None, :])[0]
 
 
 def _level_minima(A, shift):
     """(lambda_min of A, lambda_min of A - diag(shift)) for one ``certify``
     level. Where both forms take the secular step, their closing Rayleigh
     quotients come from one batched product on the window they share. A
-    form the step gives up on takes the array path, A before its shifted
+    form the step gives up on takes the dense step, A before its shifted
     copy is made, so that the copy takes over A's dense fill."""
     x = _secular_vector(A)
     lam = _array_min(A) if x is None else None

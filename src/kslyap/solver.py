@@ -61,7 +61,6 @@ class SolveConfig:
     t_end: float = 100.0
     transient: float | None = None
     record_every: int = 10
-    seed: int = 0
     odd_only: bool = False
 
     def __post_init__(self):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+import scipy.linalg
 
 from kslyap import coercivity
 from kslyap._accel import gram_from_cosine
@@ -64,9 +64,36 @@ def test_assemble_is_symmetric(profile32):
     assert np.array_equal(A, A.T)
 
 
+def _coupled_tail(n, low):
+    """diag(1, ..., n) with its last two rows coupled into a pair with
+    eigenvalues low and 2n - low: the diagonal minimum stays at row 0, and
+    low lies off the diagonal."""
+    A = np.diag(np.arange(1.0, n + 1))
+    A[-2:, -2:] = [[n, n - low], [n - low, n]]
+    return A
+
+
+def _diagonal_with_last(n, last):
+    d = np.arange(1.0, n + 1)
+    d[-1] = last
+    return np.diag(d)
+
+
 def test_min_eigenvalue_examples():
     assert min_eigenvalue(np.diag([3.0, -2.0, 7.0])) == -2.0
     assert np.isclose(min_eigenvalue(np.array([[0.0, 1.0], [1.0, 0.0]])), -1.0, rtol=1e-14)
+    # hard spectra for a shifted or Krylov solver: a minimum in the last
+    # row far from the other small diagonal entries, one just below the
+    # next eigenvalue, the same two off the diagonal, and a degenerate one
+    hard = [
+        (_diagonal_with_last(600, -2.0), -2.0),
+        (_diagonal_with_last(600, 0.999), 0.999),
+        (_coupled_tail(600, -2.0), -2.0),
+        (_coupled_tail(600, 0.999), 0.999),
+        (3.0 * np.eye(600), 3.0),
+    ]
+    for A, low in hard:
+        assert abs(min_eigenvalue(A) - low) < 1e-12
 
 
 def test_min_eigenvalue_accepts_quadform(make_flat_profile):
@@ -91,11 +118,39 @@ def test_min_eigenvalue_matches_power_iteration():
     assert abs((c - rho) - lam) <= 1e-8 * (1.0 + abs(lam))
 
 
+def _reference_min(A):
+    """lambda_min of the symmetric array A, accurate where eigvalsh's
+    absolute error eps |A| is not: a Cholesky factorization of A - sigma I
+    (scipy) proves sigma below the spectrum, and subspace iteration on its
+    inverse from eight fixed random columns gives sigma + 1 / mu, for mu
+    the largest Ritz value once it stops changing."""
+    guess = float(np.linalg.eigvalsh(A)[0])
+    gap = 1e-6 * (1.0 + abs(guess))
+    while True:
+        sigma = guess - gap
+        try:
+            factor = scipy.linalg.cho_factor(A - sigma * np.eye(A.shape[0]), lower=True)
+            break
+        except np.linalg.LinAlgError:
+            gap *= 10.0
+    X = np.linalg.qr(np.random.default_rng(0).standard_normal((A.shape[0], 8)))[0]
+    mu = 0.0
+    for _ in range(100):
+        Y = scipy.linalg.cho_solve(factor, X)
+        H = X.T @ Y
+        top = float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1])
+        if abs(top - mu) <= 1e-15 * top:
+            return sigma + 1.0 / top
+        mu = top
+        X = np.linalg.qr(Y)[0]
+    raise AssertionError("reference subspace iteration did not converge")
+
+
 @pytest.fixture(scope="module")
 def galerkin_1024(critical_pair):
     """Assembled and shifted Galerkin matrices at N = 1024 for L = 32, 128,
-    512 and 1024; at L = 1024 the minimizing mode (m ~ 0.26 L) lies outside
-    the leading block."""
+    512 and 1024, as arrays; at L = 1024 the minimizing mode (m ~ 0.26 L)
+    lies far from the leading rows."""
     out = {}
     for L in (32.0, 128.0, 512.0, 1024.0):
         A = assemble(build_profile(L, pair=critical_pair), 1024).entries
@@ -106,58 +161,20 @@ def galerkin_1024(critical_pair):
     return out
 
 
-def _no_dense_eigensolve(monkeypatch):
-    def refuse(a, UPLO="L"):
-        raise AssertionError("dense eigensolve called")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-
-
 @pytest.mark.parametrize("L", [32.0, 128.0, 512.0, 1024.0])
 @pytest.mark.parametrize("N", [512, 1024])
-def test_shift_invert_matches_dense(galerkin_1024, monkeypatch, L, N):
-    # Galerkin matrices nest, so the N = 512 matrices are leading blocks
-    mats = [M[:N, :N] for M in galerkin_1024[L]]
-    dense = [float(np.linalg.eigvalsh(M)[0]) for M in mats]
-    _no_dense_eigensolve(monkeypatch)
-    for M, ref in zip(mats, dense):
-        assert abs(min_eigenvalue(M) - ref) <= 1e-9 * (1.0 + abs(ref))
-
-
-def test_rfp_diagonal_positions():
-    for n in range(1, 41):
-        packed, info = lapack.dtrttf(np.asfortranarray(np.diag(np.arange(1.0, n + 1))), uplo="U")
-        assert info == 0
-        assert np.array_equal(packed[coercivity._rfp_diagonal(n)], np.arange(1.0, n + 1))
-        assert np.count_nonzero(packed) == n
-
-
-def _coupled_tail(n, low):
-    """diag(1, ..., n) with its last two rows coupled into a pair with
-    eigenvalues low and 2n - low: the diagonal minimum stays at row 0, so
-    the shift block is the leading one and low lies off the diagonal."""
-    A = np.diag(np.arange(1.0, n + 1))
-    A[-2:, -2:] = [[n, n - low], [n - low, n]]
-    return A
-
-
-def _counted_solves(monkeypatch):
-    """Patch lapack.dpftrs to record the column count of each packed solve."""
-    widths = []
-    dpftrs = lapack.dpftrs
-
-    def counted(n, chol, b, **kw):
-        widths.append(b.shape[1])
-        return dpftrs(n, chol, b, **kw)
-
-    monkeypatch.setattr(lapack, "dpftrs", counted)
-    return widths
+def test_shift_invert_matches_dense(galerkin_1024, L, N):
+    # raw Galerkin arrays take the dense solve, which must match shift-and-
+    # invert iteration on a Cholesky factor (_reference_min); the matrices
+    # nest, so the N = 512 ones are leading blocks
+    for M in galerkin_1024[L]:
+        ref = _reference_min(M[:N, :N])
+        assert abs(min_eigenvalue(M[:N, :N]) - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
 @pytest.mark.parametrize("n", [600, 601])
 def test_minimum_outside_leading_block_falls_back(monkeypatch, n):
-    # the leading block sees 1, 2, ..., so the shift lands near -3 and the
-    # Cholesky of A - sigma I fails on the last entry; the dense solve runs
+    # a raw array takes one dense solve, whatever its order
     d = np.arange(1.0, n + 1)
     d[-1] = -5.0
     calls = []
@@ -167,104 +184,14 @@ def test_minimum_outside_leading_block_falls_back(monkeypatch, n):
     assert calls == [(n, n)]
 
 
-def test_minimum_orthogonal_to_start_vector_is_found(monkeypatch):
-    # between the shift and the leading block: the factorization succeeds and
-    # Lanczos must leave the start vector's invariant subspace to find it
-    d = np.arange(1.0, 601.0)
-    d[-1] = -2.0
-    _no_dense_eigensolve(monkeypatch)
-    assert abs(min_eigenvalue(np.diag(d)) + 2.0) < 1e-12
-
-
-def test_minimum_just_above_start_eigenvalue_is_found(monkeypatch):
-    # theta_0's block eigenvector is an exact eigenvector with a zero
-    # residual; the minimum 1e-3 below it must still be found, not theta_0
-    d = np.arange(1.0, 601.0)
-    d[-1] = 0.999
-    _no_dense_eigensolve(monkeypatch)
-    assert abs(min_eigenvalue(np.diag(d)) - 0.999) < 1e-12
-
-
 @pytest.mark.parametrize("n", [600, 601])
 def test_coupled_minimum_below_shift_falls_back(monkeypatch, n):
-    # as above with the minimum in an off-diagonal pair: the Cholesky of
-    # A - sigma I fails on the pair and the dense solve runs once
+    # as above with the minimum in an off-diagonal pair: one dense solve
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     assert abs(min_eigenvalue(_coupled_tail(n, -5.0)) + 5.0) < 1e-12
     assert calls == [(n, n)]
-
-
-@pytest.mark.parametrize("low", [-2.0, 0.999])
-def test_coupled_minimum_above_shift_is_found(monkeypatch, low):
-    # the pair lies outside the shift block and off the diagonal: the
-    # factorization succeeds and the Krylov search must find it
-    _no_dense_eigensolve(monkeypatch)
-    assert abs(min_eigenvalue(_coupled_tail(600, low)) - low) < 1e-12
-
-
-def test_lone_diagonal_outlier_keeps_leading_shift_block(monkeypatch):
-    # the block follows the nine smallest diagonal entries, not the outlier
-    # alone, so sigma lands near -3 and the factorization fails before any
-    # packed solve; a block around the outlier would put sigma ~240 below
-    # -5 and stall on the clustered rest of the spectrum
-    d = np.arange(1.0, 601.0)
-    d[-1] = -5.0
-    widths = _counted_solves(monkeypatch)
-    assert min_eigenvalue(np.diag(d)) == -5.0
-    assert widths == []
-
-
-def test_degenerate_spectrum_needs_no_dense_solve(monkeypatch):
-    # every product lies in the basis and every Ritz value is equal
-    _no_dense_eigensolve(monkeypatch)
-    assert min_eigenvalue(3.0 * np.eye(600)) == 3.0
-
-
-def test_block_krylov_solves_few_blocks(galerkin_1024, monkeypatch):
-    # one packed solve per Krylov block, each with _KRYLOV_BLOCK columns; at
-    # L = 1024 the minimizing mode (m ~ 0.26 L) lies outside the leading
-    # block, so only a shift block that follows it keeps the factorization
-    mats = [galerkin_1024[128.0][0], *galerkin_1024[1024.0]]
-    assert all(np.argmin(np.diagonal(A)) >= coercivity._BLOCK for A in mats[1:])
-    refs = [float(np.linalg.eigvalsh(A)[0]) for A in mats]
-    widths = _counted_solves(monkeypatch)
-    _no_dense_eigensolve(monkeypatch)
-    for A, ref in zip(mats, refs):
-        widths.clear()
-        assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
-        assert 2 <= len(widths) <= 6
-        assert set(widths) == {coercivity._KRYLOV_BLOCK}
-
-
-def test_shift_block_takes_partial_eigensolve(galerkin_1024, monkeypatch):
-    # the shift reads theta_0..theta_8 only: nine eigenpairs of the block
-    # come from a partial eigensolve, not a full eigh
-    A = galerkin_1024[128.0][0]
-    ref = float(np.linalg.eigvalsh(A)[0])
-
-    def refuse(a, UPLO="L"):
-        raise AssertionError("full block eigensolve called")
-
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    widths = _counted_solves(monkeypatch)
-    _no_dense_eigensolve(monkeypatch)
-    assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
-    assert 2 <= len(widths) <= 6
-
-
-def test_block_cap_falls_back_to_dense_once(galerkin_1024, monkeypatch):
-    A = galerkin_1024[128.0][0][:512, :512]
-    block = min_eigenvalue(A)
-    dense = float(np.linalg.eigvalsh(A)[0])
-    monkeypatch.setattr(coercivity, "_KRYLOV_MAX_BLOCKS", 1)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    assert min_eigenvalue(A) == dense
-    assert calls == [(512, 512)]
-    assert abs(block - dense) <= 1e-9 * (1.0 + abs(dense))
 
 
 @pytest.mark.parametrize("n", [64, 600])
@@ -282,8 +209,8 @@ def test_min_eigenvalue_rejects_non_square(shape):
 
 
 @pytest.mark.parametrize("n", [256, 1024])
-def test_min_eigenvalue_reads_lower_triangle(galerkin_1024, monkeypatch, n):
-    # perturb only the strict upper triangle: both paths must ignore it
+def test_min_eigenvalue_reads_lower_triangle(galerkin_1024, n):
+    # perturb only the strict upper triangle: the solve must ignore it
     A = galerkin_1024[128.0][0][:n, :n].copy()
     rng = np.random.default_rng(5)
     iu = np.triu_indices(n, 1)
@@ -291,15 +218,12 @@ def test_min_eigenvalue_reads_lower_triangle(galerkin_1024, monkeypatch, n):
     lower = float(np.linalg.eigvalsh(A, UPLO="L")[0])
     upper = float(np.linalg.eigvalsh(A, UPLO="U")[0])
     assert abs(lower - upper) > 1e-3
-    if n > coercivity._DENSE_MAX:
-        _no_dense_eigensolve(monkeypatch)
     assert abs(min_eigenvalue(A) - lower) <= 1e-9 * (1.0 + abs(lower))
 
 
 def _non_finite_positions(n):
-    # first and middle diagonal entries, a lower entry inside the leading
-    # block and one outside it (the shift-invert path sees it only through
-    # the packed factorization)
+    # first and middle diagonal entries, a lower entry near the corner and
+    # one far from it
     return {
         "diag_first": (0, 0),
         "diag_mid": (n // 2, n // 2),
@@ -331,11 +255,9 @@ def test_non_finite_lower_triangle_raises_before_dense_solve(capfd, n, bad):
 
 @pytest.mark.parametrize("n", [64, 600])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_min_eigenvalue_ignores_non_finite_upper_triangle(monkeypatch, n, bad):
+def test_min_eigenvalue_ignores_non_finite_upper_triangle(n, bad):
     A = np.diag(np.arange(1.0, n + 1))
     A[2, 5] = A[n // 2, n - 3] = bad
-    if n > coercivity._DENSE_MAX:
-        _no_dense_eigensolve(monkeypatch)
     assert abs(min_eigenvalue(A) - 1.0) < 1e-12
 
 
@@ -372,7 +294,7 @@ def test_entries_are_the_gram_fill(profile32, order, N):
 @pytest.fixture(scope="module")
 def structured(critical_pair):
     """assemble(build_profile(L), N) with its shifted variant, and both
-    smallest eigenvalues from eigvalsh and from the packed path."""
+    smallest eigenvalues from eigvalsh and from ``_reference_min``."""
     out = {}
     for L in (32.0, 128.0, 512.0, 1024.0):
         profile = build_profile(L, pair=critical_pair)
@@ -380,7 +302,7 @@ def structured(critical_pair):
             mats = (assemble(profile, N), _shifted(assemble(profile, N)))
             # filled on copies, so the matrices under test hold no dense array
             fills = [replace(m).entries for m in mats]
-            refs = [(float(np.linalg.eigvalsh(A)[0]), coercivity._packed_min(A)) for A in fills]
+            refs = [(float(np.linalg.eigvalsh(A)[0]), _reference_min(A)) for A in fills]
             out[L, N] = list(zip(mats, refs))
     return out
 
@@ -388,7 +310,7 @@ def structured(critical_pair):
 @pytest.mark.parametrize("L", [32.0, 128.0, 512.0, 1024.0])
 @pytest.mark.parametrize("N", [512, 1024])
 def test_structured_matches_dense_and_packed(structured, monkeypatch, L, N):
-    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    _refuse(monkeypatch, "eigvalsh")
     for m, refs in structured[L, N]:
         lam = min_eigenvalue(m)
         for ref in refs:
@@ -398,8 +320,8 @@ def test_structured_matches_dense_and_packed(structured, monkeypatch, L, N):
 def test_structured_matches_packed_at_2048(critical_pair, monkeypatch):
     m = assemble(build_profile(128.0, pair=critical_pair), 2048)
     mats = (m, _shifted(m))
-    refs = [coercivity._packed_min(replace(A).entries) for A in mats]
-    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    refs = [_reference_min(replace(A).entries) for A in mats]
+    _refuse(monkeypatch, "eigvalsh")
     for A, ref in zip(mats, refs):
         assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
 
@@ -422,7 +344,7 @@ def test_structured_second_order(profile32, monkeypatch, N):
     mats = [assemble(profile32, N, OperatorOrder.SECOND)]
     mats.append(_shifted(mats[0]))
     refs = [float(np.linalg.eigvalsh(replace(m).entries)[0]) for m in mats]
-    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    _refuse(monkeypatch, "eigvalsh")
     sigmas = _probes(monkeypatch)
     for m, ref in zip(mats, refs):
         sigmas.clear()
@@ -436,8 +358,8 @@ def test_structured_second_order(profile32, monkeypatch, N):
 @pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 2048.0, 8192.0])
 def test_secular_matches_reference(critical_pair, monkeypatch, L):
     # every windowed matrix at N = 64..2048, both orders and both forms, in
-    # at most 12 probes; the reference is eigvalsh while |A| < 1e8 and the
-    # packed path above, where eigvalsh's backward error eps |A| is past
+    # at most 12 probes; the reference is eigvalsh while |A| < 1e8 and
+    # _reference_min above, where eigvalsh's backward error eps |A| is past
     # the bound
     profile = build_profile(L, pair=critical_pair)
     cases = []
@@ -448,8 +370,8 @@ def test_secular_matches_reference(critical_pair, monkeypatch, L):
                 # filled on a copy, so the matrix under test holds no dense array
                 fill = replace(A).entries
                 dense = np.abs(np.diagonal(fill)).max() < 1e8
-                cases.append((A, float(np.linalg.eigvalsh(fill)[0]) if dense else coercivity._packed_min(fill)))
-    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+                cases.append((A, float(np.linalg.eigvalsh(fill)[0]) if dense else _reference_min(fill)))
+    _refuse(monkeypatch, "eigvalsh")
     sigmas = _probes(monkeypatch)
     for A, ref in cases:
         sigmas.clear()
@@ -459,26 +381,26 @@ def test_secular_matches_reference(critical_pair, monkeypatch, L):
 
 @pytest.mark.parametrize("N", [128, 256])
 def test_small_windowed_levels_build_no_dense_matrix(profile32, monkeypatch, N):
-    # below the dense crossover as well, both forms take the secular path:
-    # no fill, no dense and no packed solve
+    # at small N as well, both forms take the secular path: no fill and no
+    # dense solve
     m = assemble(profile32, N)
     mats = (m, _shifted(m))
-    _refuse(monkeypatch, "_packed_min", "eigvalsh")
+    _refuse(monkeypatch, "eigvalsh")
     for A in mats:
         min_eigenvalue(A)
     assert all("entries" not in vars(A) for A in mats)
 
 
-def test_failed_count_falls_through_to_packed_path(profile32, monkeypatch):
-    # a count that never proves the Weyl bound: the packed path answers,
-    # with the array path's value
+def test_failed_count_falls_through_to_eigvalsh(profile32, monkeypatch):
+    # a count that never proves the Weyl bound: one dense solve answers,
+    # with the array's value
     m = assemble(profile32, 512)
     value = min_eigenvalue(replace(m).entries)
     probe = coercivity._Secular.probe
     monkeypatch.setattr(coercivity._Secular, "probe", lambda self, sigma: (1, *probe(self, sigma)[1:]))
     calls = []
-    packed = coercivity._packed_min
-    monkeypatch.setattr(coercivity, "_packed_min", lambda A: calls.append(A.shape) or packed(A))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     assert min_eigenvalue(m) == value
     assert calls == [(512, 512)]
 
@@ -493,8 +415,8 @@ def _applied(monkeypatch):
 
 def test_range_finder_gives_up_before_any_product(critical_pair, monkeypatch):
     # at L = 8, N = 2048 the window predicts rank ceil(N W / n) + 8 = 138,
-    # past _RANK_MAX: no product is formed, and the packed path answers
-    # with the array path's value
+    # past _RANK_MAX: no product is formed, and the dense solve answers
+    # with the array's value
     m = assemble(build_profile(8.0, pair=critical_pair), 2048)
     value = min_eigenvalue(replace(m).entries)
     rows = _applied(monkeypatch)
@@ -579,27 +501,61 @@ def test_shifted_variant_takes_over_dense_fill(profile32):
     assert np.array_equal(m.entries, A)
 
 
-def test_profiles_without_window_take_packed_path(make_flat_profile, profile32, monkeypatch):
-    # from_samples stores phi_x as one window over the whole grid: no low
-    # rank part, so the array path runs and gives its value bit for bit
+def test_sampled_profiles_take_secular_path(make_flat_profile, profile32, monkeypatch):
+    # from_samples finds the window of the constructed profile's samples, and
+    # a constant phi_x has an empty one: both take the secular path, with no
+    # fill and no dense solve, and the empty window (rank 0) gives min Delta
+    # bit for bit, which is the array's value
     samples = PotentialProfile.from_samples(
         32.0, profile32.phi_x, profile32.mean_q, profile32.exponents, source=profile32.source
     )
-    mats = [assemble(samples, 512), assemble(make_flat_profile(L=64.0, n=16384, slope=0.0), 512)]
-    values = [min_eigenvalue(m.entries) for m in mats]
+    flat = make_flat_profile(L=64.0, n=16384, slope=0.0)
+    mats = [assemble(samples, 512), assemble(flat, 512)]
+    values = [min_eigenvalue(replace(m).entries) for m in mats]
     windowed = min_eigenvalue(assemble(profile32, 512))
     assert abs(values[0] - windowed) <= 1e-9 * (1.0 + abs(windowed))
-    _refuse(monkeypatch, "_structured_min")
-    assert all(m.phi_x_off is None for m in mats)
-    assert [min_eigenvalue(m) for m in mats] == values
+    assert flat.window.size == 0 and mats[1]._window.compressed[1].size == 0
+    _refuse(monkeypatch, "eigvalsh")
+    assert all(m.phi_x_off is not None for m in mats)
+    lams = [min_eigenvalue(m) for m in mats]
+    assert abs(lams[0] - values[0]) <= 1e-9 * (1.0 + abs(values[0]))
+    assert lams[1] == values[1] == (mats[1].diagonal + mats[1].phi_x_off).min()
+    assert all("entries" not in vars(m) for m in mats)
+    # certify on the samples matches certify on the constructed profile
+    got, want = certify(samples), certify(profile32)
+    assert got.N_sequence == want.N_sequence
+    assert abs(got.lambda_min - want.lambda_min) <= 1e-12
+    assert abs(got.delta_margin - want.delta_margin) <= 1e-12
 
 
-def test_rank_past_cap_takes_packed_path(profile32, monkeypatch):
+def test_rank_past_cap_takes_eigvalsh(profile32, monkeypatch):
     m = assemble(profile32, 512)
     value = min_eigenvalue(m.entries)
     monkeypatch.setattr(coercivity, "_RANK_MAX", 8)
     assert m._window.compressed is None
     assert min_eigenvalue(m) == value
+
+
+def test_dense_fallback_fails_fast_above_the_fill_limit(profile32, monkeypatch):
+    # a forced give-up at N = 8192: the fallback would fill 8 N^2 = 512 MiB,
+    # so min_eigenvalue raises, naming N, before it allocates the array; a
+    # raw array of any order keeps eigvalsh
+    monkeypatch.setattr(coercivity, "_RANK_MAX", 8)
+    N = 8192
+    tracemalloc.start()
+    try:
+        m = assemble(profile32, N)
+        with pytest.raises(EigensolverError, match=f"N = {N}"):
+            min_eigenvalue(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "entries" not in vars(m)
+    assert peak < 8 * N**2 / 64
+    monkeypatch.setattr(coercivity, "_FILL_MAX", 64)
+    assert min_eigenvalue(np.diag(np.arange(1.0, 129.0))) == 1.0
+    with pytest.raises(EigensolverError, match="N = 128"):
+        min_eigenvalue(assemble(profile32, 128))
 
 
 def test_inertia_count_matches_model_spectrum(profile32):
@@ -690,7 +646,7 @@ def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, 
         m = assemble(profile32, 512)
         m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal)) if where == "diagonal" else m
         m = replace(m, phi_x_off=bad, _window=None) if where == "phi_x_off" else m
-    _refuse(monkeypatch, "_Secular", "_packed_min", "eigvalsh")
+    _refuse(monkeypatch, "_Secular", "eigvalsh")
     with pytest.raises(EigensolverError):
         min_eigenvalue(m)
 
@@ -789,7 +745,7 @@ def test_certify_lends_the_upper_compression(critical_pair, monkeypatch, L, leve
 
 
 def test_certify_level_with_one_form_past_the_secular_step(profile32, monkeypatch):
-    # a form the secular step gives up on takes the array path on its own;
+    # a form the secular step gives up on takes the dense step on its own;
     # the other keeps its secular value and closes with a one-row product
     report = certify(profile32)
     vector = coercivity._secular_vector

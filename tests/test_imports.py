@@ -1,8 +1,7 @@
-"""The import graph: the package loads numpy only. Galerkin matrices from
-constructed profiles are solved with numpy alone at every size. scipy.linalg
-(LAPACK's packed Cholesky routines) is imported on the first raw array, or
-matrix without a low-rank window, above the dense crossover, and no other
-scipy subpackage is ever loaded."""
+"""The import graph: the package needs numpy only. No path loads scipy:
+Galerkin matrices take the secular eigensolve (numpy) or ``eigvalsh``, and
+a fresh interpreter with scipy blocked runs the library and the CLI; the
+tests themselves use scipy only for independent references."""
 
 import json
 import os
@@ -12,21 +11,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-UNUSED = [
-    "scipy.integrate",
-    "scipy.fft",
-    "scipy.special",
-    "scipy.optimize",
-    "scipy.spatial",
-    "scipy.signal",
-    "scipy.interpolate",
-    "scipy.constants",
-    "scipy.sparse",
-    "scipy.sparse.linalg",
-]
-
-# one shift-invert solve: the first matrix above the dense crossover
-LARGE_SOLVE = "from kslyap.coercivity import min_eigenvalue\nimport numpy as np\nmin_eigenvalue(np.diag(np.arange(1.0, 513.0)))\n"
+# one dense solve: a raw array, which the secular step does not take
+RAW_SOLVE = "from kslyap.coercivity import min_eigenvalue\nimport numpy as np\nmin_eigenvalue(np.diag(np.arange(1.0, 513.0)))\n"
 
 
 def _fresh(code):
@@ -61,25 +47,42 @@ def test_structured_eigensolves_load_no_scipy():
     assert _fresh(code) == []
 
 
-def test_first_large_matrix_loads_scipy_linalg():
-    code = (
-        "import json, sys\n"
-        "import kslyap\n"
-        "before = 'scipy.linalg' in sys.modules\n"
-        f"{LARGE_SOLVE}"
-        "print(json.dumps([before, 'scipy.linalg' in sys.modules]))\n"
-    )
-    assert _fresh(code) == [False, True]
-
-
 def test_import_loads_no_unused_scipy_subpackage():
     code = (
         "import json, sys\n"
         "import kslyap, kslyap.cli\n"
-        f"{LARGE_SOLVE}"
-        f"print(json.dumps(sorted(m for m in {UNUSED!r} if m in sys.modules)))\n"
+        f"{RAW_SOLVE}"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
     assert _fresh(code) == []
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes any import of scipy raise: a raw
+    # 512 x 512 array, a from_samples profile, and verify (with --profile on
+    # a build-potential output), sweep and simulate --check-lyapunov through
+    # the CLI entry point
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from kslyap.cli import main\n"
+        "from kslyap.coercivity import certify\n"
+        "from kslyap.potential import PotentialProfile, build_profile\n"
+        f"{RAW_SOLVE}"
+        "p = build_profile(32.0)\n"
+        "assert certify(PotentialProfile.from_samples(32.0, p.phi_x, p.mean_q, p.exponents)).certified\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [\n"
+        "    main(['verify', '--L', '64', '--out', out]),\n"
+        "    main(['build-potential', '--L', '2', '--out', out]),\n"
+        "    main(['verify', '--profile', out + '/profile_L2.csv', '--out', out]),\n"
+        "    main(['sweep', '--L-list', '32,64,128,256,512', '--out', out]),\n"
+        "    main(['simulate', '--L', '50', '--odd', '--t-end', '20', '--transient', '10', '--check-lyapunov', '--out', out]),\n"
+        "]\n"
+        "print(json.dumps(codes))\n"
+    )
+    assert _fresh(code) == [0, 0, 0, 0, 0]
 
 
 def test_ensemble_run_loads_no_random_or_thread_modules():
