@@ -3,16 +3,16 @@ Kuramoto-Sivashinsky equation u_t = -u_xxxx - u_xx + u u_x (+ gamma u for the
 destabilized variant), on x in [-L, L) with zero-mean data.
 
 Fourier coefficients are stored normalized, uhat = fft(u)/N, so Parseval reads
-|u|_2^2 = 2L * sum |uhat|^2. States hold the full spectrum; time stepping
-runs on the real-FFT half spectrum m = 0..N/2, rfft(u)/N, so one kernel
-serves `step` and `simulate`, and trajectories record that half. The kernel
-runs in buffers allocated once per call of either, with every transform
-written into one (`out=`, numpy >= 2.0), and the dealiased derivative folded
-into the ETDRK4 coefficients, so a step costs eight transforms and ~20
-in-place products and sums at numpy's per-call overhead. The linear part is
-treated exactly; the ETD phi-function coefficients are averaged over a
-complex contour to avoid cancellation at small |sigma*dt| (Cox & Matthews
-2002; Kassam & Trefethen 2005).
+|u|_2^2 = 2L * sum |uhat|^2. States and trajectories hold the real-FFT half
+spectrum m = 0..N/2, rfft(u)/N (modes m < 0 are its conjugates), and one
+kernel steps it for `step` and `simulate`. The kernel runs in buffers
+allocated once per call of either, with every transform written into one
+(`out=`, numpy >= 2.0), and the dealiased derivative folded into the ETDRK4
+coefficients, so a step costs eight transforms and ~20 in-place products and
+sums at numpy's per-call overhead. The linear part is treated exactly; the
+ETD phi-function coefficients are averaged over a complex contour to avoid
+cancellation at small |sigma*dt| (Cox & Matthews 2002; Kassam & Trefethen
+2005).
 """
 
 import math
@@ -35,23 +35,29 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Normalized Fourier coefficients of u at one instant."""
+    """Normalized Fourier coefficients of u at one instant, m = 0..N/2."""
 
     L: float
     N: int
-    uhat: np.ndarray
+    half: np.ndarray
     t: float = 0.0
+
+    def __post_init__(self):
+        half = np.asarray(self.half, dtype=complex)
+        if half.shape != (self.N // 2 + 1,):
+            raise ValueError(f"half spectrum must have N/2+1 = {self.N // 2 + 1} entries, got shape {half.shape}")
+        object.__setattr__(self, "half", half)
 
     @property
     def x(self) -> np.ndarray:
         return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
 
     def u(self) -> np.ndarray:
-        return np.fft.irfft(_half(self.uhat), n=self.N, norm="forward")
+        return np.fft.irfft(self.half, n=self.N, norm="forward")
 
     @property
     def norm_l2(self) -> float:
-        return math.sqrt(2.0 * self.L * float(np.sum(np.abs(self.uhat) ** 2)))
+        return math.sqrt(2.0 * self.L * float(np.sum(_power(self.half))))
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,8 @@ class SolveConfig:
             raise ValueError("dt and t_end must be positive")
         if self.transient is not None and not self.transient < self.t_end:
             raise ValueError("transient must be below t_end")
+        if round(self.t_end / self.dt) < 1:
+            raise ValueError("t_end must be at least one step dt (it rounds to zero steps)")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -132,14 +140,6 @@ def _etdrk4_coeffs(L, N, dt, gamma):
         _COEFF_CACHE.clear()
     _COEFF_CACHE[key] = coeffs
     return coeffs
-
-
-def _half(uhat):
-    """Half spectrum (m = 0..N/2) of Re u from full FFT-ordered coefficients:
-    the Hermitian part of uhat at m >= 0."""
-    uhat = np.asarray(uhat, dtype=complex)
-    N = uhat.shape[-1]
-    return 0.5 * (uhat[..., : N // 2 + 1] + np.conj(uhat[..., -np.arange(N // 2 + 1) % N]))
 
 
 def _full(w):
@@ -231,8 +231,7 @@ def step(state: SpectralState, cfg: SolveConfig) -> SpectralState:
     """One ETDRK4 step of length cfg.dt."""
     kernel = _Kernel(state.L, state.N, cfg.dt, cfg.gamma, cfg.odd_only)
     t_new = state.t + cfg.dt
-    v = kernel(_half(state.uhat), np.empty(state.N // 2 + 1, dtype=complex), t_new)
-    return replace(state, uhat=_full(v), t=t_new)
+    return replace(state, half=kernel(state.half, np.empty_like(state.half), t_new), t=t_new)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +249,7 @@ class Trajectory:
     transient: float
     config: SolveConfig
 
+    # kept only for the benchmark's solver.states_bytes layer metric
     @cached_property
     def states(self) -> np.ndarray:
         """(n_samples, N) complex: the full FFT-ordered spectra, built on
@@ -272,7 +272,7 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
     kernel = _Kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
     half = np.empty((rec_idx.size, N // 2 + 1), dtype=complex)
 
-    v = half[0] = _project(_half(initial.uhat), cfg.odd_only)
+    v = half[0] = _project(initial.half.copy(), cfg.odd_only)
     w = np.empty_like(v)
     for i in range(1, n_steps + 1):
         kernel(v, w, initial.t + i * cfg.dt)
@@ -325,15 +325,14 @@ def random_initial(L: float, N: int, seed: int = 0, amplitude: float = 1.0, odd_
         raise ValueError("N must be a power of two >= 8")
     n_modes = max(1, int(L / np.pi))
     n_modes = min(n_modes, N // 3)
-    v = np.zeros(N, dtype=complex)
+    v = np.zeros(N // 2 + 1, dtype=complex)
     if odd_only:
         coeff = 1j * _normals(seed, n_modes)
     else:
         z = _normals(seed, 2 * n_modes)
         coeff = z[0::2] + 1j * z[1::2]
     v[1 : n_modes + 1] = coeff
-    v[-1 : -n_modes - 1 : -1] = np.conj(coeff)
-    norm = math.sqrt(2.0 * L * float(np.sum(np.abs(v) ** 2)))
+    norm = math.sqrt(2.0 * L * float(np.sum(_power(v))))
     if norm > 0:
         v *= amplitude / norm
-    return SpectralState(L=float(L), N=N, uhat=v, t=0.0)
+    return SpectralState(L=float(L), N=N, half=v)

@@ -25,6 +25,7 @@ from kslyap.potential import (
 from kslyap.solver import (
     SolveConfig,
     SpectralState,
+    _power,
     default_grid,
     default_transient,
     linear_symbol,
@@ -225,7 +226,7 @@ def test_criterion_7_integrator_fidelity(capsys):
             SolveConfig(dt=dt, t_end=100.0, record_every=2000, transient=0.0),
         )
         fine = simulate(
-            SpectralState(L=L, N=N, uhat=warm.states[-1].copy()),
+            SpectralState(L=L, N=N, half=warm.half[-1].copy()),
             SolveConfig(dt=dt, t_end=20.0, record_every=1, transient=0.0),
         )
         energy = 0.5 * fine.l2**2
@@ -247,10 +248,11 @@ def test_criterion_7_integrator_fidelity(capsys):
             cfg = SolveConfig(dt=step_dt, t_end=1.0)
             for _ in range(int(round(1.0 / step_dt))):
                 state = step(state, cfg)
-            return state.uhat
+            return state.half
 
+        # |.|_2 of the half-spectrum error, by Parseval
         ref = integrate(1.0 / 2048.0)
-        errs = [np.linalg.norm(integrate(h) - ref) for h in (1.0 / 32.0, 1.0 / 64.0)]
+        errs = [math.sqrt(2.0 * 16.0 * np.sum(_power(integrate(h) - ref))) for h in (1.0 / 32.0, 1.0 / 64.0)]
         order = float(np.log2(errs[0] / errs[1]))
         assert order >= 3.5
 

@@ -112,7 +112,7 @@ def test_headline_from_certified_margin(profile32):
 
 
 def _zero_state(L, N):
-    return SpectralState(L=L, N=N, uhat=np.zeros(N, dtype=complex))
+    return SpectralState(L=L, N=N, half=np.zeros(N // 2 + 1, dtype=complex))
 
 
 def test_monitor_zero_trajectory(make_flat_profile):

@@ -11,9 +11,9 @@ from kslyap.solver import (
     SolveConfig,
     SpectralState,
     _etdrk4_coeffs,
-    _full,
     _half_ddx,
     _normals,
+    _power,
     _rfft_square,
     default_grid,
     default_transient,
@@ -22,6 +22,15 @@ from kslyap.solver import (
     simulate,
     step,
 )
+
+
+def _mirrored(half, N):
+    """Full FFT-ordered spectra (last axis) of half spectra: m >= 0 copied,
+    m < 0 their conjugates, as real data requires."""
+    full = np.empty(half.shape[:-1] + (N,), dtype=complex)
+    full[..., : N // 2 + 1] = half
+    full[..., N // 2 + 1 :] = np.conj(full[..., N // 2 - 1 : 0 : -1])
+    return full
 
 
 def test_linear_symbol_stability_split():
@@ -56,9 +65,9 @@ def test_default_transient():
 
 
 def test_zero_state_is_fixed_point():
-    state = SpectralState(L=8.0, N=64, uhat=np.zeros(64, dtype=complex))
+    state = SpectralState(L=8.0, N=64, half=np.zeros(33, dtype=complex))
     out = step(state, SolveConfig(dt=0.1, t_end=1.0))
-    assert np.array_equal(out.uhat, np.zeros(64))
+    assert np.array_equal(out.half, np.zeros(33))
     assert out.t == 0.1
 
 
@@ -66,41 +75,45 @@ def test_random_initial_deterministic():
     a = random_initial(32.0, 128, seed=4)
     b = random_initial(32.0, 128, seed=4)
     c = random_initial(32.0, 128, seed=5)
-    assert np.array_equal(a.uhat, b.uhat)
-    assert not np.array_equal(a.uhat, c.uhat)
+    assert np.array_equal(a.half, b.half)
+    assert not np.array_equal(a.half, c.half)
 
 
 def test_random_initial_normalization_and_band():
     st = random_initial(32.0, 128, seed=1, amplitude=2.0)
     assert np.isclose(st.norm_l2, 2.0, rtol=1e-12)
-    active = np.nonzero(st.uhat)[0]
-    m = np.fft.fftfreq(128, d=1.0 / 128)[active]
-    assert np.max(np.abs(m)) <= int(32.0 / np.pi)
-    assert st.uhat[0] == 0.0
+    assert st.half.shape == (65,)
+    assert np.max(np.nonzero(st.half)[0]) <= int(32.0 / np.pi)  # index = mode m
+    assert st.half[0] == 0.0
 
 
 def test_random_initial_odd_subspace():
     st = random_initial(32.0, 128, seed=2, odd_only=True)
-    assert np.max(np.abs(st.uhat.real)) == 0.0
+    assert np.max(np.abs(st.half.real)) == 0.0
     u = st.u()
     mirrored = u[(-np.arange(128)) % 128]
     assert np.max(np.abs(u + mirrored)) < 1e-13
 
 
 def test_state_fields_match_full_inverse_transform():
-    # u() is an irfft of the m >= 0 half; the full complex ifft, whose real
-    # part is the field of the spectrum's Hermitian part, is the oracle
-    rng = np.random.default_rng(11)
-    hermitian = random_initial(16.0, 128, seed=4).uhat
-    general = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    for uhat in (hermitian, general):
-        ref = np.fft.ifft(uhat * 128).real
-        u = SpectralState(L=16.0, N=128, uhat=uhat).u()
-        assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
-    traj = simulate(random_initial(16.0, 128, seed=4), SolveConfig(dt=0.05, t_end=1.0, record_every=5, transient=0.5))
+    # u() is an irfft of the m >= 0 half; the full complex ifft of the
+    # mirrored spectrum is the oracle
+    st = random_initial(16.0, 128, seed=4)
+    ref = np.fft.ifft(_mirrored(st.half, 128) * 128).real
+    assert np.abs(st.u() - ref).max() <= 1e-14 * np.abs(ref).max()
+    traj = simulate(st, SolveConfig(dt=0.05, t_end=1.0, record_every=5, transient=0.5))
     for i in (0, traj.t.size - 1):
-        ref = np.fft.ifft(traj.states[i] * 128).real
+        ref = np.fft.ifft(_mirrored(traj.half[i], 128) * 128).real
         assert np.abs(traj.u(i) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_state_checks_the_half_spectrum_shape():
+    st = SpectralState(L=16.0, N=64, half=np.zeros(33))
+    assert st.half.dtype == complex and st.u().shape == (64,)
+    # a full spectrum, one mode short, or a stack of states is refused
+    for half in (np.zeros(64, dtype=complex), np.zeros(32, dtype=complex), np.zeros((1, 33), dtype=complex)):
+        with pytest.raises(ValueError, match=r"N/2\+1 = 33 entries, got shape \(" + str(half.shape[0])):
+            SpectralState(L=16.0, N=64, half=half)
 
 
 def test_random_initial_validation():
@@ -124,7 +137,7 @@ def test_normals_are_standard():
 
 @pytest.mark.parametrize("odd_only", [True, False])
 def test_random_initial_seeds_give_distinct_data(odd_only):
-    data = np.array([random_initial(32.0, 128, seed=s, odd_only=odd_only).uhat for s in range(100)])
+    data = np.array([random_initial(32.0, 128, seed=s, odd_only=odd_only).half for s in range(100)])
     gaps = np.abs(data[:, None, :] - data[None, :, :]).max(axis=2)
     assert np.all(gaps[~np.eye(100, dtype=bool)] > 0.0)
 
@@ -134,9 +147,9 @@ def test_random_initial_seed_arithmetic_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in (0, 3, 2**63, 2**64 - 1, 2**64 + 3, np.int64(5)):
-            assert np.isfinite(random_initial(50.0, 256, seed=seed, odd_only=True).uhat).all()
+            assert np.isfinite(random_initial(50.0, 256, seed=seed, odd_only=True).half).all()
     # seeds wrap modulo 2^64
-    assert np.array_equal(random_initial(50.0, 256, seed=2**64 + 3).uhat, random_initial(50.0, 256, seed=3).uhat)
+    assert np.array_equal(random_initial(50.0, 256, seed=2**64 + 3).half, random_initial(50.0, 256, seed=3).half)
 
 
 def test_config_validation():
@@ -146,6 +159,11 @@ def test_config_validation():
         SolveConfig(transient=10.0, t_end=5.0)
     with pytest.raises(ValueError):
         SolveConfig(record_every=0)
+    # t_end / dt rounds to zero steps (0.4, and 0.5 to even)
+    for t_end in (0.02, 0.025):
+        with pytest.raises(ValueError, match="zero steps"):
+            SolveConfig(dt=0.05, t_end=t_end)
+    assert SolveConfig(dt=0.05, t_end=0.03).t_end == 0.03  # rounds to one step
 
 
 def test_small_domain_decays():
@@ -159,14 +177,14 @@ def test_simulate_recording_layout():
     st = random_initial(8.0, 64, seed=3)
     traj = simulate(st, SolveConfig(dt=0.1, t_end=1.0, record_every=2, transient=0.3))
     assert traj.t.shape == (6,)
-    assert traj.states.shape == (6, 64)
+    assert traj.half.shape == (6, 33)
     assert traj.t[0] == 0.0
     assert np.allclose(np.diff(traj.t), 0.2, rtol=1e-12)
     assert np.isclose(traj.t[-1], 1.0, rtol=1e-12)
     # norm series matches the stored coefficients
     k = np.abs((np.pi / 8.0) * np.fft.fftfreq(64, d=1.0 / 64))
     for i in (0, 3, 5):
-        p = np.abs(traj.states[i]) ** 2
+        p = np.abs(_mirrored(traj.half[i], 64)) ** 2
         assert np.isclose(traj.l2[i], np.sqrt(16.0 * np.sum(p)), rtol=1e-12)
         assert np.isclose(traj.l2_grad[i], np.sqrt(16.0 * np.sum(k**2 * p)), rtol=1e-12)
     post = traj.l2[traj.t > 0.3]
@@ -177,10 +195,12 @@ def test_simulate_recording_layout():
 def test_mean_and_reality_preserved():
     st = random_initial(16.0, 128, seed=7, amplitude=3.0)
     traj = simulate(st, SolveConfig(dt=0.05, t_end=5.0, record_every=10, transient=1.0))
-    assert np.all(traj.states[:, 0] == 0.0)
-    final = traj.states[-1]
-    sym = final - np.conj(final[(-np.arange(128)) % 128])
-    assert np.max(np.abs(sym)) < 1e-12
+    assert np.all(traj.half[:, 0] == 0.0)
+    assert np.all(traj.half[:, -1].imag == 0.0)
+    # the recorded half is the spectrum of the real field it stands for
+    final = traj.half[-1]
+    back = np.fft.rfft(traj.u(traj.t.size - 1), norm="forward")
+    assert np.max(np.abs(back - final)) < 1e-12 * np.max(np.abs(final))
 
 
 def test_odd_subspace_preserved_without_projection():
@@ -190,8 +210,8 @@ def test_odd_subspace_preserved_without_projection():
     cfg = SolveConfig(dt=0.05, t_end=10.0)
     for _ in range(200):
         state = step(state, cfg)
-    drift = float(np.max(np.abs(state.uhat.real)))
-    assert drift < 1e-10 * max(1.0, float(np.max(np.abs(state.uhat))))
+    drift = float(np.max(np.abs(state.half.real)))
+    assert drift < 1e-10 * max(1.0, float(np.max(np.abs(state.half))))
 
 
 def test_temporal_order_at_least_three_and_a_half():
@@ -203,10 +223,11 @@ def test_temporal_order_at_least_three_and_a_half():
         cfg = SolveConfig(dt=dt, t_end=T)
         for _ in range(int(round(T / dt))):
             state = step(state, cfg)
-        return state.uhat
+        return state.half
 
+    # |.|_2 of the half-spectrum error, by Parseval
     ref = integrate(1.0 / 2048.0)
-    errs = [np.linalg.norm(integrate(dt) - ref) for dt in (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)]
+    errs = [np.sqrt(2.0 * L * np.sum(_power(integrate(dt) - ref))) for dt in (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)]
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 3.5
 
@@ -219,11 +240,10 @@ def test_spatially_resolved_beyond_128():
     b = simulate(random_initial(L, 256, seed=9, amplitude=3.0), SolveConfig(dt=0.05, t_end=T, record_every=20, transient=0.5))
     assert abs(a.l2[-1] - b.l2[-1]) < 1e-8
     # mode-by-mode agreement on the shared band
-    fine = b.states[-1]
-    coarse = a.states[-1]
+    fine = b.half[-1]
+    coarse = a.half[-1]
     for m in range(1, 22):
         assert abs(coarse[m] - fine[m]) < 1e-8
-        assert abs(coarse[-m] - fine[-m]) < 1e-8
 
 
 def test_nonlinearity_of_single_mode_is_exact():
@@ -231,12 +251,12 @@ def test_nonlinearity_of_single_mode_is_exact():
     w = np.zeros(N // 2 + 1, dtype=complex)
     w[3] = -0.5j  # u = sin(3 pi x / L), half spectrum
     nl = _rfft_square(w, np.empty(N), np.empty(N // 2 + 1, dtype=complex))
-    out = _full(_half_ddx(L, N) * nl)
-    # u u_x pumps only the doubled mode: +-6, amplitude 3 k0 / 4
+    out = _half_ddx(L, N) * nl
+    # u u_x pumps only the doubled mode: 6 (and its conjugate -6), amplitude
+    # 3 k0 / 4
     k0 = np.pi / L
     assert np.isclose(out[6], -0.75j * k0 * 1.0, rtol=1e-13)
-    assert np.isclose(out[-6], 0.75j * k0 * 1.0, rtol=1e-13)
-    rest = np.delete(out, [6, N - 6])
+    rest = np.delete(out, 6)
     assert np.max(np.abs(rest)) < 1e-15
 
 
@@ -302,16 +322,16 @@ def test_half_spectrum_kernel_matches_full_complex_reference(odd_only, gamma):
     L, N, n_steps = 16.0 * np.pi, 256, 400
     cfg = SolveConfig(gamma=gamma, dt=0.05, t_end=n_steps * 0.05, record_every=n_steps, odd_only=odd_only)
     st = random_initial(L, N, seed=3, odd_only=odd_only)
-    ref = st.uhat.copy()
+    ref = _mirrored(st.half, N)
     state = st
     for _ in range(n_steps):
         ref = _reference_step(ref, L, N, cfg.dt, cfg.gamma, odd_only)
         state = step(state, cfg)
     scale = float(np.max(np.abs(ref)))
     assert scale > 1e-3  # the run saturated instead of decaying
-    assert np.max(np.abs(state.uhat - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(_mirrored(state.half, N) - ref)) <= 1e-12 * scale
     traj = simulate(st, cfg)
-    assert np.array_equal(traj.states[-1], state.uhat)
+    assert np.array_equal(traj.half[-1], state.half)
     assert traj.t[-1] == n_steps * cfg.dt
 
 
@@ -325,22 +345,25 @@ def test_simulate_samples_equal_the_step_sequence(odd_only, N):
     cfg = SolveConfig(gamma=0.1, dt=0.05, t_end=30 * 0.05, record_every=1, transient=0.5, odd_only=odd_only)
     traj = simulate(st, cfg)
     state = st
-    assert np.array_equal(traj.states[0], st.uhat)
+    assert np.array_equal(traj.half[0], st.half)
     for i in range(1, traj.t.size):
         state = step(state, cfg)
-        kept = state.uhat.copy()
+        kept = state.half.copy()
         step(state, cfg)
-        assert np.array_equal(state.uhat, kept)
-        assert np.array_equal(traj.states[i], state.uhat)
+        assert np.array_equal(state.half, kept)
+        assert np.array_equal(traj.half[i], state.half)
 
 
-def _mirrored(half, N):
-    """The full spectra simulate stored before trajectories kept the half:
-    m >= 0 recorded, m < 0 mirrored in place."""
-    states = np.empty((half.shape[0], N), dtype=complex)
-    states[:, : N // 2 + 1] = half
-    states[:, N // 2 + 1 :] = np.conj(states[:, N // 2 - 1 : 0 : -1])
-    return states
+def test_simulate_leaves_the_initial_spectrum_alone():
+    # odd_only projects general data onto the sine modes in simulate's own
+    # buffer: the caller's half spectrum stays as it was, bit for bit
+    st = random_initial(16.0, 64, seed=8)
+    kept = st.half.copy()
+    assert np.max(np.abs(kept.real)) > 0.0  # not odd
+    traj = simulate(st, SolveConfig(dt=0.05, t_end=0.5, record_every=1, transient=0.1, odd_only=True))
+    assert st.half.tobytes() == kept.tobytes()
+    assert np.array_equal(traj.half[0], 1j * kept.imag)  # kept's mean and Nyquist modes are 0
+    assert np.max(np.abs(traj.half.real)) == 0.0
 
 
 @pytest.mark.parametrize("N", [64, 256])
