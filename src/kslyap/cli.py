@@ -130,12 +130,11 @@ def _cmd_build_potential(args, get, out_dir):
         raise ValueError("--L is required")
     params = _piecewise_from(get)
     profile = build_profile(L, params=params, smoothing=_smoothing_from(get, params))
-    csv_path = out_dir / f"profile_L{L:g}.csv"
-    write_profile(profile, csv_path)
+    path = out_dir / f"profile_L{L:g}.json"
+    write_profile(profile, path)
     nrm = norms(profile)
     payload = {
-        "csv": str(csv_path),
-        "meta": str(csv_path.with_suffix(".json")),
+        "meta": str(path),
         "L": L,
         "n": profile.n,
         "mean_q": profile.mean_q,
@@ -333,14 +332,14 @@ def build_parser():
     p = subs.add_parser("verify", help="certify coercivity of the form")
     p.add_argument("--L", type=float, help="domain half-length")
     p.add_argument("--order", choices=["fourth", "second"], help="operator order")
-    p.add_argument("--profile", help="profile CSV written by build-potential")
+    p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("bound", help="attracting-ball radius for a profile")
     p.add_argument("--L", type=float, help="domain half-length")
-    p.add_argument("--profile", help="profile CSV written by build-potential")
+    p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_bound)

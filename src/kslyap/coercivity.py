@@ -193,9 +193,8 @@ class QuadFormMatrix:
     ``phi_x_off`` is phi_x's constant value off the potential's window, so
     the matrix is Delta + G_w: the diagonal Delta = diagonal + phi_x_off and
     the window's Gram matrix, which ``assemble`` attaches and
-    ``min_eigenvalue`` applies and compresses from the moments (a matrix
-    built without it takes the dense step). ``entries``, the dense N x N
-    array, is built when first read.
+    ``min_eigenvalue`` applies and compresses from the moments.
+    ``entries``, the dense N x N array, is built when first read.
     """
 
     L: float
@@ -206,7 +205,7 @@ class QuadFormMatrix:
     phi_x_off: float
     # G_w with its FFT symbol and compression, each built on first use;
     # dataclasses.replace passes it on, so a shifted copy shares them
-    _window: _WindowGram | None = field(default=None, repr=False)
+    _window: _WindowGram = field(repr=False)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -331,10 +330,10 @@ class _Secular:
 
 def _secular_vector(m):
     """Unit eigenvector of lambda_min of the secular model of the matrix
-    Delta + G_w from ``assemble``, without an N x N array; None without a
-    window, past the compression cap, when n = 0 fails at the Weyl bound lo
-    or when Newton does not converge in ``_SECULAR_PROBES`` probes. hi, the
-    model's smallest diagonal entry, is a Rayleigh quotient, so at or above
+    Delta + G_w from ``assemble``, without an N x N array; None past the
+    compression cap, when n = 0 fails at the Weyl bound lo or when Newton
+    does not converge in ``_SECULAR_PROBES`` probes. hi, the model's
+    smallest diagonal entry, is a Rayleigh quotient, so at or above
     lambda_min; the entries of Delta up to hi are bordered rows, so h has no
     pole in [lo, hi]. Each probe moves lo (n = 0) or hi (n > 0) to itself,
     and a Newton step that leaves [lo, hi] goes to hi from lo, later to the
@@ -347,10 +346,9 @@ def _secular_vector(m):
     above it."""
     if not (np.isfinite(m.moments).all() and np.isfinite(m.diagonal).all() and np.isfinite(m.phi_x_off)):
         raise EigensolverError("matrix has a non-finite moment or diagonal entry")
-    low_rank = None if m._window is None else m._window.compressed
-    if low_rank is None:
+    if m._window.compressed is None:
         return None
-    U, C = low_rank
+    U, C = m._window.compressed
     delta = m.diagonal + m.phi_x_off
     weyl = delta.min() + min(0.0, C.min(initial=0.0))
     lo = weyl - 1e-8 * (1.0 + abs(weyl))
@@ -489,8 +487,7 @@ def certify(
             A = assemble(profile, N, order)
             if 2 * N <= cap and profile.n >= 8 * N:
                 upper = assemble(profile, 2 * N, order)
-                if upper._window is not None:
-                    upper._window.lend(A._window)
+                upper._window.lend(A._window)
         kp = (np.pi / profile.L) * np.arange(1, N + 1)
         leading = kp**4 if order is OperatorOrder.FOURTH else kp**2
         lam_prev, margin_prev = lam, margin

@@ -8,7 +8,7 @@ used as a point of comparison for the constructed one.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -242,8 +242,7 @@ class PotentialProfile:
     large n grows; ``from_samples`` finds the window of caller-supplied
     samples, and a constant phi_x has an empty one (W = 0). Cosine moments,
     norms and phi at solver nodes are computed from the window in O(W + N)
-    memory, each when first read. The dense arrays phi, phi_x and phi_xx
-    are built only when read.
+    memory, each when first read. The dense phi_x is built only when read.
     """
 
     L: float
@@ -271,8 +270,7 @@ class PotentialProfile:
 
     @classmethod
     def from_samples(cls, L, phi_x, mean_q, exponents, source=None) -> "PotentialProfile":
-        """Profile from dense phi_x samples on the whole grid; phi and phi_xx
-        are derived from them as for a constructed profile.
+        """Profile from dense phi_x samples on the whole grid.
 
         phi_x_off is the value of the longest cyclic run of one repeated
         sample, and the window is the rest of the grid, so the secular
@@ -300,34 +298,15 @@ class PotentialProfile:
     def dx(self) -> float:
         return 2.0 * self.L / self.n
 
-    @property
-    def x(self) -> np.ndarray:
-        return -self.L + self.dx * np.arange(self.n)
-
     @cached_property
     def phi_x(self) -> np.ndarray:
         out = np.full(self.n, self.phi_x_off)
         out[self.j0 : self.j0 + self.window.size] += self.window
         return out
 
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """phi = cumulative trapezoid integral of phi_x, zero at x = 0
-        (index n/2)."""
-        y = self.phi_x
-        phi = np.concatenate(([0.0], np.cumsum(self.dx * (y[1:] + y[:-1]) / 2.0)))
-        phi -= phi[self.n // 2]
-        return phi
-
-    @cached_property
-    def phi_xx(self) -> np.ndarray:
-        """Spectral derivative of phi_x; odd order, so the Nyquist mode is dropped."""
-        kd = (np.pi / self.L) * np.arange(self.n // 2 + 1)
-        kd[-1] = 0.0
-        return np.fft.irfft(1j * kd * np.fft.rfft(self.phi_x), self.n)
-
     def _phi_at(self, j) -> np.ndarray:
-        """phi at grid indices j: affine off the window, where phi_x is
+        """phi, the trapezoid integral of phi_x that is zero at x = 0 (index
+        n/2), at grid indices j: affine off the window, where phi_x is
         constant, plus the window's trapezoid integral."""
         j = np.asarray(j)
         ramp = self._window_integral
@@ -496,7 +475,7 @@ def assemble_profile(
 
     q holds the samples on the index window [j0, j0 + q.size) of the n-point
     grid over [-L, L) and vanishes off it; by default the window is the whole
-    grid. phi (zero at x = 0) and the spectral phi_xx follow from phi_x.
+    grid.
     """
     if pair is None:
         pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
@@ -563,45 +542,46 @@ def norms(profile: PotentialProfile) -> ProfileNorms:
     return profile.norms
 
 
-def write_profile(profile: PotentialProfile, csv_path, meta_path=None) -> None:
-    """CSV columns x, phi, phi_x, phi_xx plus a JSON metadata sidecar."""
-    csv_path = Path(csv_path)
-    if meta_path is None:
-        meta_path = csv_path.with_suffix(".json")
-    data = np.column_stack([profile.x, profile.phi, profile.phi_x, profile.phi_xx])
-    np.savetxt(csv_path, data, delimiter=",", header="x,phi,phi_x,phi_xx", comments="", fmt="%.17g")
-    nrm = norms(profile)
+def write_profile(profile: PotentialProfile, path) -> None:
+    """Save a constructed profile as the JSON parameters ``read_profile``
+    rebuilds it from (L, exponents, the step potential and its final
+    smoothing), with its n, mean_q and norms. A profile without a smoothed
+    source, as from ``from_samples``, has no such parameters: ValueError."""
+    sp = profile.source
+    if sp is None:
+        raise ValueError("a profile without a smoothed source (from_samples) has no parameters to save")
     meta = {
         "L": profile.L,
         "n": profile.n,
         "mean_q": profile.mean_q,
         "exponents": {"c1": str(profile.exponents.c1), "c2": str(profile.exponents.c2)},
-        "norms": {"phi": nrm.phi, "phi_x": nrm.phi_x, "phi_xx": nrm.phi_xx, "h2": nrm.h2},
+        "norms": norms(profile)._asdict(),
+        "params": asdict(sp.params),
+        "smoothing": asdict(sp.smoothing),
+        "mean_qtilde": sp.mean_qtilde,
     }
-    if profile.source is not None:
-        meta["params"] = {
-            "a": profile.source.params.a,
-            "q0": profile.source.params.q0,
-            "q1": profile.source.params.q1,
-        }
-        meta["smoothing"] = {
-            "delta": profile.source.smoothing.delta,
-            "mu": profile.source.smoothing.mu,
-        }
-        meta["mean_qtilde"] = profile.source.mean_qtilde
-    Path(meta_path).write_text(json.dumps(meta, indent=2) + "\n")
+    Path(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def read_profile(csv_path, meta_path=None) -> PotentialProfile:
-    """Rebuild a PotentialProfile written by write_profile from its phi_x
-    column; phi and phi_xx are derived again, as write_profile derived them."""
-    csv_path = Path(csv_path)
-    if meta_path is None:
-        meta_path = csv_path.with_suffix(".json")
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    meta = json.loads(Path(meta_path).read_text())
-    pair = ExponentPair(meta["exponents"]["c1"], meta["exponents"]["c2"])
-    return PotentialProfile.from_samples(float(meta["L"]), data[:, 2].copy(), float(meta["mean_q"]), pair)
+def read_profile(path) -> PotentialProfile:
+    """Rebuild with ``build_profile`` the profile that ``write_profile``
+    saved. Raises ValueError naming the key when one is missing, or when
+    the rebuilt n or mean_q differs from the stored value."""
+    meta = json.loads(Path(path).read_text())
+    try:
+        stored = {"n": meta["n"], "mean_q": meta["mean_q"]}
+        pair = ExponentPair(meta["exponents"]["c1"], meta["exponents"]["c2"])
+        params, smoothing = PiecewiseParams(**meta["params"]), SmoothingParams(**meta["smoothing"])
+        L = float(meta["L"])
+    except KeyError as exc:
+        raise ValueError(f"profile file {path} has no key {exc.args[0]!r}") from None
+    profile = build_profile(L, pair, params, smoothing)
+    for key, value in stored.items():
+        if getattr(profile, key) != value:
+            raise ValueError(
+                f"profile file {path} stores {key} = {value!r}, but its parameters rebuild {getattr(profile, key)!r}"
+            )
+    return profile
 
 
 @dataclass(frozen=True)

@@ -261,13 +261,21 @@ class Trajectory:
 
 
 def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
-    """Integrate to cfg.t_end, recording every cfg.record_every steps (the
-    initial state included). Sample i of the step count lies at
-    initial.t + i*dt. sup_norm is the supremum of |u|_2 over samples with
-    t > transient, the computable stand-in for the long-time limsup."""
+    """Integrate towards cfg.t_end, recording every cfg.record_every steps
+    (the initial state included). The run stops at the last recorded
+    sample, the largest multiple of record_every steps up to round(t_end/dt),
+    so a blow-up in the unrecorded tail is not raised. Sample i of the
+    step count lies at initial.t + i*dt. sup_norm is the supremum of |u|_2
+    over samples with t > transient, the computable stand-in for the
+    long-time limsup. Raises ValueError when no step would be recorded."""
     L, N = initial.L, initial.N
     transient = cfg.transient if cfg.transient is not None else default_transient(L, N, cfg.gamma)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    total = int(round(cfg.t_end / cfg.dt))
+    n_steps = total - total % cfg.record_every
+    if not n_steps:
+        raise ValueError(
+            f"record_every = {cfg.record_every} exceeds the {total} steps to t_end: none would be recorded"
+        )
     rec_idx = np.arange(0, n_steps + 1, cfg.record_every)
     kernel = _Kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
     half = np.empty((rec_idx.size, N // 2 + 1), dtype=complex)

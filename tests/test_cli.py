@@ -51,13 +51,13 @@ def test_unknown_order_choice_rejected():
 def test_build_verify_bound_pipeline(tmp_path, capsys):
     rc, built = run_json(capsys, ["build-potential", "--L", "2", "--out", str(tmp_path), "--json"])
     assert rc == 0
-    assert built["csv"].endswith("profile_L2.csv")
-    prof = read_profile(built["csv"])
+    assert built["meta"].endswith("profile_L2.json") and "csv" not in built
+    prof = read_profile(built["meta"])
     assert prof.L == 2.0
     assert prof.n == built["n"]
 
     rc, verified = run_json(
-        capsys, ["verify", "--profile", built["csv"], "--out", str(tmp_path), "--json"]
+        capsys, ["verify", "--profile", built["meta"], "--out", str(tmp_path), "--json"]
     )
     assert rc == 0
     assert verified["converged"] and verified["certified"]
@@ -65,13 +65,25 @@ def test_build_verify_bound_pipeline(tmp_path, capsys):
     assert verified["order"] == "fourth"
     assert verified["N_sequence"] == sorted(verified["N_sequence"])
 
-    rc, bound = run_json(capsys, ["bound", "--profile", built["csv"], "--out", str(tmp_path), "--json"])
+    rc, bound = run_json(capsys, ["bound", "--profile", built["meta"], "--out", str(tmp_path), "--json"])
     assert rc == 0
     assert set(bound) == {
         "L", "lambda", "M2", "phi_norm", "h2_norm", "r_star", "r_star_star", "r_star_star_scaled",
     }
     assert bound["lambda"] == verified["delta_margin"]
     assert bound["r_star_star"] > bound["r_star"] > 0
+
+
+@pytest.mark.parametrize("command", ["verify", "bound"])
+def test_profile_file_prints_what_L_prints(tmp_path, capsys, command):
+    # --profile rebuilds the profile by the path --L takes
+    run_json(capsys, ["build-potential", "--L", "2", "--out", str(tmp_path), "--json"])
+    path = str(tmp_path / "profile_L2.json")
+    rc, from_file = run_json(capsys, [command, "--profile", path, "--out", str(tmp_path), "--json"])
+    assert rc == 0
+    rc, direct = run_json(capsys, [command, "--L", "2", "--out", str(tmp_path), "--json"])
+    assert rc == 0
+    assert from_file == direct
 
 
 def test_verify_rejects_zero_margin(tmp_path, capsys, monkeypatch):
@@ -87,7 +99,7 @@ def test_verify_rejects_zero_margin(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_missing_profile_errors(tmp_path, capsys):
-    rc = main(["verify", "--profile", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
+    rc = main(["verify", "--profile", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -645,7 +645,7 @@ def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, 
     else:
         m = assemble(profile32, 512)
         m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal)) if where == "diagonal" else m
-        m = replace(m, phi_x_off=bad, _window=None) if where == "phi_x_off" else m
+        m = replace(m, phi_x_off=bad) if where == "phi_x_off" else m
     _refuse(monkeypatch, "_Secular", "eigvalsh")
     with pytest.raises(EigensolverError):
         min_eigenvalue(m)

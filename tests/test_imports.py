@@ -76,7 +76,7 @@ def test_runs_with_scipy_blocked(tmp_path):
         "codes = [\n"
         "    main(['verify', '--L', '64', '--out', out]),\n"
         "    main(['build-potential', '--L', '2', '--out', out]),\n"
-        "    main(['verify', '--profile', out + '/profile_L2.csv', '--out', out]),\n"
+        "    main(['verify', '--profile', out + '/profile_L2.json', '--out', out]),\n"
         "    main(['sweep', '--L-list', '32,64,128,256,512', '--out', out]),\n"
         "    main(['simulate', '--L', '50', '--odd', '--t-end', '20', '--transient', '10', '--check-lyapunov', '--out', out]),\n"
         "]\n"

@@ -3,11 +3,9 @@ assembly, file round trip, and the quartic descent construction."""
 
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from kslyap import potential
 from kslyap._accel import gram_from_cosine
@@ -185,49 +183,11 @@ def test_build_profile_rejects_small_L():
 
 def test_profile_fields(profile32, critical_pair):
     p = profile32
-    n = p.n
-    assert p.phi[n // 2] == 0.0
+    assert p.phi_nodes(2)[1] == 0.0  # phi is zero at x = 0
     assert abs(float(np.mean(p.phi_x))) < 1e-8
     assert p.mean_q <= -0.75
     assert np.isclose(p.mean_q, -70.22292042792031, rtol=1e-10)
     assert p.exponents == critical_pair
-    assert p.x[0] == -p.L
-    assert p.x[n // 2] == 0.0
-
-
-def _scipy_phi(p):
-    phi = cumulative_trapezoid(p.phi_x, dx=p.dx, initial=0)
-    return phi - phi[p.n // 2]
-
-
-def test_profile_phi_matches_scipy_cumulative_trapezoid(profile32, critical_pair):
-    assert np.array_equal(profile32.phi, _scipy_phi(profile32))
-    rng = np.random.default_rng(11)
-    sampled = PotentialProfile.from_samples(
-        5.0, rng.standard_normal(4096), mean_q=-1.0, exponents=critical_pair
-    )
-    assert np.array_equal(sampled.phi, _scipy_phi(sampled))
-
-
-def test_profile_integration_by_parts(profile32):
-    # spectral phi_xx against the other two fields: int phi_xx phi = -int phi_x^2
-    # (trapezoid quadrature against a steep well caps the attainable agreement)
-    p = profile32
-    dx = p.dx
-    lhs = dx * float(np.sum(p.phi_xx * p.phi))
-    rhs = -dx * float(np.sum(p.phi_x**2))
-    assert np.isclose(lhs, rhs, rtol=2e-3)
-    assert abs(dx * float(np.sum(p.phi_xx))) <= 1e-10 * float(np.max(np.abs(p.phi_xx)))
-
-
-def test_profile_second_derivative_flat_off_support(profile32):
-    # away from the scaled well phi_x is constant, so phi_xx collapses to
-    # spectral truncation noise
-    p = profile32
-    edge = (1.0 + 1.0 / 64.0) * p.L ** (-1.0 / 3.0)
-    far = np.abs(p.x) > 2.0 * edge
-    leak = float(np.max(np.abs(p.phi_xx[far])))
-    assert leak <= 1e-6 * float(np.max(np.abs(p.phi_xx)))
 
 
 def test_profile_norms_resolution_independent(default_sp, critical_pair):
@@ -245,15 +205,20 @@ def test_profile_norms_resolution_independent(default_sp, critical_pair):
 
 def _dense_reference(p):
     """Moments, norms and phi from the materialized dense arrays: one rfft of
-    phi_x and plain sums. phi is accumulated in long double, because a
-    float64 cumulative trapezoid over 2^20 points drifts by ~7e-12 of max|phi|."""
+    phi_x, its spectral derivative phi_xx (Nyquist mode dropped) and plain
+    sums. phi is accumulated in long double, because a float64 cumulative
+    trapezoid over 2^20 points drifts by ~7e-12 of max|phi|."""
     n, dx = p.n, p.dx
     m = np.arange(8193)
-    moments = dx * np.where(m % 2, -1.0, 1.0) * np.fft.rfft(p.phi_x)[:8193].real
+    spectrum = np.fft.rfft(p.phi_x)
+    moments = dx * np.where(m % 2, -1.0, 1.0) * spectrum[:8193].real
+    kd = (np.pi / p.L) * np.arange(n // 2 + 1)
+    kd[-1] = 0.0
+    phi_xx = np.fft.irfft(1j * kd * spectrum, n)
     px = p.phi_x.astype(np.longdouble)
     phi = np.concatenate(([0.0], np.cumsum(0.5 * np.longdouble(dx) * (px[:-1] + px[1:]))))
     phi = (phi - phi[n // 2]).astype(float)
-    nrm = [np.sqrt(dx * np.sum(f**2)) for f in (phi, p.phi_x, p.phi_xx)]
+    nrm = [np.sqrt(dx * np.sum(f**2)) for f in (phi, p.phi_x, phi_xx)]
     return moments, nrm, phi
 
 
@@ -394,7 +359,8 @@ def test_profile_memory_flat_in_L(L):
 
 def test_profile_sup_grows_linearly(profile32):
     p64 = build_profile(64.0)
-    ratio = float(np.max(np.abs(p64.phi))) / float(np.max(np.abs(profile32.phi)))
+    sup = [float(np.max(np.abs(p.phi_nodes(p.n)))) for p in (p64, profile32)]
+    ratio = sup[0] / sup[1]
     assert 1.8 < ratio < 2.2
 
 
@@ -412,20 +378,41 @@ def test_assemble_rejects_bad_shape():
 
 
 def test_profile_round_trip(tmp_path):
+    # the file holds the parameters, and reading it rebuilds the profile
+    # bit for bit
+    for L in (2.0, 64.0, 4096.0):
+        p = build_profile(L)
+        path = tmp_path / f"profile_L{L:g}.json"
+        write_profile(p, path)
+        assert path.stat().st_size < 2048
+        meta = json.loads(path.read_text())
+        assert meta["n"] == p.n
+        assert meta["params"] == {"a": 1.0, "q0": 0.5, "q1": 2.0}
+        assert meta["smoothing"] == {"delta": 1.0 / 64.0, "mu": 0.75}
+        assert meta["norms"] == norms(p)._asdict()
+        back = read_profile(path)
+        assert (back.L, back.n, back.j0, back.exponents) == (p.L, p.n, p.j0, p.exponents)
+        assert np.array_equal(_bits(back.window), _bits(p.window))
+        assert _bits(back.phi_x_off) == _bits(p.phi_x_off)
+        assert _bits(back.mean_q) == _bits(p.mean_q)
+
+
+def test_profile_file_is_checked(tmp_path, critical_pair):
     p = build_profile(2.0)
-    csv_path = tmp_path / "profile.csv"
-    write_profile(p, csv_path)
-    meta = json.loads(Path(csv_path.with_suffix(".json")).read_text())
-    assert meta["n"] == p.n
-    assert meta["params"] == {"a": 1.0, "q0": 0.5, "q1": 2.0}
-    assert "mean_qtilde" in meta
-    back = read_profile(csv_path)
-    assert back.L == p.L
-    assert back.mean_q == p.mean_q
-    assert back.exponents == p.exponents
-    assert np.array_equal(back.phi, p.phi)
-    assert np.array_equal(back.phi_x, p.phi_x)
-    assert np.array_equal(back.phi_xx, p.phi_xx)
+    path = tmp_path / "profile.json"
+    write_profile(p, path)
+    meta = json.loads(path.read_text())
+    edited = dict(meta, mean_q=float(np.nextafter(meta["mean_q"], 0.0)))  # one ulp
+    path.write_text(json.dumps(edited))
+    with pytest.raises(ValueError, match="mean_q"):
+        read_profile(path)
+    path.write_text(json.dumps({k: v for k, v in meta.items() if k != "params"}))
+    with pytest.raises(ValueError, match="params"):
+        read_profile(path)
+    # a profile from samples has no parameters that rebuild it
+    sampled = PotentialProfile.from_samples(2.0, p.phi_x, p.mean_q, critical_pair)
+    with pytest.raises(ValueError, match="from_samples"):
+        write_profile(sampled, tmp_path / "sampled.json")
 
 
 def test_bs_gradient_matches_finite_differences():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kslyap import solver
 from kslyap.solver import (
     BlowUpError,
     SolveConfig,
@@ -390,6 +391,29 @@ def test_sample_at_transient_is_excluded():
     # everything decays at L = 2, so including t = 1 would change the sup
     assert traj.l2[2] > traj.l2[3]
     assert traj.sup_norm == traj.l2[3]
+
+
+def test_simulate_runs_only_recorded_steps(monkeypatch):
+    # 27 steps to t_end = 1.35, of which the first 20 are recorded: the 7
+    # after t = 1 are not run, and the samples are those of t_end = 1.0
+    calls = []
+    kernel_call = solver._Kernel.__call__
+
+    def counted(self, v, out, t_new):
+        calls.append(t_new)
+        return kernel_call(self, v, out, t_new)
+
+    monkeypatch.setattr(solver._Kernel, "__call__", counted)
+    st = random_initial(8.0, 64, seed=3)
+    traj = simulate(st, SolveConfig(dt=0.05, t_end=1.35, record_every=10, transient=0.3))
+    assert len(calls) == 20
+    ref = simulate(st, SolveConfig(dt=0.05, t_end=1.0, record_every=10, transient=0.3))
+    assert np.array_equal(traj.t, ref.t) and traj.t[-1] == 1.0
+    assert np.array_equal(traj.half.view(np.float64), ref.half.view(np.float64))
+    assert traj.sup_norm == ref.sup_norm
+    # record_every past the 20 steps to t_end: no step would be recorded
+    with pytest.raises(ValueError, match="none would be recorded"):
+        simulate(st, SolveConfig(dt=0.05, t_end=1.0, record_every=100))
 
 
 def _blow_up_config():
