@@ -570,15 +570,17 @@ def hardy_check(u, a: float = 1.0, n: int = 16385):
 def reduced_form_check(sp: SmoothedPotential, v, y=None) -> float:
     """Value of int (1/2) v_y^2 + Qtilde v^2 over a uniform grid.
 
-    By default the smoothed-potential grid is used; a custom uniform y may be
-    supplied to probe v supported outside it. v may be a callable on y or an
-    array matching the grid. No boundary condition is imposed; the
-    admissibility construction guarantees the value is nonnegative for every
-    finite-energy v.
+    By default the grid spans the support [-(a + delta), a + delta] in 2^k
+    intervals, the fewest that put 64 across each smoothing shoulder, with k
+    between 14 and 22; a custom uniform y may be supplied to probe v
+    supported outside it. v may be a callable on y or an array matching the grid. No boundary
+    condition is imposed; the admissibility construction guarantees the
+    value is nonnegative for every finite-energy v.
     """
     if y is None:
-        y = sp.grid_y
-        Qt = sp.Qt_grid
+        s, delta = sp.support_halfwidth, sp.smoothing.delta
+        n = 1 << max(14, min(22, math.ceil(math.log2(64.0 * 2.0 * s / delta))))
+        y = np.linspace(-s, s, n + 1)
     else:
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or y.size < 5:
@@ -586,7 +588,7 @@ def reduced_form_check(sp: SmoothedPotential, v, y=None) -> float:
         steps = np.diff(y)
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
             raise ValueError("y must be uniformly spaced")
-        Qt = sp.Qtilde(y)
+    Qt = sp.Qtilde(y)
     vv = np.asarray(v(y) if callable(v) else v, dtype=float)
     if vv.ndim == 0:
         vv = np.full_like(y, float(vv))

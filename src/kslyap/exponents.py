@@ -8,6 +8,7 @@ test values reproduce, by quadrature, the arguments showing which exponent
 pairs cannot give a coercive operator.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,7 +21,7 @@ class ResolutionFaultError(RuntimeError):
 
 
 class EmptyNegativeRegionError(ValueError):
-    """The supplied potential has no interval where qtilde < 0."""
+    """The bump interval is empty."""
 
 
 class OperatorOrder(Enum):
@@ -192,20 +193,20 @@ def localized_test_value(pair, L, profile, gamma_prefactor=1.0, bump_interval=No
     """<u, K u> for a smooth bump u placed where the scaled potential is negative.
 
     The bump is the standard compactly supported exponential bump scaled to the
-    middle half of the region where qtilde < 0 (an interval symmetric about the
-    origin). bump_interval=(lo, hi) in unscaled y coordinates overrides the
-    placement. Returns the total and the four scaling contributions.
+    middle half of the smoothed potential's well |y| < y*, where qtilde < 0.
+    The edge y* = a/2 - delta + delta t* is where the mollified ramp from -q0
+    to q1 crosses zero, f(t*) = q0/(q0 + q1): t* = 2/(kappa + 2 +
+    sqrt(kappa^2 + 4)) with kappa = ln(q1/q0). bump_interval=(lo, hi) in
+    unscaled y coordinates overrides the placement, and is required when
+    profile is None. Returns the total and the four scaling contributions.
     """
     if bump_interval is None:
-        y = profile.grid_y
-        qt = profile.qt_grid
-        pos = y > 0
-        neg_found = np.any(qt[pos] < 0)
-        if not neg_found:
-            raise EmptyNegativeRegionError("potential has no negative interval")
-        first_pos = np.nonzero(pos & (qt > 0))[0]
-        y_edge = y[first_pos[0]] if first_pos.size else y[pos][-1]
-        center, halfwidth = 0.0, 0.5 * y_edge
+        if profile is None:
+            raise ValueError("without a profile, bump_interval must place the bump")
+        p, delta = profile.params, profile.smoothing.delta
+        kappa = math.log(p.q1 / p.q0)
+        t_edge = 2.0 / (kappa + 2.0 + math.sqrt(kappa * kappa + 4.0))
+        center, halfwidth = 0.0, 0.5 * (p.a / 2.0 - delta + delta * t_edge)
     else:
         lo, hi = bump_interval
         center, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)

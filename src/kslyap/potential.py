@@ -8,7 +8,7 @@ used as a point of comparison for the constructed one.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -126,14 +126,16 @@ def build_piecewise(params: PiecewiseParams):
 
 @dataclass(frozen=True, eq=False)
 class SmoothedPotential:
-    """Mollified potential: Qtilde(y) >= Q(y) everywhere, qtilde = Qtilde/y^2
-    extended by 0 at the origin, with integral at most -mu."""
+    """Mollified potential, held by its parameters: Qtilde and qtilde =
+    Qtilde/y^2 (extended by 0 at the origin) are evaluated pointwise, and
+    the integral of qtilde is at most -mu.
+
+    Qtilde >= Q holds branch by branch, in floating point too, because the
+    mollifier lies in [0, 1]: each mollified shoulder lies between the two
+    step values it joins, the lower of which is Q's value there."""
 
     params: PiecewiseParams
     smoothing: SmoothingParams
-    grid_y: np.ndarray
-    Qt_grid: np.ndarray
-    qt_grid: np.ndarray
     mean_qtilde: float
 
     @property
@@ -201,7 +203,7 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
         smoothing = SmoothingParams(delta=params.a / 64.0, mu=0.75)
     if not smoothing.delta < params.a / 4.0:
         raise ValueError("delta must be below a/4 so the smoothing pieces do not overlap")
-    Q = build_piecewise(params)
+    build_piecewise(params)  # AdmissibilityError before any quadrature
     floor = 1e-6 * params.a
     delta = smoothing.delta
     while True:
@@ -213,23 +215,7 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
                 f"delta floor {floor:g} reached with integral {integral:.6g} > -mu = {-smoothing.mu:g}"
             )
         delta /= 2.0
-    s = params.a + delta
-    # diagnostic grid: ~32 points across each smoothing shoulder, capped so
-    # extreme delta values stay cheap; the mean above never uses this grid
-    n = 1 << max(14, min(22, math.ceil(math.log2(64.0 * 2.0 * s / delta))))
-    y = np.linspace(-s, s, n + 1)
-    Qt = Qtilde_values(y, params.a, params.q0, params.q1, delta)
-    qt = qtilde_values(y, params.a, params.q0, params.q1, delta)
-    if np.any(Qt < Q(y) - 1e-12):
-        raise RuntimeError("internal error: mollified potential dipped below the step potential")
-    return SmoothedPotential(
-        params=params,
-        smoothing=SmoothingParams(delta=delta, mu=smoothing.mu),
-        grid_y=y,
-        Qt_grid=Qt,
-        qt_grid=qt,
-        mean_qtilde=integral,
-    )
+    return SmoothedPotential(params, SmoothingParams(delta=delta, mu=smoothing.mu), integral)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +238,7 @@ class PotentialProfile:
     phi_x_off: float
     mean_q: float
     exponents: ExponentPair
+    # set by scaled_profile alone: the parameters that rebuild this profile
     source: SmoothedPotential | None = None
 
     def __post_init__(self):
@@ -269,7 +256,7 @@ class PotentialProfile:
         object.__setattr__(self, "_moments", np.empty(0))
 
     @classmethod
-    def from_samples(cls, L, phi_x, mean_q, exponents, source=None) -> "PotentialProfile":
+    def from_samples(cls, L, phi_x, mean_q, exponents) -> "PotentialProfile":
         """Profile from dense phi_x samples on the whole grid.
 
         phi_x_off is the value of the longest cyclic run of one repeated
@@ -291,7 +278,6 @@ class PotentialProfile:
             phi_x_off=off,
             mean_q=float(mean_q),
             exponents=exponents,
-            source=source,
         )
 
     @property
@@ -346,8 +332,7 @@ class PotentialProfile:
         return moments[:count]
 
     @cached_property
-    def norms(self) -> "ProfileNorms":
-        """Periodic trapezoidal L2 norms of phi, phi_x, phi_xx and the H2 norm."""
+    def _norms(self) -> "ProfileNorms":
         dx, n, c, v = self.dx, self.n, self.phi_x_off, self.window
         j0, j1 = self.j0, self.j0 + v.size
         grad2 = float(np.sum((c + v) ** 2)) + (n - v.size) * c * c
@@ -467,7 +452,6 @@ def assemble_profile(
     q: np.ndarray,
     L: float,
     pair: ExponentPair | None = None,
-    source: SmoothedPotential | None = None,
     n: int | None = None,
     j0: int = 0,
 ) -> PotentialProfile:
@@ -499,7 +483,6 @@ def assemble_profile(
         phi_x_off=-mean_q,
         mean_q=mean_q,
         exponents=pair,
-        source=source,
     )
 
 
@@ -522,9 +505,10 @@ def scaled_profile(sp: SmoothedPotential, L: float, pair: ExponentPair) -> Poten
     """Profile of the smoothed potential rescaled critically to [-L, L):
     q(x) = L^{c2} qtilde(x L^{c1}), sampled only where it is nonzero. The
     smoothed potential does not depend on L, so callers that build
-    profiles at many L smooth once and rescale it for each."""
+    profiles at many L smooth once and rescale it for each. The profile
+    keeps sp as its source, the parameters ``write_profile`` saves."""
     n, j0, q = _scaled_window(sp, L, pair)
-    return assemble_profile(q, L, pair=pair, source=sp, n=n, j0=j0)
+    return replace(assemble_profile(q, L, pair=pair, n=n, j0=j0), source=sp)
 
 
 class ProfileNorms(NamedTuple):
@@ -539,17 +523,18 @@ class ProfileNorms(NamedTuple):
 def norms(profile: PotentialProfile) -> ProfileNorms:
     """Periodic trapezoidal L2 norms of phi, phi_x, phi_xx and the H2 norm,
     computed once per profile."""
-    return profile.norms
+    return profile._norms
 
 
 def write_profile(profile: PotentialProfile, path) -> None:
     """Save a constructed profile as the JSON parameters ``read_profile``
     rebuilds it from (L, exponents, the step potential and its final
-    smoothing), with its n, mean_q and norms. A profile without a smoothed
-    source, as from ``from_samples``, has no such parameters: ValueError."""
+    smoothing), with its n, mean_q and norms. Only ``scaled_profile`` (and
+    so ``build_profile``) gives a profile such parameters; any other, as
+    from ``from_samples`` or ``assemble_profile``: ValueError."""
     sp = profile.source
     if sp is None:
-        raise ValueError("a profile without a smoothed source (from_samples) has no parameters to save")
+        raise ValueError("only scaled_profile gives a profile parameters to save, not from_samples or assemble_profile")
     meta = {
         "L": profile.L,
         "n": profile.n,

@@ -506,9 +506,7 @@ def test_sampled_profiles_take_secular_path(make_flat_profile, profile32, monkey
     # a constant phi_x has an empty one: both take the secular path, with no
     # fill and no dense solve, and the empty window (rank 0) gives min Delta
     # bit for bit, which is the array's value
-    samples = PotentialProfile.from_samples(
-        32.0, profile32.phi_x, profile32.mean_q, profile32.exponents, source=profile32.source
-    )
+    samples = PotentialProfile.from_samples(32.0, profile32.phi_x, profile32.mean_q, profile32.exponents)
     flat = make_flat_profile(L=64.0, n=16384, slope=0.0)
     mats = [assemble(samples, 512), assemble(flat, 512)]
     values = [min_eigenvalue(replace(m).entries) for m in mats]
@@ -863,17 +861,18 @@ def test_hardy_preconditions():
         hardy_check(np.ones(100))  # even sample count
 
 
-def test_reduced_form_constant_v(default_sp):
-    # v = 1 turns the form into the integral of Qtilde itself
+def test_reduced_form_constant_v(default_sp, default_grid):
+    # v = 1 turns the form into the integral of Qtilde itself, on the
+    # default grid bit for bit
     val = reduced_form_check(default_sp, 1.0)
-    h = default_sp.grid_y[1] - default_sp.grid_y[0]
-    assert val == float(np.trapezoid(default_sp.Qt_grid, dx=h))
+    h = default_grid[1] - default_grid[0]
+    assert val == float(np.trapezoid(default_sp.Qtilde(default_grid), dx=h))
     assert val > 0.0
 
 
-def test_reduced_form_nonnegative_on_random_v(default_sp):
+def test_reduced_form_nonnegative_on_random_v(default_sp, default_grid):
     rng = np.random.default_rng(41)
-    y = default_sp.grid_y
+    y = default_grid
     worst = np.inf
     for _ in range(100):
         width = float(rng.uniform(0.05, 1.0))

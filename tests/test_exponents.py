@@ -1,7 +1,7 @@
 """Exact exponent optimization and the two families of quadratic-form probes."""
 
+import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from kslyap.exponents import (
     localized_test_value,
     solve_critical_exponents,
 )
+from kslyap.potential import PiecewiseParams, smooth
 
 
 def test_fourth_order_optimum_exact():
@@ -159,10 +160,27 @@ def test_localized_bump_off_support_sees_no_potential(critical_pair, default_sp)
     assert b.total > 0.0
 
 
-def test_localized_requires_negative_region(critical_pair):
-    y = np.linspace(-2.0, 2.0, 401)
-    fake = SimpleNamespace(grid_y=y, qt_grid=np.abs(y) + 0.1)
-    with pytest.raises(EmptyNegativeRegionError):
-        localized_test_value(critical_pair, 32.0, fake)
-    with pytest.raises(EmptyNegativeRegionError):
-        localized_test_value(critical_pair, 32.0, fake, bump_interval=(1.0, 1.0))
+def test_localized_requires_negative_region(critical_pair, default_sp):
+    # with no potential there is no well to place the bump in
+    with pytest.raises(ValueError, match="bump_interval"):
+        localized_test_value(critical_pair, 32.0, None)
+    for profile in (None, default_sp):
+        with pytest.raises(EmptyNegativeRegionError):
+            localized_test_value(critical_pair, 32.0, profile, bump_interval=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("params", [PiecewiseParams(), PiecewiseParams(a=0.8, q0=1.0, q1=3.0)])
+def test_localized_edge_matches_bisection(critical_pair, params):
+    # the default bump spans the well |y| < y*, and the closed-form y* is
+    # one of the two adjacent floats between which qtilde changes sign
+    sp = smooth(params)
+    lo, hi = params.a / 2.0 - sp.smoothing.delta, params.a / 2.0
+    assert sp.qtilde(lo) < 0.0 < sp.qtilde(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if sp.qtilde(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    b = localized_test_value(critical_pair, 32.0, sp)
+    assert 2.0 * b.bump_halfwidth in (lo, hi)

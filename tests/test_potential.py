@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kslyap import potential
-from kslyap._accel import gram_from_cosine
+from kslyap._accel import gram_from_cosine, splitmix53
 from kslyap.coercivity import certify
 from kslyap.potential import (
     AdmissibilityError,
@@ -100,17 +100,42 @@ def test_mollifier_wrapper():
     assert out.shape == (2, 2)
 
 
-def test_smooth_default_invariants(default_sp):
+def test_smooth_default_invariants(default_sp, default_grid):
     sp = default_sp
+    assert vars(sp).keys() == {"params", "smoothing", "mean_qtilde"}  # no sampled grid
     assert sp.smoothing.delta == 1.0 / 64.0  # no shrink needed at defaults
     assert sp.support_halfwidth == 1.0 + 1.0 / 64.0
     assert sp.mean_qtilde <= -0.75
-    Q = build_piecewise(sp.params)
-    assert np.all(sp.Qt_grid >= Q(sp.grid_y) - 1e-12)
     assert sp.qtilde(0.0) == 0.0
     assert sp.Qtilde(0.3) == -0.5  # flat branch is exact
-    assert sp.grid_y[0] == -sp.support_halfwidth
-    assert sp.grid_y[-1] == sp.support_halfwidth
+    assert sp.Qtilde(0.75) == 2.0
+    Qt = sp.Qtilde(default_grid)
+    assert Qt[0] == Qt[-1] == 0.0  # the support's ends
+    assert np.array_equal(Qt, Qt[::-1])
+
+
+@pytest.mark.parametrize("a, q0, q1", [(1.0, 0.5, 2.0), (0.8, 1.0, 3.0), (1.2, 0.3, 0.9)])
+def test_smoothed_dominates_step_exactly(a, q0, q1):
+    # Qtilde >= Q with no slack: at every branch boundary, at the floats on
+    # either side of it, and at 10^5 points of the seeded stream
+    params = PiecewiseParams(a, q0, q1)
+    sp = smooth(params)
+    Q = build_piecewise(params)
+    d = sp.smoothing.delta
+    edges = np.array([d, a / 2.0 - d, a / 2.0, a, a + d])
+    around = np.concatenate(([0.0], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+    spread = 1.25 * (a + d) * (splitmix53(7, 0, 100_000) * 2.0**-52 - 1.0)  # uniform on the support and past it
+    for y in (around, -around, spread):
+        assert np.all(sp.Qtilde(y) >= Q(y))
+
+
+def test_smooth_refuses_inadmissible_before_quadrature(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(potential, "_integral_qtilde", no_quadrature)
+    with pytest.raises(AdmissibilityError):
+        smooth(PiecewiseParams(a=1.0, q0=2.0, q1=3.0))
 
 
 def test_smooth_mean_value(default_sp):
@@ -118,10 +143,9 @@ def test_smooth_mean_value(default_sp):
     assert np.isclose(default_sp.mean_qtilde, -140.44584128179335, rtol=1e-10)
 
 
-def test_smooth_second_difference_bounded(default_sp):
-    y = default_sp.grid_y
-    h = y[1] - y[0]
-    Qt = default_sp.Qt_grid
+def test_smooth_second_difference_bounded(default_sp, default_grid):
+    h = default_grid[1] - default_grid[0]
+    Qt = default_sp.Qtilde(default_grid)
     d2 = (Qt[2:] - 2.0 * Qt[1:-1] + Qt[:-2]) / h**2
     assert np.all(np.isfinite(d2))
     assert np.max(np.abs(d2)) < 1e7
@@ -149,7 +173,7 @@ def test_smooth_rejects_wide_delta():
         smooth(PiecewiseParams(), SmoothingParams(delta=0.3, mu=0.75))
 
 
-def test_scale_to_domain_samples(default_sp, profile32):
+def test_scale_to_domain_samples(default_sp, default_grid, profile32):
     # the scaled potential q on the whole grid: the profile's window of
     # nonzero samples, zero elsewhere
     L = 32.0
@@ -161,7 +185,7 @@ def test_scale_to_domain_samples(default_sp, profile32):
     # even about the origin, bit-exact because the kernel sees |y|
     assert np.array_equal(q[n // 2 + 1 :], q[1 : n // 2][::-1])
     sup = np.max(np.abs(q))
-    assert np.isclose(sup, L ** (4.0 / 3.0) * np.max(np.abs(default_sp.qt_grid)), rtol=0.05)
+    assert np.isclose(sup, L ** (4.0 / 3.0) * np.max(np.abs(default_sp.qtilde(default_grid))), rtol=0.05)
     # support half-width (a + delta) L^{-1/3} up to one grid cell
     dx = 2.0 * L / n
     x = -L + dx * np.arange(n)
@@ -198,7 +222,7 @@ def test_profile_norms_resolution_independent(default_sp, critical_pair):
     x2 = -L + dx2 * np.arange(n2)
     c1, c2 = float(critical_pair.c1), float(critical_pair.c2)
     q2 = L**c2 * default_sp.qtilde(x2 * L**c1)
-    p2 = assemble_profile(q2, L, pair=critical_pair, source=default_sp)
+    p2 = assemble_profile(q2, L, pair=critical_pair)
     for coarse, fine in zip(norms(p), norms(p2)):
         assert abs(coarse - fine) <= 1e-6 * abs(fine)
 
@@ -397,7 +421,7 @@ def test_profile_round_trip(tmp_path):
         assert _bits(back.mean_q) == _bits(p.mean_q)
 
 
-def test_profile_file_is_checked(tmp_path, critical_pair):
+def test_profile_file_is_checked(tmp_path, default_sp, critical_pair):
     p = build_profile(2.0)
     path = tmp_path / "profile.json"
     write_profile(p, path)
@@ -413,6 +437,23 @@ def test_profile_file_is_checked(tmp_path, critical_pair):
     sampled = PotentialProfile.from_samples(2.0, p.phi_x, p.mean_q, critical_pair)
     with pytest.raises(ValueError, match="from_samples"):
         write_profile(sampled, tmp_path / "sampled.json")
+    # nor has the scaled potential assembled at L = 16 on twice the grid
+    # build_profile takes, and it cannot be handed a source that claims
+    # otherwise: writing it fails, and leaves no file for read_profile to
+    # reject
+    L = 16.0
+    n = 2 * build_profile(L).n
+    assert n == 1 << 19
+    x = -L + (2.0 * L / n) * np.arange(n)
+    c1, c2 = float(critical_pair.c1), float(critical_pair.c2)
+    q = L**c2 * default_sp.qtilde(x * L**c1)
+    with pytest.raises(TypeError):
+        assemble_profile(q, L, pair=critical_pair, source=default_sp)
+    with pytest.raises(TypeError):
+        PotentialProfile.from_samples(2.0, p.phi_x, p.mean_q, critical_pair, source=default_sp)
+    with pytest.raises(ValueError, match="assemble_profile"):
+        write_profile(assemble_profile(q, L, pair=critical_pair), tmp_path / "assembled.json")
+    assert not (tmp_path / "assembled.json").exists()
 
 
 def test_bs_gradient_matches_finite_differences():
