@@ -49,7 +49,9 @@ def mollifier(y):
     out[y >= 1.0] = 1.0
     mid = (y > 0.0) & (y < 1.0)
     t = y[mid]
-    ea = np.exp(-1.0 / t)
+    # -1/t overflows to -inf for subnormal t, and exp(-inf) = 0 is the value
+    with np.errstate(over="ignore"):
+        ea = np.exp(-1.0 / t)
     eb = np.exp(-1.0 / (1.0 - t))
     out[mid] = ea / (ea + eb)
     return _float_if_scalar(out)

@@ -31,6 +31,11 @@ class InsufficientDataError(ValueError):
     """Too few trajectory samples for a centered-difference residual."""
 
 
+class OddSubspaceError(ValueError):
+    """The coercivity certificate holds on the odd subspace only, and the
+    trajectory was not run on it."""
+
+
 @dataclass(frozen=True)
 class LyapunovConstants:
     """Decay rate lambda and forcing constant M^2 of the differential
@@ -139,7 +144,11 @@ def _distance2(trajectory: Trajectory, profile: PotentialProfile) -> np.ndarray:
 def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: LyapunovConstants) -> MonitorReport:
     """Residual r(t) = d/dt |u - phi|_2^2 + lam |u|_2^2 - M2 along the sampled
     trajectory, d/dt by centered differences on the native sampling. Counts
-    samples with r above 1e-6 * (1 + M2)."""
+    samples with r above 1e-6 * (1 + M2). The certificate behind lam holds
+    on odd functions only, so a trajectory not run with ``odd_only`` raises
+    ``OddSubspaceError``."""
+    if not trajectory.config.odd_only:
+        raise OddSubspaceError("the coercivity certificate holds on the odd subspace only; run the trajectory with odd_only")
     t = trajectory.t
     if t.size < 3:
         raise InsufficientDataError("need at least 3 samples for centered differences")

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attractor import LyapunovConstants, forcing_constant, headline_bound, monitor
+from .attractor import LyapunovConstants, OddSubspaceError, forcing_constant, headline_bound, monitor
 from .coercivity import certify
 from .exponents import OperatorOrder, classify, solve_critical_exponents
 from .potential import (
@@ -199,6 +199,8 @@ def _cmd_simulate(args, get, out_dir):
         record_every=get("record_every", 10, int),
         odd_only=get("odd", False),
     )
+    if get("check_lyapunov", False) and not cfg.odd_only:
+        raise OddSubspaceError("--check-lyapunov needs --odd: the coercivity certificate holds on the odd subspace only")
     initial = random_initial(L, N, seed=get("seed", 0, int), amplitude=get("amplitude", 1.0), odd_only=cfg.odd_only)
     traj = simulate(initial, cfg)
 
@@ -359,7 +361,7 @@ def build_parser():
         dest="check_lyapunov",
         action="store_const",
         const=True,
-        help="monitor the ball inequality along the run",
+        help="monitor the ball inequality along the run (needs --odd)",
     )
     _potential_flags(p)
     _common_flags(p)

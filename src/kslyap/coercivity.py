@@ -9,20 +9,22 @@ finite mode count is conclusive (Rayleigh-Ritz gives upper bounds); a positive
 one is accepted only after a mode-doubling convergence check, whose ladder
 starts where the sine subspace holds the form's minimizing mode (``certify``).
 
-``min_eigenvalue`` takes one of two steps, numpy only:
+``min_eigenvalue`` and ``certify`` take one of two steps, numpy only.
+Constructed profiles take the secular step; arrays and sampled profiles
+take the dense step, up to ``_FILL_MAX``:
 
-- Secular, for every matrix ``assemble`` builds, at every N:
-  A = Delta + G_w, a diagonal plus the Gram matrix of phi_x's departure
-  from its constant off the window, which the critical scaling keeps at
-  numerical rank r of one to a few dozen (rank 0 for a constant phi_x,
-  whose window is empty). A randomized range finder
-  compresses G_w to U C U^T from one batched FFT product per pass.
+- Secular: A = Delta + G_w, a diagonal plus the Gram matrix of phi_x's
+  departure from its constant off the window, which the critical scaling
+  keeps at numerical rank r of one to a few dozen. A randomized range
+  finder compresses G_w to U C U^T from one batched FFT product per pass.
   Haynsworth inertia counts of a small bordered secular matrix bracket
   lambda_min of that model, Newton's method closes the bracket, and the
   value returned is the Rayleigh quotient on A of the model's closed-form
   eigenvector: an upper bound on A's lambda_min. No N x N array.
-- Dense ``numpy.linalg.eigvalsh``, for raw arrays and for what the secular
-  step does not solve, up to order ``_FILL_MAX`` for a ``QuadFormMatrix``.
+- Dense ``numpy.linalg.eigvalsh``, for arrays and for sampled profiles,
+  whose window is the whole grid: its predicted rank is past the range
+  finder's column cap, so no product is formed. What the secular step
+  gives up on takes it too.
 """
 
 import math
@@ -70,9 +72,9 @@ _RANK_TOL = 1e-12
 # were needed over L = 12..8192, N = 64..2048, both orders and both forms
 _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
-# a QuadFormMatrix above this order that the secular step does not solve
-# raises instead of filling its N x N entries (134 MB at 4096; 34 GB at
-# the N = 65536 a large-L ladder reaches)
+# a QuadFormMatrix above this order that takes the dense step raises
+# instead of filling its N x N entries (134 MB at 4096; 34 GB at the
+# N = 65536 a large-L ladder reaches)
 _FILL_MAX = 4096
 
 
@@ -137,8 +139,7 @@ class _WindowGram:
     def compressed(self):
         """(U, C) with G_w ~ U diag(C) U^T, U orthonormal N x r, from one
         product Y = Omega G_w per pass of a randomized range finder on the
-        test rows Omega (``_test_rows``); None past the column cap. An empty
-        window has G_w = 0: rank 0, and no product.
+        test rows Omega (``_test_rows``); None past the column cap.
 
         With Q R = Y^T, the model G_w = Q B Q^T reproduces Y exactly when
         (Omega Q) B^T = R^T, so that k x k system gives B without a second
@@ -147,8 +148,6 @@ class _WindowGram:
         an ill-conditioned Omega Q shows up as Ritz values of B above the
         tolerance, so the count check doubles the columns, as it does for a
         singular Omega Q, and past the cap the dense step answers."""
-        if not self.share:
-            return np.empty((self.N, 0)), np.empty(0)
         floor = np.abs(self._window_moments).max() / (2.0 * self.L)
         cap = min(_RANK_MAX, self.N // 4)
         # the test rows Omega drawn so far and their products Y = Omega G_w
@@ -212,17 +211,6 @@ class QuadFormMatrix:
         A = gram_from_cosine(self.moments, self.N) / self.L
         A[np.diag_indices_from(A)] += self.diagonal
         return A
-
-    def _shifted(self, shift):
-        """This matrix minus diag(shift). It shares the window and takes
-        over the dense entries if they were built, shifting them in place,
-        so a level pays one fill for both of ``certify``'s forms."""
-        out = replace(self, diagonal=self.diagonal - shift)
-        entries = vars(self).pop("entries", None)
-        if entries is not None:
-            entries[np.diag_indices_from(entries)] -= shift
-            vars(out)["entries"] = entries
-        return out
 
 
 @dataclass(frozen=True)
@@ -375,21 +363,13 @@ def _secular_vector(m):
     return None
 
 
-def _rayleigh(forms, X):
-    """Rayleigh quotients x^T A x of the unit rows x of X on the matching
-    matrices of ``forms``, which share one window: their diagonals are read
-    directly and G_w X comes from one batched product."""
-    GX = forms[0]._window.apply(X)
-    return [float(x @ ((A.diagonal + A.phi_x_off) * x) + x @ g) for A, x, g in zip(forms, X, GX)]
-
-
 def _array_min(m):
     """Dense smallest eigenvalue of an array or of the entries of a
     ``QuadFormMatrix`` (see ``min_eigenvalue``)."""
     if isinstance(m, QuadFormMatrix) and m.N > _FILL_MAX:
         raise EigensolverError(
-            f"the secular eigensolve gave up at N = {m.N}, and the dense fallback would fill an "
-            f"{m.N} x {m.N} array ({8 * m.N**2 / 2**30:.3g} GiB); it stops at N = {_FILL_MAX}"
+            f"the dense eigensolve at N = {m.N} would fill an {m.N} x {m.N} array "
+            f"({8 * m.N**2 / 2**30:.3g} GiB); it stops at N = {_FILL_MAX}"
         )
     entries = m.entries if isinstance(m, QuadFormMatrix) else np.asarray(m, dtype=float)
     if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
@@ -400,53 +380,49 @@ def _array_min(m):
         raise EigensolverError(str(exc)) from exc
 
 
+def _minima(forms):
+    """Smallest eigenvalues of ``forms``, matrices from ``assemble`` that
+    share one window: the secular vectors X close as Rayleigh quotients
+    from one batched product G_w X, and each form the secular step gives
+    up on takes the dense step."""
+    vectors = [_secular_vector(A) for A in forms]
+    X = [x for x in vectors if x is not None]
+    GX = iter(forms[0]._window.apply(np.stack(X)) if X else ())
+    return [
+        _array_min(A) if x is None else float(x @ ((A.diagonal + A.phi_x_off) * x) + x @ next(GX))
+        for A, x in zip(forms, vectors)
+    ]
+
+
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix, read from its lower triangle.
 
-    ``m`` is an array or a ``QuadFormMatrix``. The steps:
+    ``m`` is an array or a ``QuadFormMatrix``. A constructed profile's
+    matrix takes the secular step; an array or a sampled profile's matrix
+    takes the dense step, up to order ``_FILL_MAX``:
 
-    - Secular, for a ``QuadFormMatrix`` from ``assemble``, at every N: G_w
-      is compressed to U C U^T (rank 0, with no product, for an empty
-      window), ``_Secular``'s Haynsworth inertia counts prove the Weyl
-      bound min Delta + min(0, min C) - 1e-8 (1 + |.|) below the model's
+    - Secular: G_w is compressed to U C U^T, ``_Secular``'s Haynsworth
+      inertia counts prove the Weyl bound
+      min Delta + min(0, min C) - 1e-8 (1 + |.|) below the model's
       spectrum, and Newton's method inside the bracket the counts keep
       finds the model's lambda_min in 2-9 probes of O(N r^2). The value
       returned is the Rayleigh quotient on A, applied from the moments, of
       the model's closed-form eigenvector: a Rayleigh-Ritz upper bound on
       A's lambda_min. A NaN or infinity in the moments, the diagonal or
       phi_x_off raises ``EigensolverError`` before any solve.
-    - Dense ``eigvalsh``, for arrays and where the secular step gives up:
-      a rank past the column cap (as for a window that spans most of the
-      grid), a failed Weyl count, or Newton unconverged after
-      ``_SECULAR_PROBES`` probes. A ``QuadFormMatrix`` goes on as its
-      ``entries``; above order ``_FILL_MAX`` it raises ``EigensolverError``
-      instead of filling them.
+    - Dense ``eigvalsh``: a ``QuadFormMatrix`` goes on as its ``entries``
+      where the range finder's rank is past its column cap (as for a
+      sampled profile's whole-grid window, before any product), and where
+      the secular step gives up: a failed Weyl count, or Newton unconverged
+      after ``_SECULAR_PROBES`` probes. Above order ``_FILL_MAX`` it raises
+      ``EigensolverError`` instead of filling them.
 
     A NaN or infinity in the lower triangle raises ``EigensolverError``
     before the dense solve (LAPACK's can return a finite value for a NaN
     diagonal). The strict upper triangle is never read, and the input is
     not modified.
     """
-    x = _secular_vector(m) if isinstance(m, QuadFormMatrix) else None
-    return _array_min(m) if x is None else _rayleigh((m,), x[None, :])[0]
-
-
-def _level_minima(A, shift):
-    """(lambda_min of A, lambda_min of A - diag(shift)) for one ``certify``
-    level. Where both forms take the secular step, their closing Rayleigh
-    quotients come from one batched product on the window they share. A
-    form the step gives up on takes the dense step, A before its shifted
-    copy is made, so that the copy takes over A's dense fill."""
-    x = _secular_vector(A)
-    lam = _array_min(A) if x is None else None
-    S = A._shifted(shift)
-    y = _secular_vector(S)
-    if x is not None and y is not None:
-        return tuple(_rayleigh((A, S), np.stack((x, y))))
-    if x is not None:
-        lam = _rayleigh((A,), x[None, :])[0]
-    margin = _array_min(S) if y is None else _rayleigh((S,), y[None, :])[0]
-    return lam, margin
+    return _minima((m,))[0] if isinstance(m, QuadFormMatrix) else _array_min(m)
 
 
 def certify(
@@ -473,8 +449,10 @@ def certify(
     compression, of level 2N: G_w(N) is the leading N x N block of G_w(2N),
     so level N takes rows 1..N of its U with the same C (``_WindowGram.lend``).
     A level whose double is past the cap or the grid's resolution
-    compresses its own window. Both forms of a level share the dense fill or
-    the compression, and one closing product.
+    compresses its own window. Both forms of a level share the compression
+    and one closing product. A constructed profile takes the secular step at
+    every level; a sampled profile takes the dense step, one fill per form,
+    up to ``_FILL_MAX``.
     """
     N = max(n_start, 1 << max(0, math.ceil(math.log2(profile.L / 2.0))))
     cap = max(4096, 2 * N) if n_cap is None else n_cap
@@ -490,8 +468,9 @@ def certify(
                 upper._window.lend(A._window)
         kp = (np.pi / profile.L) * np.arange(1, N + 1)
         leading = kp**4 if order is OperatorOrder.FOURTH else kp**2
+        shifted = replace(A, diagonal=A.diagonal - (0.25 * leading + 0.25))
         lam_prev, margin_prev = lam, margin
-        lam, margin = _level_minima(A, 0.25 * leading + 0.25)
+        lam, margin = _minima((A, shifted))
         used.append(N)
         if (
             lam_prev is not None
@@ -585,8 +564,10 @@ def reduced_form_check(sp: SmoothedPotential, v, y=None) -> float:
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or y.size < 5:
             raise ValueError("y must be a 1d grid with at least 5 points")
+        # np.linspace rounds each point to about an ulp of max|y|, so its
+        # steps differ by up to 2 ulps of max|y| (measured to 10^7 points)
         steps = np.diff(y)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        if not np.abs(steps - steps[0]).max() <= 4.0 * np.spacing(np.abs(y).max()):
             raise ValueError("y must be uniformly spaced")
     Qt = sp.Qtilde(y)
     vv = np.asarray(v(y) if callable(v) else v, dtype=float)

@@ -225,10 +225,10 @@ class PotentialProfile:
     phi_x takes the constant value phi_x_off everywhere except on the index
     window [j0, j0 + W), where it is phi_x_off + window. The constructed
     potential is compactly supported, so W stays near 5k samples however
-    large n grows; ``from_samples`` finds the window of caller-supplied
-    samples, and a constant phi_x has an empty one (W = 0). Cosine moments,
-    norms and phi at solver nodes are computed from the window in O(W + N)
-    memory, each when first read. The dense phi_x is built only when read.
+    large n grows; caller-supplied samples (``from_samples``) are a window
+    as long as the grid. Cosine moments, norms and phi at solver nodes are
+    computed from the window in O(W + N) memory, each when first read. The
+    dense phi_x is built only when read.
     """
 
     L: float
@@ -257,28 +257,11 @@ class PotentialProfile:
 
     @classmethod
     def from_samples(cls, L, phi_x, mean_q, exponents) -> "PotentialProfile":
-        """Profile from dense phi_x samples on the whole grid.
-
-        phi_x_off is the value of the longest cyclic run of one repeated
-        sample, and the window is the rest of the grid, so the secular
-        eigensolve serves sampled profiles too (``coercivity``). The samples
-        are kept bit for bit: where the rest is not one index range, or
-        phi_x_off + window does not round back to every sample, the window
-        is the whole grid and phi_x_off is 0."""
-        phi_x = np.asarray(phi_x, dtype=float)
-        j0, j1, off = _constant_run_complement(phi_x) if phi_x.ndim == 1 and phi_x.size else (0, phi_x.size, 0.0)
-        window = phi_x[j0:j1] - off
-        if not np.array_equal((off + window).view(np.int64), phi_x[j0:j1].view(np.int64)):
-            j0, window, off = 0, phi_x, 0.0
-        return cls(
-            L=float(L),
-            n=phi_x.size,
-            j0=j0,
-            window=window,
-            phi_x_off=off,
-            mean_q=float(mean_q),
-            exponents=exponents,
-        )
+        """Profile from dense phi_x samples on the whole grid, which is its
+        window, bit for bit: j0 = 0 and phi_x_off = 0. The window is a copy,
+        so the caller's array may change afterwards."""
+        phi_x = np.array(phi_x, dtype=float)
+        return cls(L=float(L), n=phi_x.size, j0=0, window=phi_x, phi_x_off=0.0, mean_q=float(mean_q), exponents=exponents)
 
     @property
     def dx(self) -> float:
@@ -347,25 +330,6 @@ class PotentialProfile:
         hess2 = _phi_xx_sum_of_squares(v, n, self.L)
         n0, n1, n2 = (math.sqrt(dx * s) for s in (phi2, grad2, hess2))
         return ProfileNorms(n0, n1, n2, math.sqrt(n0**2 + n1**2 + n2**2))
-
-
-def _constant_run_complement(x):
-    """(j0, j1, value): the longest cyclic run of one repeated value of x
-    (by bits), with the rest of x as the index range [j0, j1); (0, x.size,
-    0.0) when the rest is not one range, because the run touches no end."""
-    n = x.size
-    bits = x.view(np.int64)
-    change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if not change.size:
-        return 0, 0, float(x[0])
-    first, last = int(change[0]), int(change[-1])
-    middle = int(np.diff(change).max(initial=0))
-    if bits[0] == bits[-1]:
-        # the first and the last run are one, across the ends
-        return (first, last, float(x[0])) if first + n - last >= middle else (0, n, 0.0)
-    if max(first, n - last) < middle:
-        return 0, n, 0.0
-    return (first, n, float(x[0])) if first >= n - last else (0, last, float(x[-1]))
 
 
 def _pow2(m):

@@ -1,5 +1,7 @@
 """The numpy kernels against explicit reference formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import hankel, toeplitz
@@ -23,6 +25,15 @@ def test_mollifier_monotone_symmetric():
     assert np.all(np.diff(f) >= 0.0)
     # symmetric ramp: f(t) + f(1 - t) = 1
     assert np.allclose(f + f[::-1], 1.0, atol=1e-12)
+
+
+def test_mollifier_subnormal_arguments_do_not_warn():
+    # -1/t overflows to -inf for subnormal t, and exp(-inf) = 0 is the value
+    tiny = np.nextafter(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _accel.mollifier(np.array([tiny, 1e-310, 2.0**-1022])).tolist() == [0.0, 0.0, 0.0]
+        assert _accel.Qtilde_values(tiny, 1.0, 0.5, 2.0, 1.0 / 64) == 0.0
 
 
 def test_qtilde_branch_values():

@@ -14,6 +14,7 @@ from kslyap.attractor import (
     InsufficientDataError,
     LyapunovConstants,
     NotCertifiedError,
+    OddSubspaceError,
     _distance2,
     forcing_constant,
     headline_bound,
@@ -116,7 +117,7 @@ def _zero_state(L, N):
 
 
 def test_monitor_zero_trajectory(make_flat_profile):
-    traj = simulate(_zero_state(8.0, 64), SolveConfig(dt=0.1, t_end=2.0, record_every=1, transient=0.5))
+    traj = simulate(_zero_state(8.0, 64), SolveConfig(dt=0.1, t_end=2.0, record_every=1, transient=0.5, odd_only=True))
     prof = make_flat_profile(L=8.0, n=4096, slope=0.0)
     rep = monitor(traj, prof, LyapunovConstants(lam=1.0, M2=0.0))
     assert rep.violations == 0
@@ -127,20 +128,20 @@ def test_monitor_zero_trajectory(make_flat_profile):
 
 
 def test_monitor_needs_three_samples(make_flat_profile):
-    traj = simulate(_zero_state(8.0, 64), SolveConfig(dt=0.1, t_end=0.1, record_every=1, transient=0.0))
+    traj = simulate(_zero_state(8.0, 64), SolveConfig(dt=0.1, t_end=0.1, record_every=1, transient=0.0, odd_only=True))
     with pytest.raises(InsufficientDataError):
         monitor(traj, make_flat_profile(L=8.0, n=4096), LyapunovConstants(lam=1.0, M2=0.0))
 
 
 def test_monitor_grid_must_divide(make_flat_profile):
-    traj = simulate(_zero_state(2.0, 64), SolveConfig(dt=0.1, t_end=1.0, record_every=1, transient=0.0))
+    traj = simulate(_zero_state(2.0, 64), SolveConfig(dt=0.1, t_end=1.0, record_every=1, transient=0.0, odd_only=True))
     prof = make_flat_profile(L=2.0, n=4112)  # 4112 = 64*64 + 16
     with pytest.raises(ValueError, match="divide"):
         monitor(traj, prof, LyapunovConstants(lam=1.0, M2=0.0))
 
 
 def test_monitor_requires_uniform_sampling(make_flat_profile):
-    traj = simulate(_zero_state(2.0, 64), SolveConfig(dt=0.1, t_end=1.0, record_every=1, transient=0.0))
+    traj = simulate(_zero_state(2.0, 64), SolveConfig(dt=0.1, t_end=1.0, record_every=1, transient=0.0, odd_only=True))
     warped = dataclasses.replace(traj, t=traj.t**1.5 + traj.t)
     with pytest.raises(ValueError, match="uniform"):
         monitor(warped, make_flat_profile(L=2.0, n=4096), LyapunovConstants(lam=1.0, M2=0.0))
@@ -149,8 +150,8 @@ def test_monitor_requires_uniform_sampling(make_flat_profile):
 def test_monitor_flags_inflated_decay_rate(make_flat_profile):
     # on L = 2 every mode decays at rate <= -3.6, so d/dt |u|^2 ~ -7.2 |u|^2;
     # claiming lambda = 10 with M2 = 0 must be caught
-    st = random_initial(2.0, 64, seed=1, amplitude=1.0)
-    traj = simulate(st, SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1))
+    st = random_initial(2.0, 64, seed=1, amplitude=1.0, odd_only=True)
+    traj = simulate(st, SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1, odd_only=True))
     prof = make_flat_profile(L=2.0, n=4096, slope=0.0)
     rep = monitor(traj, prof, LyapunovConstants(lam=10.0, M2=0.0))
     assert rep.violations > 0
@@ -158,14 +159,22 @@ def test_monitor_flags_inflated_decay_rate(make_flat_profile):
 
 
 def test_monitor_accepts_true_decay_rate(make_flat_profile):
-    st = random_initial(2.0, 64, seed=1, amplitude=0.5)
-    traj = simulate(st, SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1))
+    st = random_initial(2.0, 64, seed=1, amplitude=0.5, odd_only=True)
+    traj = simulate(st, SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1, odd_only=True))
     prof = make_flat_profile(L=2.0, n=4096, slope=0.0)
     rep = monitor(traj, prof, LyapunovConstants(lam=0.1, M2=0.0))
     assert rep.violations == 0
     assert rep.max_residual < rep.tolerance
     # with phi = 0 the distance is |u|^2 itself and it contracts monotonically
     assert np.all(np.diff(traj.l2) < 0)
+
+
+def test_monitor_refuses_a_trajectory_off_the_odd_subspace(make_flat_profile):
+    # the certificate holds on odd functions only: general data off that
+    # subspace make the form indefinite, so monitor refuses the run
+    traj = simulate(random_initial(2.0, 64, seed=1), SolveConfig(dt=0.01, t_end=0.5, record_every=1))
+    with pytest.raises(OddSubspaceError, match="odd subspace"):
+        monitor(traj, make_flat_profile(L=2.0, n=4096), LyapunovConstants(lam=1.0, M2=0.0))
 
 
 def _grid_distance(traj, profile):
@@ -204,7 +213,8 @@ def test_monitor_parseval_distance_matches_the_grid_sum(monitored_runs):
 
 
 def test_monitor_violations_match_the_grid_sum(monitored_runs, make_flat_profile):
-    decaying = simulate(random_initial(2.0, 64, seed=1), SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1))
+    cfg = SolveConfig(dt=0.01, t_end=2.0, record_every=1, transient=0.1, odd_only=True)
+    decaying = simulate(random_initial(2.0, 64, seed=1, odd_only=True), cfg)
     inflated = (decaying, make_flat_profile(L=2.0, n=4096, slope=0.0), LyapunovConstants(lam=10.0, M2=0.0))
     counts = []
     for traj, profile, constants in monitored_runs + [inflated]:

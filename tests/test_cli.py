@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kslyap import cli
 from kslyap.cli import load_config, main
 from kslyap.coercivity import CoercivityReport
 from kslyap.potential import read_profile
@@ -133,7 +134,7 @@ def test_simulate_with_lyapunov_monitor(tmp_path, capsys):
         capsys,
         [
             "simulate", "--L", "8", "--N", "64", "--t-end", "3", "--dt", "0.05",
-            "--transient", "0.5", "--record-every", "1", "--check-lyapunov",
+            "--transient", "0.5", "--record-every", "1", "--odd", "--check-lyapunov",
             "--out", str(tmp_path), "--json",
         ],
     )
@@ -146,6 +147,16 @@ def test_simulate_with_lyapunov_monitor(tmp_path, capsys):
     assert not lines[2].endswith(",")
     residual = float(lines[2].rsplit(",", 1)[1])
     assert residual <= payload["max_residual"]
+
+
+def test_simulate_refuses_lyapunov_check_off_the_odd_subspace(tmp_path, capsys, monkeypatch):
+    # without --odd, --check-lyapunov refuses before the run is simulated
+    monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("simulated"))
+    argv = ["simulate", "--L", "8", "--N", "64", "--t-end", "3", "--transient", "0.5", "--check-lyapunov"]
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "--check-lyapunov needs --odd" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_cli(tmp_path, capsys):

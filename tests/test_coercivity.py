@@ -276,7 +276,7 @@ def _shifted(m):
     identity off the diagonal, sharing the window's compression."""
     kp = (np.pi / m.L) * np.arange(1, m.N + 1)
     leading = kp**4 if m.order is OperatorOrder.FOURTH else kp**2
-    return m._shifted(0.25 * leading + 0.25)
+    return replace(m, diagonal=m.diagonal - (0.25 * leading + 0.25))
 
 
 @pytest.mark.parametrize("order", list(OperatorOrder))
@@ -489,41 +489,26 @@ def test_shifted_variant_shares_compression(profile32):
     assert s._window is m._window and "compressed" in vars(m._window)
 
 
-def test_shifted_variant_takes_over_dense_fill(profile32):
-    # certify's dense levels fill once: the shifted form is the filled
-    # matrix with its diagonal lowered in place, as a fresh fill would be
-    m = assemble(profile32, 128)
-    A = m.entries.copy()
-    shift = np.linspace(1.0, 2.0, 128)
-    s = m._shifted(shift)
-    assert "entries" not in vars(m) and "entries" in vars(s)
-    assert np.array_equal(s.entries, A - np.diag(shift))
-    assert np.array_equal(m.entries, A)
-
-
-def test_sampled_profiles_take_secular_path(make_flat_profile, profile32, monkeypatch):
-    # from_samples finds the window of the constructed profile's samples, and
-    # a constant phi_x has an empty one: both take the secular path, with no
-    # fill and no dense solve, and the empty window (rank 0) gives min Delta
-    # bit for bit, which is the array's value
-    samples = PotentialProfile.from_samples(32.0, profile32.phi_x, profile32.mean_q, profile32.exponents)
-    flat = make_flat_profile(L=64.0, n=16384, slope=0.0)
-    mats = [assemble(samples, 512), assemble(flat, 512)]
-    values = [min_eigenvalue(replace(m).entries) for m in mats]
-    windowed = min_eigenvalue(assemble(profile32, 512))
-    assert abs(values[0] - windowed) <= 1e-9 * (1.0 + abs(windowed))
-    assert flat.window.size == 0 and mats[1]._window.compressed[1].size == 0
-    _refuse(monkeypatch, "eigvalsh")
-    assert all(m.phi_x_off is not None for m in mats)
-    lams = [min_eigenvalue(m) for m in mats]
-    assert abs(lams[0] - values[0]) <= 1e-9 * (1.0 + abs(values[0]))
-    assert lams[1] == values[1] == (mats[1].diagonal + mats[1].phi_x_off).min()
-    assert all("entries" not in vars(m) for m in mats)
-    # certify on the samples matches certify on the constructed profile
-    got, want = certify(samples), certify(profile32)
+def test_sampled_profile_takes_the_dense_step(make_flat_profile, profile32, monkeypatch):
+    # a sampled copy of the constructed profile keeps every sample as a
+    # window as long as the grid: its predicted rank is past the range
+    # finder's column cap, so no product is formed and every level takes
+    # the dense step, which certifies what the secular step does
+    p = profile32
+    sampled = PotentialProfile.from_samples(32.0, p.phi_x, p.mean_q, p.exponents)
+    assert (sampled.j0, sampled.phi_x_off) == (0, 0.0)
+    assert np.array_equal(sampled.window.view(np.int64), p.phi_x.view(np.int64))
+    assert not np.shares_memory(sampled.window, p.phi_x)
+    want = certify(p)
+    rows = _applied(monkeypatch)
+    got = certify(sampled)
+    assert rows == [] and assemble(sampled, 128)._window.compressed is None
     assert got.N_sequence == want.N_sequence
-    assert abs(got.lambda_min - want.lambda_min) <= 1e-12
-    assert abs(got.delta_margin - want.delta_margin) <= 1e-12
+    assert abs(got.lambda_min - want.lambda_min) <= 1e-9
+    assert abs(got.delta_margin - want.delta_margin) <= 1e-9
+    # the flat control phi_x = 0: lambda_min is min Delta
+    flat = assemble(make_flat_profile(L=64.0, n=16384, slope=0.0), 512)
+    assert abs(min_eigenvalue(flat) - (flat.diagonal + flat.phi_x_off).min()) <= 1e-12
 
 
 def test_rank_past_cap_takes_eigvalsh(profile32, monkeypatch):
@@ -893,6 +878,22 @@ def test_reduced_form_custom_domain_off_support(default_sp):
     grad_energy = 0.5 * np.trapezoid(np.gradient(v, y[1] - y[0]) ** 2, dx=y[1] - y[0])
     assert val > 0.0
     assert np.isclose(val, grad_energy, rtol=1e-3)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_reduced_form_accepts_large_linspace_grids(default_sp, n):
+    # np.linspace's steps differ by up to 2 ulps of max|y|, which at these
+    # sizes is past a relative tolerance of 1e-12 on the step; a grid with
+    # one point moved by 16 ulps is still refused
+    s = default_sp.support_halfwidth
+    y = np.linspace(-s, s, n)
+    steps = np.diff(y)
+    assert not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)
+    val = reduced_form_check(default_sp, 1.0, y=y)
+    assert np.isclose(val, reduced_form_check(default_sp, 1.0), rtol=1e-6)
+    y[n // 3] += 16.0 * np.spacing(s)
+    with pytest.raises(ValueError, match="uniformly"):
+        reduced_form_check(default_sp, 1.0, y=y)
 
 
 def test_reduced_form_rejects_bad_grids(default_sp):

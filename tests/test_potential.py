@@ -259,8 +259,8 @@ def test_profile_matches_dense_reference(L, dense):
     p = build_profile(L)
     assert p.window.size < 8000 < p.n
     if dense:
-        # the caller-supplied form of the same samples, whose window
-        # from_samples finds again
+        # the caller-supplied form of the same samples: a window as long as
+        # the grid, whose levels take the dense step
         p = PotentialProfile.from_samples(L, p.phi_x, p.mean_q, p.exponents)
     moments, ref_norms, phi = _dense_reference(p)
     c = p.cosine_moments(8193)
@@ -277,58 +277,8 @@ def test_profile_matches_dense_reference(L, dense):
     assert abs(report.delta_margin - _dense_margin(moments, L, report.N_sequence[-1])) <= 1e-8
 
 
-def test_from_samples_finds_the_window(profile32, critical_pair):
-    # the constructed profile's samples: phi_x_off is its constant, and the
-    # window lies inside its window (edge samples that round to phi_x_off
-    # fall outside); moments and norms agree with the constructed ones
-    p = profile32
-    s = PotentialProfile.from_samples(32.0, p.phi_x, p.mean_q, critical_pair)
-    assert s.phi_x_off == p.phi_x_off
-    assert p.j0 <= s.j0 and s.j0 + s.window.size <= p.j0 + p.window.size < p.n
-    assert np.array_equal(s.phi_x, p.phi_x)
-    ref = p.cosine_moments(1025)
-    assert np.max(np.abs(s.cosine_moments(1025) - ref)) <= 1e-13 * np.max(np.abs(ref))
-    for got, want in zip(norms(s), norms(p)):
-        assert abs(got - want) <= 1e-12 * want
-
-
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
-
-
-@pytest.mark.parametrize(
-    "samples, j0, size, off",
-    [
-        ([3.0, 3.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0], 2, 2, 3.0),  # the run wraps around
-        ([3.0, 3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 1.0], 5, 3, 3.0),  # it starts the grid
-        ([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0], 0, 2, 3.0),  # it ends the grid
-        ([1.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 2.0], 0, 8, 0.0),  # the rest is two ranges
-        ([0.1, 1e20, 1e20, 1e20, 1e20, 1e20, 1e20, 1e20], 0, 8, 0.0),  # 1e20 + (0.1 - 1e20) != 0.1
-        ([2.5] * 8, 0, 0, 2.5),  # constant: an empty window
-    ],
-)
-def test_from_samples_keeps_every_sample(critical_pair, samples, j0, size, off):
-    # the window is the complement of the longest cyclic run of one value
-    # where that is one index range and phi_x_off + window rounds back to
-    # every sample; otherwise the whole grid, with phi_x_off = 0
-    p = PotentialProfile.from_samples(4.0, samples, -1.0, critical_pair)
-    assert (p.j0, p.window.size, p.phi_x_off) == (j0, size, off)
-    assert np.array_equal(_bits(p.phi_x), _bits(samples))
-
-
-def test_empty_window_profile(critical_pair):
-    # a constant phi_x: moments, norms and phi need no window at all
-    L, n, c = 8.0, 4096, -0.75
-    p = PotentialProfile.from_samples(L, np.full(n, c), -1.0, critical_pair)
-    assert p.window.size == 0
-    moments = p.cosine_moments(257)
-    assert moments[0] == 2.0 * L * c and not moments[1:].any()
-    got = norms(p)
-    dx = 2.0 * L / n
-    phi = c * dx * (np.arange(n) - n // 2)
-    assert abs(got.phi - np.sqrt(dx * np.sum(phi**2))) <= 1e-12 * got.phi
-    assert got.phi_x == np.sqrt(dx * n * c * c) and got.phi_xx == 0.0
-    assert np.array_equal(p.phi_nodes(64), phi[:: n // 64])
 
 
 def _counted_window_dfts(monkeypatch):
