@@ -6,13 +6,20 @@ Fourier coefficients are stored normalized, uhat = fft(u)/N, so Parseval reads
 |u|_2^2 = 2L * sum |uhat|^2. States and trajectories hold the real-FFT half
 spectrum m = 0..N/2, rfft(u)/N (modes m < 0 are its conjugates), and one
 kernel steps it for `step` and `simulate`. The kernel runs in buffers
-allocated once per call of either, with every transform written into one
-(`out=`, numpy >= 2.0), and the dealiased derivative folded into the ETDRK4
-coefficients, so a step costs eight transforms and ~20 in-place products and
-sums at numpy's per-call overhead. The linear part is treated exactly; the
-ETD phi-function coefficients are averaged over a complex contour to avoid
-cancellation at small |sigma*dt| (Cox & Matthews 2002; Kassam & Trefethen
-2005).
+allocated once per call of either, with the dealiased derivative folded into
+the ETDRK4 coefficients, so a step costs eight transforms and ~20 in-place
+products and sums at numpy's per-call overhead. Its transforms call the
+pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` dispatch to
+(`numpy.fft._pocketfft_umath`, numpy >= 2.0), with the scale factor 1 that
+both public calls pass here, writing into the kernel's buffers: the results
+are bit-identical (tests/test_solver.py keeps the public calls as the
+reference), and the wrappers' Python argument handling, a third to a half
+of each call at N = 256-512, drops out. The gufuncs do not check N against
+the buffers, so a state's N must be a power of two >= 8. Transforms that
+run once per state, trajectory or level use `np.fft`. The linear part is
+treated exactly; the ETD phi-function coefficients are averaged over a
+complex contour to avoid cancellation at small |sigma*dt| (Cox & Matthews
+2002; Kassam & Trefethen 2005).
 """
 
 import math
@@ -20,6 +27,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from ._accel import splitmix53
 
@@ -43,6 +51,8 @@ class SpectralState:
     t: float = 0.0
 
     def __post_init__(self):
+        if self.N < 8 or self.N & (self.N - 1):
+            raise ValueError(f"N must be a power of two >= 8, got N = {self.N}")
         half = np.asarray(self.half, dtype=complex)
         if half.shape != (self.N // 2 + 1,):
             raise ValueError(f"half spectrum must have N/2+1 = {self.N // 2 + 1} entries, got shape {half.shape}")
@@ -163,10 +173,12 @@ def _power(w):
 
 def _rfft_square(w, u, out):
     """rfft(u^2) into out for u the real field of the half spectrum w,
-    evaluated in the length-N buffer u."""
-    np.fft.irfft(w, norm="forward", out=u)
+    evaluated in the length-N buffer u: np.fft.rfft(np.fft.irfft(w, n=N,
+    norm="forward") ** 2), bit for bit, without the public wrappers. N is
+    even and w has N/2+1 entries, as SpectralState checks."""
+    _pocketfft.irfft(w, 1.0, out=u)
     np.multiply(u, u, out=u)
-    return np.fft.rfft(u, out=out)
+    return _pocketfft.rfft_n_even(u, 1.0, out=out)
 
 
 def _project(v, odd_only):
@@ -329,8 +341,6 @@ def random_initial(L: float, N: int, seed: int = 0, amplitude: float = 1.0, odd_
     modes, zero mean, |u|_2 = amplitude, deterministic in the seed (a
     nonnegative integer). For z the normals of the seed's stream (0-based),
     mode m = 1..n gets i z_(m-1) with odd_only, else z_(2m-2) + i z_(2m-1)."""
-    if N < 8 or N & (N - 1):
-        raise ValueError("N must be a power of two >= 8")
     n_modes = max(1, int(L / np.pi))
     n_modes = min(n_modes, N // 3)
     v = np.zeros(N // 2 + 1, dtype=complex)

@@ -117,6 +117,14 @@ def test_state_checks_the_half_spectrum_shape():
             SpectralState(L=16.0, N=64, half=half)
 
 
+@pytest.mark.parametrize("N", [2, 4, 9, 12, 100])
+def test_state_refuses_an_n_that_is_not_a_power_of_two_from_8(N):
+    # the kernel's transforms take the buffer lengths as given, so an odd or
+    # non-power-of-two N is refused when the state is built
+    with pytest.raises(ValueError, match=f"N must be a power of two >= 8, got N = {N}"):
+        SpectralState(L=10.0, N=N, half=np.zeros(N // 2 + 1, dtype=complex))
+
+
 def test_random_initial_validation():
     with pytest.raises(ValueError):
         random_initial(8.0, 100)
@@ -259,6 +267,38 @@ def test_nonlinearity_of_single_mode_is_exact():
     assert np.isclose(out[6], -0.75j * k0 * 1.0, rtol=1e-13)
     rest = np.delete(out, 6)
     assert np.max(np.abs(rest)) < 1e-15
+
+
+def _public_rfft_square(w, u, out):
+    """_rfft_square through numpy's public transforms, the reference."""
+    out[...] = np.fft.rfft(np.fft.irfft(w, n=u.size, norm="forward") ** 2)
+    return out
+
+
+@pytest.mark.parametrize("N", [8, 64, 256, 512, 4096])
+@pytest.mark.parametrize("odd_only", [True, False])
+def test_rfft_square_equals_the_public_transforms(odd_only, N):
+    # the kernel calls numpy's pocketfft gufuncs directly; they must give
+    # what the public np.fft calls give, bit for bit
+    for seed in range(3):
+        w = random_initial(N / 12.0 * np.pi, N, seed=seed, amplitude=3.0, odd_only=odd_only).half
+        got = _rfft_square(w, np.empty(N), np.empty(N // 2 + 1, dtype=complex))
+        ref = _public_rfft_square(w, np.empty(N), np.empty(N // 2 + 1, dtype=complex))
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("L, N", [(16.0 * np.pi, 256), (32.0 * np.pi, 512)], ids=["16pi", "32pi"])
+def test_simulate_equals_the_public_transform_run(monkeypatch, L, N, gamma):
+    # 400 odd steps on each ensemble grid: the run is the same bit for bit
+    # when every nonlinear term goes through the public np.fft calls
+    cfg = SolveConfig(gamma=gamma, dt=0.05, t_end=20.0, record_every=20, transient=10.0, odd_only=True)
+    st = random_initial(L, N, seed=3, odd_only=True)
+    traj = simulate(st, cfg)
+    monkeypatch.setattr(solver, "_rfft_square", _public_rfft_square)
+    ref = simulate(st, cfg)
+    assert traj.half.tobytes() == ref.half.tobytes()
+    assert np.max(np.abs(ref.half[-1])) > 1e-3  # saturated, not decayed
 
 
 def _contour_coeffs(sig, dt):
