@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coercivity import CoercivityReport
 from .potential import PotentialProfile, norms
 from .solver import Trajectory, _power
 
@@ -92,18 +93,27 @@ class HeadlineBound:
     r_star_star: float
     r_scaled: float
 
+    @property
+    def constants(self) -> LyapunovConstants:
+        """The (lambda, M^2) pair behind the radii, for ``monitor``."""
+        return LyapunovConstants(lam=self.lam, M2=self.M2)
 
-def headline_bound(profile: PotentialProfile, delta_margin: float) -> HeadlineBound:
-    """Combine the forcing constant with lambda = delta_margin (must be a
-    positive certified margin) into the ball radius; r_scaled = R**/L^{3/2}."""
-    if delta_margin <= 0:
-        raise NotCertifiedError(f"delta_margin {delta_margin:.6g} is not positive")
+
+def headline_bound(profile: PotentialProfile, report: CoercivityReport) -> HeadlineBound:
+    """Combine the forcing constant with lambda = report.delta_margin into
+    the ball radius; r_scaled = R**/L^{3/2}. The one step from a
+    certificate to the ball: a report that is not ``certified`` raises
+    ``NotCertifiedError``."""
+    if not report.certified:
+        raise NotCertifiedError(
+            f"coercivity is not certified (margin {report.delta_margin:.6g}, converged {report.converged})"
+        )
     nrm = norms(profile)
     M2 = forcing_constant(profile)
-    bound = radius(nrm.phi, M2, delta_margin)
+    bound = radius(nrm.phi, M2, report.delta_margin)
     return HeadlineBound(
         L=profile.L,
-        lam=delta_margin,
+        lam=report.delta_margin,
         M2=M2,
         phi_norm=nrm.phi,
         h2_norm=nrm.h2,

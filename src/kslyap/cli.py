@@ -10,17 +10,10 @@ import json
 import sys
 from pathlib import Path
 
-from .attractor import LyapunovConstants, OddSubspaceError, forcing_constant, headline_bound, monitor
+from .attractor import OddSubspaceError, headline_bound, monitor
 from .coercivity import certify
 from .exponents import OperatorOrder, classify, solve_critical_exponents
-from .potential import (
-    PiecewiseParams,
-    SmoothingParams,
-    build_profile,
-    norms,
-    read_profile,
-    write_profile,
-)
+from .potential import PiecewiseParams, SmoothingParams, build_profile, norms, read_profile, write_profile
 from .solver import SolveConfig, default_grid, default_transient, random_initial, simulate
 from .study import fit_power_law, molinet, read_sweep_csv, sweep
 
@@ -47,23 +40,17 @@ def _parse_l_list(text):
     return [float(tok) for tok in str(text).replace(",", " ").split()]
 
 
-def _make_getter(args, config):
-    def get(key, fallback=None, conv=None):
-        val = getattr(args, key, None)
-        if val is not None:
-            return val
-        raw = config.get(key)
-        if raw is None:
-            return fallback
-        if conv is not None:
-            return conv(raw)
-        if isinstance(fallback, bool):
-            return _parse_bool(raw)
-        if fallback is not None:
-            return type(fallback)(raw)
-        return raw
-
-    return get
+def _config_defaults(args, config):
+    """The config values that name a flag of the parsed subcommand, as
+    defaults for its parser: a switch (a flag whose value is a bool) reads
+    its value with ``_parse_bool``, and every other value stays a string,
+    which argparse converts with the flag's type."""
+    flags = vars(args)
+    return {
+        key: _parse_bool(val) if isinstance(flags[key], bool) else val
+        for key, val in config.items()
+        if key in flags and key not in ("command", "func")
+    }
 
 
 def _emit(payload, as_json):
@@ -77,30 +64,30 @@ def _emit(payload, as_json):
                 print(f"{key}: {val}")
 
 
-def _order_from(get):
-    name = get("order", "fourth")
-    try:
-        return OperatorOrder(name)
-    except ValueError:
-        raise ValueError(f"unknown order {name!r}; use fourth or second") from None
+def _potential(args):
+    """The step potential and smoothing of the potential flags; no --delta
+    means a / 64."""
+    params = PiecewiseParams(a=args.a, q0=args.q0, q1=args.q1)
+    delta = params.a / 64.0 if args.delta is None else args.delta
+    return params, SmoothingParams(delta=delta, mu=args.mu)
 
 
-def _piecewise_from(get):
-    return PiecewiseParams(a=get("a", 1.0), q0=get("q0", 0.5), q1=get("q1", 2.0))
+def _profile(args):
+    """The profile that --profile names, else the one that --L and the
+    potential flags build."""
+    if getattr(args, "profile", None):
+        return read_profile(args.profile)
+    if args.L is None:
+        raise ValueError("--L (or a profile path) is required" if "profile" in vars(args) else "--L is required")
+    params, smoothing = _potential(args)
+    return build_profile(args.L, params=params, smoothing=smoothing)
 
 
-def _smoothing_from(get, params):
-    delta = get("delta", params.a / 64.0)
-    mu = get("mu", 0.75)
-    return SmoothingParams(delta=delta, mu=mu)
-
-
-def _cmd_exponents(args, get, out_dir):
-    order = _order_from(get)
-    sol = solve_critical_exponents(order)
+def _cmd_exponents(args, out_dir):
+    sol = solve_critical_exponents(args.order)
     pair = sol.pair
     payload = {
-        "order": order.value,
+        "order": args.order.value,
         "c1": str(pair.c1),
         "c2": str(pair.c2),
         "objective": str(sol.objective),
@@ -109,45 +96,30 @@ def _cmd_exponents(args, get, out_dir):
         "objective_decimal": float(sol.objective),
         "classification": classify(pair).value,
     }
-    _emit(payload, get("json", False))
+    _emit(payload, args.json)
     return 0
 
 
-def _load_or_build_profile(get):
-    path = get("profile", None)
-    if path:
-        return read_profile(path)
-    L = get("L", None, float)
-    if L is None:
-        raise ValueError("--L (or a profile path) is required")
-    params = _piecewise_from(get)
-    return build_profile(L, params=params, smoothing=_smoothing_from(get, params))
-
-
-def _cmd_build_potential(args, get, out_dir):
-    L = get("L", None, float)
-    if L is None:
-        raise ValueError("--L is required")
-    params = _piecewise_from(get)
-    profile = build_profile(L, params=params, smoothing=_smoothing_from(get, params))
-    path = out_dir / f"profile_L{L:g}.json"
+def _cmd_build_potential(args, out_dir):
+    profile = _profile(args)
+    path = out_dir / f"profile_L{args.L:g}.json"
     write_profile(profile, path)
     nrm = norms(profile)
     payload = {
         "meta": str(path),
-        "L": L,
+        "L": args.L,
         "n": profile.n,
         "mean_q": profile.mean_q,
         "phi_norm": nrm.phi,
         "h2_norm": nrm.h2,
     }
-    _emit(payload, get("json", False))
+    _emit(payload, args.json)
     return 0
 
 
-def _cmd_verify(args, get, out_dir):
-    profile = _load_or_build_profile(get)
-    report = certify(profile, order=_order_from(get))
+def _cmd_verify(args, out_dir):
+    profile = _profile(args)
+    report = certify(profile, order=args.order)
     payload = {
         "L": profile.L,
         "order": report.order.value,
@@ -157,14 +129,13 @@ def _cmd_verify(args, get, out_dir):
         "converged": report.converged,
         "certified": report.certified,
     }
-    _emit(payload, get("json", False))
+    _emit(payload, args.json)
     return 0 if payload["certified"] else 1
 
 
-def _cmd_bound(args, get, out_dir):
-    profile = _load_or_build_profile(get)
-    report = certify(profile)
-    hb = headline_bound(profile, report.delta_margin)
+def _cmd_bound(args, out_dir):
+    profile = _profile(args)
+    hb = headline_bound(profile, certify(profile))
     payload = {
         "L": hb.L,
         "lambda": hb.lam,
@@ -175,42 +146,38 @@ def _cmd_bound(args, get, out_dir):
         "r_star_star": hb.r_star_star,
         "r_star_star_scaled": hb.r_scaled,
     }
-    _emit(payload, get("json", False))
+    _emit(payload, args.json)
     return 0
 
 
-def _cmd_simulate(args, get, out_dir):
-    L = get("L", None, float)
+def _cmd_simulate(args, out_dir):
+    L = args.L
     if L is None:
         raise ValueError("--L is required")
-    gamma = get("gamma", 0.0)
-    N = get("N", None, int) or default_grid(L)
-    transient = get("transient", None, float)
-    if transient is None:
-        transient = default_transient(L, N, gamma)
-    t_end = get("t_end", None, float)
-    if t_end is None:
-        t_end = transient + 200.0
+    N = args.N or default_grid(L)
+    transient = default_transient(L, N, args.gamma) if args.transient is None else args.transient
     cfg = SolveConfig(
-        gamma=gamma,
-        dt=get("dt", 0.05),
-        t_end=t_end,
+        gamma=args.gamma,
+        dt=args.dt,
+        t_end=transient + 200.0 if args.t_end is None else args.t_end,
         transient=transient,
-        record_every=get("record_every", 10, int),
-        odd_only=get("odd", False),
+        record_every=args.record_every,
+        odd_only=args.odd,
     )
-    if get("check_lyapunov", False) and not cfg.odd_only:
-        raise OddSubspaceError("--check-lyapunov needs --odd: the coercivity certificate holds on the odd subspace only")
-    initial = random_initial(L, N, seed=get("seed", 0, int), amplitude=get("amplitude", 1.0), odd_only=cfg.odd_only)
+    constants = None
+    if args.check_lyapunov:
+        # both refusals come before the run
+        if not cfg.odd_only:
+            raise OddSubspaceError(
+                "--check-lyapunov needs --odd: the coercivity certificate holds on the odd subspace only"
+            )
+        profile = _profile(args)
+        constants = headline_bound(profile, certify(profile)).constants
+    initial = random_initial(L, N, seed=args.seed, amplitude=args.amplitude, odd_only=cfg.odd_only)
     traj = simulate(initial, cfg)
 
-    residuals = None
-    violations = max_residual = tolerance = None
-    if get("check_lyapunov", False):
-        params = _piecewise_from(get)
-        profile = build_profile(L, params=params, smoothing=_smoothing_from(get, params))
-        report = certify(profile)
-        constants = LyapunovConstants(lam=report.delta_margin, M2=forcing_constant(profile))
+    residuals = violations = max_residual = tolerance = None
+    if constants is not None:
         mon = monitor(traj, profile, constants)
         residuals = mon.residuals
         violations, max_residual, tolerance = mon.violations, mon.max_residual, mon.tolerance
@@ -229,7 +196,7 @@ def _cmd_simulate(args, get, out_dir):
         "csv": str(csv_path),
         "L": L,
         "N": N,
-        "gamma": gamma,
+        "gamma": args.gamma,
         "dt": cfg.dt,
         "t_end": cfg.t_end,
         "transient": traj.transient,
@@ -239,25 +206,24 @@ def _cmd_simulate(args, get, out_dir):
         "tolerance": tolerance,
     }
     (out_dir / f"simulate_L{L:g}.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _emit(payload, get("json", False))
+    _emit(payload, args.json)
     return 0
 
 
-def _cmd_sweep(args, get, out_dir):
-    L_list = get("L_list", [32.0, 64.0, 128.0, 256.0, 512.0], _parse_l_list)
-    params = _piecewise_from(get)
+def _cmd_sweep(args, out_dir):
+    params, smoothing = _potential(args)
     csv_path = out_dir / "sweep.csv"
     records = sweep(
-        L_list,
+        args.L_list,
         csv_path=csv_path,
         params=params,
-        smoothing=_smoothing_from(get, params),
-        run_simulation=get("simulate", False),
-        gamma=get("gamma", 0.0),
-        t_end=get("t_end", None, float),
-        seed=get("seed", 0, int),
+        smoothing=smoothing,
+        run_simulation=args.simulate,
+        gamma=args.gamma,
+        t_end=args.t_end,
+        seed=args.seed,
     )
-    if get("json", False):
+    if args.json:
         print(json.dumps([rec.__dict__ for rec in records], indent=2))
     else:
         print(f"wrote {len(records)} records to {csv_path}")
@@ -272,135 +238,129 @@ def _cmd_sweep(args, get, out_dir):
     return 0
 
 
-def _cmd_fit(args, get, out_dir):
-    path = get("input", None)
-    if path is None:
+def _cmd_fit(args, out_dir):
+    if args.input is None:
         raise ValueError("--input sweep CSV is required")
-    column = get("column", "h2_norm")
-    records = read_sweep_csv(path)
-    pairs = [(rec.L, getattr(rec, column)) for rec in records if getattr(rec, column) is not None]
+    records = read_sweep_csv(args.input)
+    pairs = [(rec.L, getattr(rec, args.column)) for rec in records if getattr(rec, args.column) is not None]
     fit = fit_power_law(pairs)
     payload = {
-        "column": column,
+        "column": args.column,
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "n_points": fit.n_points,
     }
-    _emit(payload, get("json", False))
+    _emit(payload, args.json)
     return 0
 
 
-def _cmd_molinet(args, get, out_dir):
-    Lx = get("Lx", None, float)
-    if Lx is None:
+def _cmd_molinet(args, out_dir):
+    if args.Lx is None:
         raise ValueError("--Lx is required")
-    bound = molinet(Lx, C=get("C", 1.0), Ly=get("Ly", None, float))
-    payload = {"Lx": Lx, "ly_max": bound.ly_max, "norm_bound": bound.norm_bound}
-    _emit(payload, get("json", False))
+    bound = molinet(args.Lx, C=args.C, Ly=args.Ly)
+    payload = {"Lx": args.Lx, "ly_max": bound.ly_max, "norm_bound": bound.norm_bound}
+    _emit(payload, args.json)
     return 0
 
 
 def _common_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--out", help="output directory (default .)")
-    sub.add_argument("--json", action="store_const", const=True, help="machine-readable output")
-    sub.add_argument("--seed", type=int, help="random seed")
+    sub.add_argument("--out", default=".", help="output directory (default .)")
+    sub.add_argument("--json", action="store_true", help="machine-readable output")
+    sub.add_argument("--seed", type=int, default=0, help="random seed")
 
 
 def _potential_flags(sub):
-    sub.add_argument("--a", type=float, help="step-potential support half-width")
-    sub.add_argument("--q0", type=float, help="well depth")
-    sub.add_argument("--q1", type=float, help="barrier height")
-    sub.add_argument("--delta", type=float, help="mollification width")
-    sub.add_argument("--mu", type=float, help="required magnitude of the negative mean")
+    sub.add_argument("--a", type=float, default=1.0, help="step-potential support half-width")
+    sub.add_argument("--q0", type=float, default=0.5, help="well depth")
+    sub.add_argument("--q1", type=float, default=2.0, help="barrier height")
+    sub.add_argument("--delta", type=float, help="mollification width (default a/64)")
+    sub.add_argument("--mu", type=float, default=0.75, help="required magnitude of the negative mean")
 
 
-def build_parser():
+def build_parser(**defaults):
+    """The kslyap parser; ``defaults`` replace the defaults of the flags
+    they name (``main`` passes a config file's values)."""
     parser = argparse.ArgumentParser(prog="kslyap", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("exponents", help="critical scaling exponents (exact rationals)")
-    p.add_argument("--order", choices=["fourth", "second"], help="operator order")
+    p.add_argument("--order", type=OperatorOrder, default=OperatorOrder.FOURTH, help="operator order: fourth or second")
     _common_flags(p)
-    p.set_defaults(func=_cmd_exponents)
+    p.set_defaults(func=_cmd_exponents, **defaults)
 
     p = subs.add_parser("build-potential", help="construct and save a profile")
     p.add_argument("--L", type=float, help="domain half-length")
     _potential_flags(p)
     _common_flags(p)
-    p.set_defaults(func=_cmd_build_potential)
+    p.set_defaults(func=_cmd_build_potential, **defaults)
 
     p = subs.add_parser("verify", help="certify coercivity of the form")
     p.add_argument("--L", type=float, help="domain half-length")
-    p.add_argument("--order", choices=["fourth", "second"], help="operator order")
+    p.add_argument("--order", type=OperatorOrder, default=OperatorOrder.FOURTH, help="operator order: fourth or second")
     p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, **defaults)
 
     p = subs.add_parser("bound", help="attracting-ball radius for a profile")
     p.add_argument("--L", type=float, help="domain half-length")
     p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_bound, **defaults)
 
     p = subs.add_parser("simulate", help="integrate the flow and record norms")
     p.add_argument("--L", type=float, help="domain half-length")
-    p.add_argument("--gamma", type=float, help="destabilization coefficient")
-    p.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
-    p.add_argument("--dt", type=float, help="time step")
+    p.add_argument("--gamma", type=float, default=0.0, help="destabilization coefficient")
+    p.add_argument("--t-end", type=float, help="integration horizon")
+    p.add_argument("--dt", type=float, default=0.05, help="time step")
     p.add_argument("--N", type=int, help="grid size (power of two)")
     p.add_argument("--transient", type=float, help="burn-in excluded from statistics")
-    p.add_argument("--record-every", dest="record_every", type=int, help="sampling stride")
-    p.add_argument("--amplitude", type=float, help="initial L2 norm")
-    p.add_argument("--odd", action="store_const", const=True, help="restrict to odd functions")
-    p.add_argument(
-        "--check-lyapunov",
-        dest="check_lyapunov",
-        action="store_const",
-        const=True,
-        help="monitor the ball inequality along the run (needs --odd)",
-    )
+    p.add_argument("--record-every", type=int, default=10, help="sampling stride")
+    p.add_argument("--amplitude", type=float, default=1.0, help="initial L2 norm")
+    p.add_argument("--odd", action="store_true", help="restrict to odd functions")
+    p.add_argument("--check-lyapunov", action="store_true", help="monitor the ball inequality (needs --odd)")
     _potential_flags(p)
     _common_flags(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, **defaults)
 
     p = subs.add_parser("sweep", help="certify and bound across a list of L")
-    p.add_argument("--L-list", dest="L_list", type=_parse_l_list, help="comma-separated L values")
-    p.add_argument("--simulate", action="store_const", const=True, help="also run simulations")
-    p.add_argument("--gamma", type=float, help="destabilization coefficient")
-    p.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
+    p.add_argument("--L-list", type=_parse_l_list, default="32,64,128,256,512", help="comma-separated L values")
+    p.add_argument("--simulate", action="store_true", help="also run simulations")
+    p.add_argument("--gamma", type=float, default=0.0, help="destabilization coefficient")
+    p.add_argument("--t-end", type=float, help="integration horizon")
     _potential_flags(p)
     _common_flags(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, **defaults)
 
     p = subs.add_parser("fit", help="power-law fit of a sweep CSV column")
     p.add_argument("--input", help="sweep CSV path")
-    p.add_argument("--column", help="column to fit against L (default h2_norm)")
+    p.add_argument("--column", default="h2_norm", help="column to fit against L (default h2_norm)")
     _common_flags(p)
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, **defaults)
 
     p = subs.add_parser("molinet", help="thin-rectangle bound calculator")
     p.add_argument("--Lx", type=float, help="rectangle length (> 1)")
-    p.add_argument("--C", type=float, help="constant in the corollary")
+    p.add_argument("--C", type=float, default=1.0, help="constant in the corollary")
     p.add_argument("--Ly", type=float, help="strip height to evaluate at")
     _common_flags(p)
-    p.set_defaults(func=_cmd_molinet)
+    p.set_defaults(func=_cmd_molinet, **defaults)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
-        get = _make_getter(args, config)
-        out_dir = Path(get("out", "."))
+        if args.config:
+            # the file's values become the subcommand's defaults, and the
+            # second parse converts them; flags on the command line still win
+            args = build_parser(**_config_defaults(args, load_config(args.config))).parse_args(argv)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, get, out_dir)
+        return args.func(args, out_dir)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

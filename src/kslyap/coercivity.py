@@ -425,6 +425,16 @@ def min_eigenvalue(m) -> float:
     return _minima((m,))[0] if isinstance(m, QuadFormMatrix) else _array_min(m)
 
 
+def _shifted(A: QuadFormMatrix) -> QuadFormMatrix:
+    """The shifted variant of ``A``'s form, whose smallest eigenvalue is
+    ``certify``'s margin: a quarter of the leading kinetic term and a
+    quarter of the identity come off the diagonal. The copy shares A's
+    window, with its compression."""
+    kp = (np.pi / A.L) * np.arange(1, A.N + 1)
+    leading = kp**4 if A.order is OperatorOrder.FOURTH else kp**2
+    return replace(A, diagonal=A.diagonal - (0.25 * leading + 0.25))
+
+
 def certify(
     profile: PotentialProfile,
     order: OperatorOrder = OperatorOrder.FOURTH,
@@ -466,11 +476,8 @@ def certify(
             if 2 * N <= cap and profile.n >= 8 * N:
                 upper = assemble(profile, 2 * N, order)
                 upper._window.lend(A._window)
-        kp = (np.pi / profile.L) * np.arange(1, N + 1)
-        leading = kp**4 if order is OperatorOrder.FOURTH else kp**2
-        shifted = replace(A, diagonal=A.diagonal - (0.25 * leading + 0.25))
         lam_prev, margin_prev = lam, margin
-        lam, margin = _minima((A, shifted))
+        lam, margin = _minima((A, _shifted(A)))
         used.append(N)
         if (
             lam_prev is not None

@@ -70,31 +70,13 @@ class CriticalExponents:
 def solve_critical_exponents(order: OperatorOrder) -> CriticalExponents:
     """Minimize c2 + c1/2 subject to c2 >= c1 + 1 and c2 <= slope*c1, exactly.
 
-    The feasible region is a 2D wedge with a single vertex; the objective
-    gradient is positive along both boundary rays, so vertex enumeration is
-    complete. Everything is Fraction arithmetic.
+    The feasible region is a wedge with a single vertex, where both
+    constraints bind: c1 = 1/(slope - 1), c2 = slope/(slope - 1). The
+    objective grows along both of its boundary rays, so the vertex is the
+    minimum. Everything is Fraction arithmetic.
     """
     slope = order.kinetic_slope
-    # constraints as rows (alpha, beta, rhs) meaning alpha*c1 + beta*c2 >= rhs
-    constraints = [
-        (Fraction(-1), Fraction(1), Fraction(1)),  # c2 - c1 >= 1
-        (slope, Fraction(-1), Fraction(0)),  # slope*c1 - c2 >= 0
-    ]
-    candidates = []
-    for i in range(len(constraints)):
-        for j in range(i + 1, len(constraints)):
-            a1, b1, r1 = constraints[i]
-            a2, b2, r2 = constraints[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            c1 = (r1 * b2 - r2 * b1) / det
-            c2 = (a1 * r2 - a2 * r1) / det
-            if all(a * c1 + b * c2 >= r for a, b, r in constraints) and c1 > 0 and c2 > 0:
-                candidates.append(ExponentPair(c1, c2))
-    if not candidates:
-        raise RuntimeError("feasible region has no vertex; constraints inconsistent")
-    best = min(candidates, key=lambda p: p.objective())
+    best = ExponentPair(1 / (slope - 1), slope / (slope - 1))
     return CriticalExponents(pair=best, objective=best.objective(), order=order)
 
 

@@ -58,10 +58,6 @@ class SpectralState:
             raise ValueError(f"half spectrum must have N/2+1 = {self.N // 2 + 1} entries, got shape {half.shape}")
         object.__setattr__(self, "half", half)
 
-    @property
-    def x(self) -> np.ndarray:
-        return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
-
     def u(self) -> np.ndarray:
         return np.fft.irfft(self.half, n=self.N, norm="forward")
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attractor import forcing_constant, radius
+from .attractor import forcing_constant, headline_bound
 from .coercivity import certify
 from .exponents import ExponentPair, OperatorOrder, solve_critical_exponents
 from .potential import (
@@ -118,11 +118,8 @@ def _sweep_one(
         profile = scaled_profile(sp, L, pair)
         report = certify(profile)
         nrm = norms(profile)
-        M2 = forcing_constant(profile)
         certified = report.certified
-        r_ss = None
-        if report.delta_margin > 0:
-            r_ss = radius(nrm.phi, M2, report.delta_margin).r_star_star
+        r_ss = headline_bound(profile, report).r_star_star if certified else None
         sim_sup = None
         if run_simulation and certified:
             N = default_grid(L)
@@ -141,7 +138,7 @@ def _sweep_one(
             lambda_min=report.lambda_min,
             h2_norm=nrm.h2,
             phi_norm=nrm.phi,
-            M2=M2,
+            M2=forcing_constant(profile),
             r_star_star=r_ss,
             sim_sup_norm=sim_sup,
             certified=certified,

@@ -21,7 +21,7 @@ from kslyap.attractor import (
     monitor,
     radius,
 )
-from kslyap.coercivity import certify
+from kslyap.coercivity import CoercivityReport, certify
 from kslyap.potential import PotentialProfile, build_profile, norms
 from kslyap.solver import SolveConfig, SpectralState, default_grid, random_initial, simulate
 
@@ -82,15 +82,22 @@ def test_forcing_constant_sine_profile(critical_pair):
     assert HESS_COEFF == 2.0 * GRAD_COEFF**3
 
 
+def _report(margin, converged=True):
+    return CoercivityReport(lambda_min=1.0, delta_margin=margin, N_sequence=(64, 128), converged=converged)
+
+
 def test_headline_requires_positive_margin(profile32):
+    # headline_bound refuses every report that is not certified
     with pytest.raises(NotCertifiedError):
-        headline_bound(profile32, 0.0)
+        headline_bound(profile32, _report(0.0))
     with pytest.raises(NotCertifiedError):
-        headline_bound(profile32, -3.0)
+        headline_bound(profile32, _report(-3.0))
+    with pytest.raises(NotCertifiedError):
+        headline_bound(profile32, _report(2.5, converged=False))
 
 
 def test_headline_field_consistency(profile32):
-    hb = headline_bound(profile32, 2.5)
+    hb = headline_bound(profile32, _report(2.5))
     nrm = norms(profile32)
     assert hb.L == 32.0
     assert hb.lam == 2.5
@@ -101,11 +108,12 @@ def test_headline_field_consistency(profile32):
     assert hb.r_star == want.r_star
     assert hb.r_star_star == want.r_star_star
     assert np.isclose(hb.r_scaled, hb.r_star_star / 32.0**1.5, rtol=1e-15)
+    assert hb.constants == LyapunovConstants(lam=2.5, M2=hb.M2)
 
 
 def test_headline_from_certified_margin(profile32):
     report = certify(profile32)
-    hb = headline_bound(profile32, report.delta_margin)
+    hb = headline_bound(profile32, report)
     assert hb.lam == report.delta_margin
     assert hb.lam > 0
     assert np.isfinite(hb.r_scaled) and hb.r_scaled > 0.0

@@ -1,6 +1,8 @@
 """End-to-end command-line checks, run in process through main()."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,20 @@ def test_simulate_refuses_lyapunov_check_off_the_odd_subspace(tmp_path, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_refuses_an_uncertified_profile_before_the_run(tmp_path, capsys, monkeypatch):
+    # the certificate is checked before the run, so a refusal wastes no run
+    def zero_margin(profile):
+        return CoercivityReport(lambda_min=1.0, delta_margin=0.0, N_sequence=(64, 128), converged=True)
+
+    monkeypatch.setattr(cli, "certify", zero_margin)
+    monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("simulated"))
+    argv = ["simulate", "--L", "8", "--N", "64", "--t-end", "3", "--transient", "0.5", "--odd", "--check-lyapunov"]
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "not certified" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_cli(tmp_path, capsys):
     rc = main(["sweep", "--L-list", "8,4", "--out", str(tmp_path)])
     assert rc == 0
@@ -241,3 +257,92 @@ def test_out_directory_created(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert target.is_dir()
+
+
+# each subcommand with flags of every kind it takes: int, float, list,
+# string and switch; fit's input is written by the test
+_TWINS = {
+    "exponents": ["--order", "second", "--json"],
+    "build-potential": ["--L", "2", "--a", "1", "--q0", "0.5", "--q1", "2.2", "--delta", "0.03", "--mu", "0.7"],
+    "verify": ["--L", "2", "--order", "fourth", "--json"],
+    "bound": ["--L", "2", "--q1", "2.2", "--json"],
+    "simulate": [
+        "--L", "8", "--N", "64", "--t-end", "3", "--dt", "0.05", "--transient", "0.5", "--record-every", "5",
+        "--amplitude", "0.5", "--seed", "3", "--odd", "--check-lyapunov", "--json",
+    ],
+    "sweep": ["--L-list", "8,16", "--gamma", "0.1", "--json"],
+    "fit": ["--input", "sweep.csv", "--column", "phi_norm", "--json"],
+    "molinet": ["--Lx", "100", "--C", "2", "--Ly", "1e-4"],
+}
+
+
+def _config_twin(argv):
+    """The config file that stands for the flags in argv: --flag-name value
+    becomes flag_name = value, and a switch becomes flag_name = true."""
+    lines = []
+    for i, tok in enumerate(argv):
+        if tok.startswith("--"):
+            value = argv[i + 1] if i + 1 < len(argv) and not argv[i + 1].startswith("--") else "true"
+            lines.append(f"{tok[2:].replace('-', '_')} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", sorted(_TWINS))
+def test_config_twin_prints_what_flags_print(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_sweep_csv([SweepRecord(L=L, phi_norm=2.0 * L) for L in (8.0, 16.0, 32.0)], "sweep.csv")
+    argv = _TWINS[command] + ["--out", "out"]
+    Path("run.cfg").write_text(_config_twin(argv))
+    runs = []
+    for args in (argv, ["--config", "run.cfg"]):
+        rc = main([command, *args])
+        written = {path.name: path.read_bytes() for path in sorted(Path("out").iterdir())}
+        runs.append((rc, capsys.readouterr().out, written))
+        shutil.rmtree("out")
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
+
+def _parsed(monkeypatch, command, argv):
+    """The flags that main hands the subcommand."""
+    seen = {}
+    name = f"_cmd_{command.replace('-', '_')}"
+    monkeypatch.setattr(cli, name, lambda args, out_dir: seen.update(vars(args)) or 0)
+    assert main([command, *argv]) == 0
+    return seen
+
+
+def test_config_values_take_their_flags_types(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"L = 8\nN = 64\ndt = 0.01\nodd = yes\ncheck_lyapunov = off\njson = 1\nout = {tmp_path}\n")
+    args = _parsed(monkeypatch, "simulate", ["--config", str(cfg)])
+    assert (args["L"], args["N"], args["dt"]) == (8.0, 64, 0.01)
+    assert type(args["L"]) is float and type(args["N"]) is int
+    assert (args["odd"], args["check_lyapunov"], args["json"]) == (True, False, True)
+    assert (args["seed"], args["record_every"], args["t_end"]) == (0, 10, None)  # untouched defaults
+    assert args["out"] == str(tmp_path)
+
+    cfg.write_text("L_list = 8 16, 32\nsimulate = true\norder = second\n")  # order is not a sweep flag
+    args = _parsed(monkeypatch, "sweep", ["--config", str(cfg)])
+    assert args["L_list"] == [8.0, 16.0, 32.0] and args["simulate"] is True
+    assert "order" not in args
+
+
+def test_flags_override_config_of_every_kind(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 8\nN = 64\nodd = false\nL_list = 8 16\n")
+    args = _parsed(monkeypatch, "simulate", ["--config", str(cfg), "--N", "128", "--L", "16", "--odd"])
+    assert (args["L"], args["N"], args["odd"]) == (16.0, 128, True)
+    args = _parsed(monkeypatch, "sweep", ["--config", str(cfg), "--L-list", "32"])
+    assert args["L_list"] == [32.0]
+
+
+@pytest.mark.parametrize("line", ["order = sixth", "N = many", "L = wide"])
+def test_invalid_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    command = "exponents" if line.startswith("order") else "simulate"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert f"argument --{line.split()[0]}" in capsys.readouterr().err

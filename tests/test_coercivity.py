@@ -16,6 +16,7 @@ from kslyap.coercivity import (
     CoercivityReport,
     EigensolverError,
     UnderResolvedGridError,
+    _shifted,
     assemble,
     certify,
     hardy_check,
@@ -269,14 +270,6 @@ def _refuse(monkeypatch, *names):
 
     for name in names:
         monkeypatch.setattr(*((np.linalg, name) if name == "eigvalsh" else (coercivity, name)), refuse)
-
-
-def _shifted(m):
-    """certify's shifted variant: a quarter of the leading term and of the
-    identity off the diagonal, sharing the window's compression."""
-    kp = (np.pi / m.L) * np.arange(1, m.N + 1)
-    leading = kp**4 if m.order is OperatorOrder.FOURTH else kp**2
-    return replace(m, diagonal=m.diagonal - (0.25 * leading + 0.25))
 
 
 @pytest.mark.parametrize("order", list(OperatorOrder))
