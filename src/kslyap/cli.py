@@ -78,7 +78,7 @@ def _profile(args):
     if getattr(args, "profile", None):
         return read_profile(args.profile)
     if args.L is None:
-        raise ValueError("--L (or a profile path) is required" if "profile" in vars(args) else "--L is required")
+        raise ValueError("--L (or a profile path) is required")
     params, smoothing = _potential(args)
     return build_profile(args.L, params=params, smoothing=smoothing)
 
@@ -101,6 +101,8 @@ def _cmd_exponents(args, out_dir):
 
 
 def _cmd_build_potential(args, out_dir):
+    if args.L is None:
+        raise ValueError("--L is required")
     profile = _profile(args)
     path = out_dir / f"profile_L{args.L:g}.json"
     write_profile(profile, path)

@@ -118,10 +118,9 @@ def _sweep_one(
         profile = scaled_profile(sp, L, pair)
         report = certify(profile)
         nrm = norms(profile)
-        certified = report.certified
-        r_ss = headline_bound(profile, report).r_star_star if certified else None
+        hb = headline_bound(profile, report) if report.certified else None
         sim_sup = None
-        if run_simulation and certified:
+        if run_simulation and hb is not None:
             N = default_grid(L)
             transient = default_transient(L, N, gamma)
             cfg = SolveConfig(
@@ -138,10 +137,10 @@ def _sweep_one(
             lambda_min=report.lambda_min,
             h2_norm=nrm.h2,
             phi_norm=nrm.phi,
-            M2=forcing_constant(profile),
-            r_star_star=r_ss,
+            M2=forcing_constant(profile) if hb is None else hb.M2,
+            r_star_star=None if hb is None else hb.r_star_star,
             sim_sup_norm=sim_sup,
-            certified=certified,
+            certified=report.certified,
         )
     except Exception as exc:  # noqa: BLE001 - per-L failures become rows
         return SweepRecord(L=float(L), error=f"{type(exc).__name__}: {exc}")
