@@ -221,6 +221,20 @@ def test_molinet_cli(capsys):
     assert "--Lx is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build-potential"], "--L is required"),
+        (["verify"], "--L (or a profile path) is required"),
+        (["bound"], "--L (or a profile path) is required"),
+        (["simulate"], "--L is required"),
+    ],
+)
+def test_missing_L_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# study configuration\norder = second\njson = true\n")

@@ -193,3 +193,24 @@ def test_molinet_exponent_beats_steeper_reference():
     # the admissible height decays like Lx^{-13/7}, slower than Lx^{-67/35}
     assert Fraction(-13, 7) > Fraction(-67, 35)
     assert molinet(1e6).ly_max > 1e6 ** (-67.0 / 35.0)
+
+
+def test_uncertified_row_keeps_M2_and_has_no_ball(monkeypatch):
+    """A positive margin from a ladder that did not converge is not a
+    certificate: the row keeps the margin and M^2 but gets no R** and runs
+    no simulation."""
+    from kslyap.attractor import forcing_constant
+    from kslyap.coercivity import CoercivityReport
+
+    def unconverged(profile):
+        return CoercivityReport(lambda_min=2.0, delta_margin=1.0, N_sequence=(64, 128), converged=False)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("an uncertified row must not simulate")
+
+    monkeypatch.setattr(study, "certify", unconverged)
+    monkeypatch.setattr(study, "simulate", no_simulation)
+    (row,) = sweep([16.0], run_simulation=True)
+    assert row.error is None and not row.certified
+    assert row.delta_margin == 1.0 and row.r_star_star is None and row.sim_sup_norm is None
+    assert row.M2 == forcing_constant(build_profile(16.0))
