@@ -32,8 +32,12 @@ def load_config(path):
     return cfg
 
 
-def _parse_bool(text):
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+def _parse_bool(key, text):
+    """A config switch: 1/true/yes/on or 0/false/no/off, in any case."""
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"config switch {key} = {text!r} is not one of 1/true/yes/on or 0/false/no/off")
+    return value in ("1", "true", "yes", "on")
 
 
 def _parse_l_list(text):
@@ -47,7 +51,7 @@ def _config_defaults(args, config):
     which argparse converts with the flag's type."""
     flags = vars(args)
     return {
-        key: _parse_bool(val) if isinstance(flags[key], bool) else val
+        key: _parse_bool(key, val) if isinstance(flags[key], bool) else val
         for key, val in config.items()
         if key in flags and key not in ("command", "func")
     }
@@ -270,7 +274,6 @@ def _common_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", default=".", help="output directory (default .)")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
 
 
 def _potential_flags(sub):
@@ -324,6 +327,7 @@ def build_parser(**defaults):
     p.add_argument("--amplitude", type=float, default=1.0, help="initial L2 norm")
     p.add_argument("--odd", action="store_true", help="restrict to odd functions")
     p.add_argument("--check-lyapunov", action="store_true", help="monitor the ball inequality (needs --odd)")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the initial data")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_simulate, **defaults)
@@ -333,6 +337,7 @@ def build_parser(**defaults):
     p.add_argument("--simulate", action="store_true", help="also run simulations")
     p.add_argument("--gamma", type=float, default=0.0, help="destabilization coefficient")
     p.add_argument("--t-end", type=float, help="integration horizon")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the simulations' initial data")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_sweep, **defaults)

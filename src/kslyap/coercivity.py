@@ -72,6 +72,9 @@ _RANK_TOL = 1e-12
 # were needed over L = 12..8192, N = 64..2048, both orders and both forms
 _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
+# certify's least first level, and the agreement of two levels it accepts
+_N_START = 64
+_RTOL = 1e-6
 # a QuadFormMatrix above this order that takes the dense step raises
 # instead of filling its N x N entries (134 MB at 4096; 34 GB at the
 # N = 65536 a large-L ladder reaches)
@@ -88,10 +91,9 @@ def _test_rows(start, stop, n):
 @dataclass(frozen=True, eq=False)
 class _WindowGram:
     """G_w[j, k] = (w_|j-k| - w_(j+k)) / (2L) for j, k = 1..N, the Gram
-    matrix of the potential's window, from its cosine moments
-    w = c - 2 L phi_x_off delta_0 (c_0..c_2N). ``share`` is the window's
-    fraction W / n of the grid, from which the range finder predicts the
-    rank.
+    matrix of the potential's window, from its cosine moments w_0..w_2N.
+    ``share`` is the window's fraction W / n of the grid, from which the
+    range finder predicts the rank.
 
     Toeplitz minus Hankel in w is convolution with w's even extension of
     the odd extension of x (x_-k = -x_k), whose lags j - k run over
@@ -102,22 +104,15 @@ class _WindowGram:
     """
 
     moments: np.ndarray
-    phi_x_off: float
     L: float
     N: int
     share: float
 
     @cached_property
-    def _window_moments(self):
-        w = self.moments[: 2 * self.N + 1].copy()
-        w[0] -= 2.0 * self.L * self.phi_x_off
-        return w
-
-    @cached_property
     def _symbol(self):
         # h[r] = w_|d| for the lag d = r (mod 3N) in -(N-1)..2N
         n = self.N
-        w = self._window_moments
+        w = self.moments
         h = np.empty(3 * n)
         h[: 2 * n + 1] = w
         h[2 * n + 1 :] = w[n - 1 : 0 : -1]
@@ -148,7 +143,7 @@ class _WindowGram:
         an ill-conditioned Omega Q shows up as Ritz values of B above the
         tolerance, so the count check doubles the columns, as it does for a
         singular Omega Q, and past the cap the dense step answers."""
-        floor = np.abs(self._window_moments).max() / (2.0 * self.L)
+        floor = np.abs(self.moments).max() / (2.0 * self.L)
         cap = min(_RANK_MAX, self.N // 4)
         # the test rows Omega drawn so far and their products Y = Omega G_w
         Omega = Y = np.empty((0, self.N))
@@ -185,30 +180,24 @@ class _WindowGram:
 
 @dataclass(frozen=True, eq=False)
 class QuadFormMatrix:
-    """Symmetric Galerkin matrix of the form on the first N sine modes: the
-    Gram matrix of phi_x, G[j, k] = (c_|j-k| - c_(j+k)) / (2L) for its
-    cosine moments c_0..c_2N, plus ``diagonal`` on the diagonal.
-
-    ``phi_x_off`` is phi_x's constant value off the potential's window, so
-    the matrix is Delta + G_w: the diagonal Delta = diagonal + phi_x_off and
-    the window's Gram matrix, which ``assemble`` attaches and
-    ``min_eigenvalue`` applies and compresses from the moments.
-    ``entries``, the dense N x N array, is built when first read.
+    """Symmetric Galerkin matrix of the form on the first N sine modes,
+    Delta + G_w: the diagonal Delta (``diagonal``) and the Gram matrix G_w
+    of the potential's window, which ``min_eigenvalue`` applies and
+    compresses from the window's moments. ``entries``, the dense N x N
+    array, is built when first read.
     """
 
     L: float
     N: int
     order: OperatorOrder
-    moments: np.ndarray
     diagonal: np.ndarray
-    phi_x_off: float
     # G_w with its FFT symbol and compression, each built on first use;
     # dataclasses.replace passes it on, so a shifted copy shares them
     _window: _WindowGram = field(repr=False)
 
     @cached_property
     def entries(self) -> np.ndarray:
-        A = gram_from_cosine(self.moments, self.N) / self.L
+        A = gram_from_cosine(self._window.moments, self.N) / self.L
         A[np.diag_indices_from(A)] += self.diagonal
         return A
 
@@ -239,12 +228,13 @@ def _kinetic_diagonal(L, N, order):
 
 
 def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorOrder.FOURTH) -> QuadFormMatrix:
-    """Galerkin matrix: diagonal kinetic symbol plus the potential Gram matrix.
+    """Galerkin matrix Delta + G_w: the kinetic symbol plus phi_x's constant
+    phi_x_off on the diagonal Delta, and the Gram matrix of the window.
 
-    The Gram entries int phi_x e_j e_k reduce by the product-to-sum identity to
-    differences of cosine moments of phi_x, which the profile computes once.
-    The matrix keeps the moments and builds its dense entries only when they
-    are read. Needs grid points >= 4N so moment 2N is resolved.
+    Its entries int (phi_x - phi_x_off) e_j e_k reduce by the product-to-sum
+    identity to differences of the window's cosine moments, which the
+    profile computes once. The matrix keeps them and builds its dense entries
+    only when they are read. Needs grid points >= 4N so moment 2N is resolved.
     """
     if N < 8:
         raise ValueError("N must be at least 8")
@@ -252,15 +242,12 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     if n < 4 * N:
         raise UnderResolvedGridError(f"grid has {n} points, need >= {4 * N} for N = {N}")
     L = profile.L
-    moments = profile.cosine_moments(2 * N + 1)
     return QuadFormMatrix(
         L=L,
         N=N,
         order=order,
-        moments=moments,
-        diagonal=_kinetic_diagonal(L, N, order),
-        phi_x_off=profile.phi_x_off,
-        _window=_WindowGram(moments, profile.phi_x_off, L, N, profile.window.size / n),
+        diagonal=_kinetic_diagonal(L, N, order) + profile.phi_x_off,
+        _window=_WindowGram(profile._window_moments(2 * N + 1), L, N, profile.window.size / n),
     )
 
 
@@ -332,12 +319,12 @@ def _secular_vector(m):
     min Delta + min(0, min C) holds whenever |U| <= 1, as for the leading
     rows of an orthonormal U that ``certify`` lends a level from the one
     above it."""
-    if not (np.isfinite(m.moments).all() and np.isfinite(m.diagonal).all() and np.isfinite(m.phi_x_off)):
+    if not (np.isfinite(m._window.moments).all() and np.isfinite(m.diagonal).all()):
         raise EigensolverError("matrix has a non-finite moment or diagonal entry")
     if m._window.compressed is None:
         return None
     U, C = m._window.compressed
-    delta = m.diagonal + m.phi_x_off
+    delta = m.diagonal
     weyl = delta.min() + min(0.0, C.min(initial=0.0))
     lo = weyl - 1e-8 * (1.0 + abs(weyl))
     hi = float(np.min(delta + (U * U) @ C))
@@ -389,7 +376,7 @@ def _minima(forms):
     X = [x for x in vectors if x is not None]
     GX = iter(forms[0]._window.apply(np.stack(X)) if X else ())
     return [
-        _array_min(A) if x is None else float(x @ ((A.diagonal + A.phi_x_off) * x) + x @ next(GX))
+        _array_min(A) if x is None else float(x @ (A.diagonal * x) + x @ next(GX))
         for A, x in zip(forms, vectors)
     ]
 
@@ -408,8 +395,8 @@ def min_eigenvalue(m) -> float:
       finds the model's lambda_min in 2-9 probes of O(N r^2). The value
       returned is the Rayleigh quotient on A, applied from the moments, of
       the model's closed-form eigenvector: a Rayleigh-Ritz upper bound on
-      A's lambda_min. A NaN or infinity in the moments, the diagonal or
-      phi_x_off raises ``EigensolverError`` before any solve.
+      A's lambda_min. A NaN or infinity in the moments or the diagonal
+      raises ``EigensolverError`` before any solve.
     - Dense ``eigvalsh``: a ``QuadFormMatrix`` goes on as its ``entries``
       where the range finder's rank is past its column cap (as for a
       sampled profile's whole-grid window, before any product), and where
@@ -438,9 +425,7 @@ def _shifted(A: QuadFormMatrix) -> QuadFormMatrix:
 def certify(
     profile: PotentialProfile,
     order: OperatorOrder = OperatorOrder.FOURTH,
-    n_start: int = 64,
     n_cap: int | None = None,
-    rtol: float = 1e-6,
 ) -> CoercivityReport:
     """Mode-doubling certification of the form and its shifted variant.
 
@@ -449,7 +434,7 @@ def certify(
     target inequality; the second-order form shifts analogously. Both smallest
     eigenvalues must be stable under doubling before the report is issued.
 
-    The ladder starts at N_0 = max(n_start, 2^ceil(log2(L / 2))): the form's
+    The ladder starts at N_0 = max(_N_START, 2^ceil(log2(L / 2))): the form's
     minimizing mode sits near m = 0.26 L, which the sine subspace holds once
     N >= L / 4, and two levels below that would agree on values that miss
     it. Without ``n_cap`` the ladder stops at max(4096, 2 N_0); an explicit
@@ -464,7 +449,7 @@ def certify(
     every level; a sampled profile takes the dense step, one fill per form,
     up to ``_FILL_MAX``.
     """
-    N = max(n_start, 1 << max(0, math.ceil(math.log2(profile.L / 2.0))))
+    N = max(_N_START, 1 << max(0, math.ceil(math.log2(profile.L / 2.0))))
     cap = max(4096, 2 * N) if n_cap is None else n_cap
     used = []
     lam = margin = upper = None
@@ -481,8 +466,8 @@ def certify(
         used.append(N)
         if (
             lam_prev is not None
-            and abs(lam - lam_prev) < rtol * (1.0 + abs(lam))
-            and abs(margin - margin_prev) < rtol * (1.0 + abs(margin))
+            and abs(lam - lam_prev) < _RTOL * (1.0 + abs(lam))
+            and abs(margin - margin_prev) < _RTOL * (1.0 + abs(margin))
         ):
             return CoercivityReport(
                 lambda_min=lam,

@@ -289,30 +289,28 @@ class PotentialProfile:
             raise ValueError(f"solver grid ({N}) must divide the profile grid ({self.n})")
         return self._phi_at(np.arange(N, dtype=np.int64) * (self.n // N))
 
-    def _compute_moments(self, count):
-        # C_m = dx * sum_j phi_x[j] cos(m pi x_j / L) with x_j = -L + j dx;
-        # the window starts at x_{j0}, hence the phase exp(-i pi m x_{j0} / L)
-        count = min(count, self.n // 2 + 1)
-        m = np.arange(count, dtype=np.int64)
-        turns = (m * (2 * self.j0 - self.n)) % (2 * self.n)
-        phase = np.exp(-1j * np.pi * turns / self.n)
-        c = self.dx * (phase * _window_dft(self.window, self.n, count)).real
-        c[0] += 2.0 * self.L * self.phi_x_off
-        return c
+    def _window_moments(self, count):
+        """Trapezoid cosine moments w_m of the window, phi_x - phi_x_off,
+        for m < count (count <= n/2 + 1). They are computed on the first
+        call, as many as that call's transform length yields at no extra
+        cost (at most n/2 + 1); a larger count recomputes and keeps them."""
+        if count > self.n // 2 + 1:
+            raise ValueError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}")
+        if self._moments.size < count:
+            # w_m = dx * sum_i window[i] cos(m pi x_(j0+i) / L), x_j = -L + j dx;
+            # the window starts at x_{j0}, hence the phase exp(-i pi m x_{j0} / L)
+            W = self.window.size
+            m = np.arange(min(_pow2(W + count - 1) - W + 1, self.n // 2 + 1), dtype=np.int64)
+            phase = np.exp(-1j * np.pi * ((m * (2 * self.j0 - self.n)) % (2 * self.n)) / self.n)
+            object.__setattr__(self, "_moments", self.dx * (phase * _window_dft(self.window, self.n, m.size)).real)
+        return self._moments[:count]
 
     def cosine_moments(self, count: int) -> np.ndarray:
         """Trapezoid cosine moments C_m = int phi_x cos(m pi x / L) dx for
-        m < count (count <= n/2 + 1). They are computed on the first call,
-        as many as that call's transform length yields at no extra cost
-        (at most n/2 + 1); a larger count recomputes and keeps them."""
-        if count > self.n // 2 + 1:
-            raise ValueError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}")
-        moments = self._moments
-        if moments.size < count:
-            W = self.window.size
-            moments = self._compute_moments(_pow2(W + count - 1) - W + 1)
-            object.__setattr__(self, "_moments", moments)
-        return moments[:count]
+        m < count: the window's, plus 2 L phi_x_off in C_0."""
+        c = self._window_moments(count).copy()
+        c[:1] += 2.0 * self.L * self.phi_x_off
+        return c
 
     @cached_property
     def _norms(self) -> "ProfileNorms":

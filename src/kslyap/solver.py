@@ -6,7 +6,7 @@ Fourier coefficients are stored normalized, uhat = fft(u)/N, so Parseval reads
 |u|_2^2 = 2L * sum |uhat|^2. States and trajectories hold the real-FFT half
 spectrum m = 0..N/2, rfft(u)/N (modes m < 0 are its conjugates), and one
 kernel steps it for `step` and `simulate`. The kernel runs in buffers
-allocated once per call of either, with the dealiased derivative folded into
+allocated once per setting, with the dealiased derivative folded into
 the ETDRK4 coefficients, so a step costs eight transforms and ~20 in-place
 products and sums at numpy's per-call overhead. Its transforms call the
 pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` dispatch to
@@ -110,9 +110,6 @@ def default_transient(L, N, gamma=0.0):
     return max(200.0, 10.0 / float(np.min(growing)))
 
 
-_COEFF_CACHE: dict = {}
-
-
 def _half_ddx(L, N):
     """g = i k/(2N) on the half spectrum m = 0..N/2, 0 above the 2/3-rule
     band: g * rfft(u^2) is the normalized, dealiased (u^2/2)_x = u u_x."""
@@ -125,10 +122,6 @@ def _etdrk4_coeffs(L, N, dt, gamma):
     (E, E2, Q g, f1 g, 2 f2 g, f3 g) with g = _half_ddx(L, N) folded in, so a
     step multiplies them by rfft(u^2) directly. Stored complex so products
     with the state need no casting."""
-    key = (L, N, dt, gamma)
-    hit = _COEFF_CACHE.get(key)
-    if hit is not None:
-        return hit
     sig = linear_symbol(L, N, gamma)[: N // 2 + 1]
     E = np.exp(dt * sig)
     E2 = np.exp(0.5 * dt * sig)
@@ -141,11 +134,7 @@ def _etdrk4_coeffs(L, N, dt, gamma):
     f2 = dt * np.mean((2.0 + LR + eLR * (-2.0 + LR)) / LR3, axis=1).real
     f3 = dt * np.mean((-4.0 - 3.0 * LR - LR2 + eLR * (4.0 - LR)) / LR3, axis=1).real
     g = _half_ddx(L, N)
-    coeffs = (E.astype(complex), E2.astype(complex), Q * g, f1 * g, 2.0 * f2 * g, f3 * g)
-    if len(_COEFF_CACHE) > 64:
-        _COEFF_CACHE.clear()
-    _COEFF_CACHE[key] = coeffs
-    return coeffs
+    return (E.astype(complex), E2.astype(complex), Q * g, f1 * g, 2.0 * f2 * g, f3 * g)
 
 
 def _full(w):
@@ -235,9 +224,23 @@ class _Kernel:
         return out
 
 
+# one kernel per (L, N, dt, gamma, odd_only), whose buffers every call at
+# that setting shares (so stepping is not thread-safe); emptied past 64
+_COEFF_CACHE: dict = {}
+
+
+def _kernel(L, N, dt, gamma, odd_only):
+    key = (L, N, dt, gamma, odd_only)
+    if key not in _COEFF_CACHE:
+        if len(_COEFF_CACHE) > 64:
+            _COEFF_CACHE.clear()
+        _COEFF_CACHE[key] = _Kernel(*key)
+    return _COEFF_CACHE[key]
+
+
 def step(state: SpectralState, cfg: SolveConfig) -> SpectralState:
     """One ETDRK4 step of length cfg.dt."""
-    kernel = _Kernel(state.L, state.N, cfg.dt, cfg.gamma, cfg.odd_only)
+    kernel = _kernel(state.L, state.N, cfg.dt, cfg.gamma, cfg.odd_only)
     t_new = state.t + cfg.dt
     return replace(state, half=kernel(state.half, np.empty_like(state.half), t_new), t=t_new)
 
@@ -285,7 +288,7 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
             f"record_every = {cfg.record_every} exceeds the {total} steps to t_end: none would be recorded"
         )
     rec_idx = np.arange(0, n_steps + 1, cfg.record_every)
-    kernel = _Kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
+    kernel = _kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
     half = np.empty((rec_idx.size, N // 2 + 1), dtype=complex)
 
     v = half[0] = _project(initial.half.copy(), cfg.odd_only)

@@ -351,6 +351,26 @@ def test_flags_override_config_of_every_kind(tmp_path, monkeypatch):
     assert args["L_list"] == [32.0]
 
 
+def test_mistyped_switch_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # a switch reads 1/true/yes/on or 0/false/no/off; any other value
+    # is an error naming the key and the value, raised before the command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 50\nodd = ture\n")
+    monkeypatch.setattr(cli, "_cmd_simulate", lambda args, out_dir: pytest.fail("the command ran"))
+    assert main(["simulate", "--config", str(cfg), "--t-end", "20", "--transient", "10"]) == 2
+    assert "odd = 'ture'" in capsys.readouterr().err
+    for text, value in (("ON", True), (" no ", False), ("0", False), ("Yes", True)):
+        assert cli._parse_bool("odd", text) is value
+
+
+@pytest.mark.parametrize("command", ["exponents", "build-potential", "verify", "bound", "fit", "molinet"])
+def test_seed_is_a_flag_of_simulate_and_sweep_only(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--seed", "3"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["order = sixth", "N = many", "L = wide"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"

@@ -275,13 +275,26 @@ def _refuse(monkeypatch, *names):
 @pytest.mark.parametrize("order", list(OperatorOrder))
 @pytest.mark.parametrize("N", [64, 512])
 def test_entries_are_the_gram_fill(profile32, order, N):
-    # built on first read, bit for bit the moment fill plus the symbol
+    # built on first read, bit for bit the window's moment fill plus the
+    # symbol and phi_x's constant
     kp = (np.pi / 32.0) * np.arange(1, N + 1)
-    A = gram_from_cosine(profile32.cosine_moments(2 * N + 1), N) / 32.0
-    A[np.diag_indices_from(A)] += _symbol(32.0, N) if order is OperatorOrder.FOURTH else kp**2 - 1.0
+    A = gram_from_cosine(profile32._window_moments(2 * N + 1), N) / 32.0
+    symbol = _symbol(32.0, N) if order is OperatorOrder.FOURTH else kp**2 - 1.0
+    A[np.diag_indices_from(A)] += symbol + profile32.phi_x_off
     m = assemble(profile32, N, order)
     assert "entries" not in vars(m)
     assert np.array_equal(m.entries, A)
+
+
+@pytest.mark.parametrize("order", list(OperatorOrder))
+def test_diagonal_is_the_symbol_plus_the_constant(profile32, make_flat_profile, order):
+    # Delta = kinetic symbol + phi_x_off, bit for bit: the constant is added
+    # once, in assemble, and the window's moments leave it out
+    for p in (profile32, make_flat_profile(L=64.0, n=4096, slope=0.5)):
+        m = assemble(p, 256, order)
+        want = coercivity._kinetic_diagonal(p.L, 256, order) + p.phi_x_off
+        assert np.array_equal(m.diagonal.view(np.int64), want.view(np.int64))
+        assert np.array_equal(m._window.moments, p._window_moments(2 * 256 + 1))
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +356,7 @@ def test_structured_second_order(profile32, monkeypatch, N):
         sigmas.clear()
         assert abs(min_eigenvalue(m) - ref) <= 1e-9 * (1.0 + abs(ref))
         U, C = m._window.compressed
-        delta = m.diagonal + m.phi_x_off
+        delta = m.diagonal
         assert ref < delta.min() - 100.0 and delta.min() < np.min(delta + (U * U) @ C)
         assert len(sigmas) <= 12
 
@@ -464,7 +477,7 @@ def test_one_product_model_matches_two_sided_projection(critical_pair, L, N):
     Q = np.linalg.qr(window.apply(coercivity._test_rows(0, k, N)).T)[0]
     B = window.apply(np.ascontiguousarray(Q.T)) @ Q
     theta, V = np.linalg.eigh(0.5 * (B + B.T))
-    keep = np.abs(theta) > coercivity._RANK_TOL * max(np.abs(theta).max(), np.abs(window._window_moments).max() / (2.0 * L))
+    keep = np.abs(theta) > coercivity._RANK_TOL * max(np.abs(theta).max(), np.abs(window.moments).max() / (2.0 * L))
     U2, C2 = Q @ V[:, keep], theta[keep]
     X = coercivity._test_rows(1000, 1004, N)
     exact = window.apply(X)
@@ -501,7 +514,7 @@ def test_sampled_profile_takes_the_dense_step(make_flat_profile, profile32, monk
     assert abs(got.delta_margin - want.delta_margin) <= 1e-9
     # the flat control phi_x = 0: lambda_min is min Delta
     flat = assemble(make_flat_profile(L=64.0, n=16384, slope=0.0), 512)
-    assert abs(min_eigenvalue(flat) - (flat.diagonal + flat.phi_x_off).min()) <= 1e-12
+    assert abs(min_eigenvalue(flat) - flat.diagonal.min()) <= 1e-12
 
 
 def test_rank_past_cap_takes_eigvalsh(profile32, monkeypatch):
@@ -541,7 +554,7 @@ def test_inertia_count_matches_model_spectrum(profile32):
     # kept) and for the bordered one the secular step uses
     m = assemble(profile32, 512)
     U, C = m._window.compressed
-    delta = m.diagonal + m.phi_x_off
+    delta = m.diagonal
     model = (U * C) @ U.T + np.diag(delta)
     spectrum = np.linalg.eigvalsh(model)
     for inner in (np.zeros(512, bool), delta <= np.diagonal(model).min()):
@@ -584,7 +597,7 @@ def test_probe_matches_oracle_bit_for_bit(profile32, order):
     # bracket and with entries of Delta below sigma
     m = assemble(profile32, 512, order)
     U, C = m._window.compressed
-    delta = m.diagonal + m.phi_x_off
+    delta = m.diagonal
     hi = float(np.min(delta + (U * U) @ C))
     inner = delta <= hi
     secular = coercivity._Secular(delta, U, C, inner)
@@ -614,14 +627,17 @@ def test_structured_path_allocates_no_dense_matrix(critical_pair):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["window", "diagonal", "phi_x_off"])
 def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, bad, where):
+    # a profile with a non-finite window sample or constant phi_x_off, and
+    # a matrix with a non-finite diagonal entry
     if where == "window":
         window = profile32.window.copy()
         window[window.size // 3] = bad
         m = assemble(replace(profile32, window=window), 512)
+    elif where == "phi_x_off":
+        m = assemble(replace(profile32, phi_x_off=bad), 512)
     else:
         m = assemble(profile32, 512)
-        m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal)) if where == "diagonal" else m
-        m = replace(m, phi_x_off=bad) if where == "phi_x_off" else m
+        m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal))
     _refuse(monkeypatch, "_Secular", "eigvalsh")
     with pytest.raises(EigensolverError):
         min_eigenvalue(m)
@@ -690,7 +706,7 @@ def test_certify_free_operator_negative_beyond_pi(make_flat_profile):
 
 def test_certify_inconclusive_at_cap(profile32):
     with pytest.raises(CertificationInconclusiveError):
-        certify(profile32, n_start=64, n_cap=64)
+        certify(profile32, n_cap=64)
 
 
 def test_certify_honours_a_cap_below_the_first_level(critical_pair):

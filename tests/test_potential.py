@@ -3,6 +3,7 @@ assembly, file round trip, and the quartic descent construction."""
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,17 +302,48 @@ def test_moments_computed_on_demand(monkeypatch, critical_pair):
     assert calls == []
     counts = [129, 1025, 4097, 8193]
     for p in built:
-        ref = p._compute_moments(8193)
+        # a fresh copy's first request takes the transform length that
+        # 8193 moments need
+        ref = replace(p)._window_moments(8193)
         tol = 1e-12 * np.max(np.abs(ref))
         calls.clear()
         for c in counts:
-            assert np.max(np.abs(p.cosine_moments(c) - ref[:c])) <= tol
+            assert np.max(np.abs(p._window_moments(c) - ref[:c])) <= tol
         rising = len(calls)
         assert 1 <= rising <= len(counts)
         for c in counts[::-1]:
-            got = p.cosine_moments(c)
+            got = p._window_moments(c)
             assert got.size == c and np.max(np.abs(got - ref[:c])) <= tol
+            assert np.array_equal(p.cosine_moments(c)[1:], got[1:])
         assert len(calls) == rising  # smaller requests reuse the kept moments
+
+
+def _moments_as_before(p, count):
+    """cosine_moments(count) of a profile whose moments are not yet kept,
+    in one piece: the window's transform at the length that count takes,
+    with 2 L phi_x_off added to C_0 before anything is kept. The reference
+    for cosine_moments, which keeps the window's moments and adds the
+    constant to a copy."""
+    W = p.window.size
+    total = min(potential._pow2(W + count - 1) - W + 1, p.n // 2 + 1)
+    m = np.arange(total, dtype=np.int64)
+    phase = np.exp(-1j * np.pi * ((m * (2 * p.j0 - p.n)) % (2 * p.n)) / p.n)
+    c = p.dx * (phase * potential._window_dft(p.window, p.n, total)).real
+    c[0] += 2.0 * p.L * p.phi_x_off
+    return c[:count]
+
+
+@pytest.mark.parametrize("count", [129, 1025])
+def test_cosine_moments_keep_their_bits(critical_pair, count):
+    # moment 0 included, on a constructed profile (phi_x_off != 0) and on
+    # sampled ones (phi_x_off = 0); each profile is fresh, so the moments
+    # are computed at the transform length of this count
+    built = build_profile(32.0, pair=critical_pair)
+    samples = PotentialProfile.from_samples(32.0, built.phi_x, built.mean_q, critical_pair)
+    x = np.linspace(-1.0, 1.0, 4096)
+    for p in (built, samples, PotentialProfile.from_samples(64.0, x, -1.0, critical_pair)):
+        assert np.array_equal(_bits(p.cosine_moments(count)), _bits(_moments_as_before(p, count)))
+    assert built.phi_x_off != 0.0
 
 
 @pytest.mark.parametrize("L", [2048.0, 1e4])

@@ -456,6 +456,28 @@ def test_simulate_runs_only_recorded_steps(monkeypatch):
         simulate(st, SolveConfig(dt=0.05, t_end=1.0, record_every=100))
 
 
+@pytest.mark.parametrize("odd_only", [True, False])
+def test_step_reuses_one_kernel(monkeypatch, odd_only):
+    # 100 steps at one setting build one kernel, and give the states that a
+    # kernel built afresh for every step gives, bit for bit
+    L, N = 8.0 * np.pi, 128
+    cfg = SolveConfig(gamma=0.1, dt=0.05, odd_only=odd_only)
+    st = random_initial(L, N, seed=4, amplitude=2.0, odd_only=odd_only)
+    ref = [st.half]
+    for i in range(1, 101):
+        fresh = solver._Kernel(L, N, cfg.dt, cfg.gamma, odd_only)
+        ref.append(fresh(ref[-1], np.empty_like(st.half), st.t + i * cfg.dt))
+    built = []
+    init = solver._Kernel.__init__
+    monkeypatch.setattr(solver._Kernel, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(solver, "_COEFF_CACHE", {})
+    state = st
+    for want in ref[1:]:
+        state = step(state, cfg)
+        assert np.array_equal(state.half.view(np.float64), want.view(np.float64))
+    assert built == [(L, N, cfg.dt, cfg.gamma, odd_only)]
+
+
 def _blow_up_config():
     return random_initial(10.0, 64, seed=0, amplitude=1e8), SolveConfig(dt=0.5, t_end=50.0)
 
