@@ -27,6 +27,7 @@ take the dense step, up to ``_FILL_MAX``:
   gives up on takes it too.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -35,11 +36,7 @@ import numpy as np
 
 from ._accel import gram_from_cosine, splitmix53
 from .exponents import OperatorOrder
-from .potential import PotentialProfile, SmoothedPotential, _simpson
-
-
-class UnderResolvedGridError(ValueError):
-    """Profile grid too coarse for the requested mode count."""
+from .potential import PotentialProfile, SmoothedPotential, UnderResolvedGridError, _simpson
 
 
 class EigensolverError(RuntimeError):
@@ -234,20 +231,19 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     Its entries int (phi_x - phi_x_off) e_j e_k reduce by the product-to-sum
     identity to differences of the window's cosine moments, which the
     profile computes once. The matrix keeps them and builds its dense entries
-    only when they are read. Needs grid points >= 4N so moment 2N is resolved.
+    only when they are read. A grid too coarse for moment 2N raises
+    ``UnderResolvedGridError`` before any transform.
     """
     if N < 8:
         raise ValueError("N must be at least 8")
-    n = profile.n
-    if n < 4 * N:
-        raise UnderResolvedGridError(f"grid has {n} points, need >= {4 * N} for N = {N}")
+    moments = profile._window_moments(2 * N + 1)
     L = profile.L
     return QuadFormMatrix(
         L=L,
         N=N,
         order=order,
         diagonal=_kinetic_diagonal(L, N, order) + profile.phi_x_off,
-        _window=_WindowGram(profile._window_moments(2 * N + 1), L, N, profile.window.size / n),
+        _window=_WindowGram(moments, L, N, profile.window.size / profile.n),
     )
 
 
@@ -458,9 +454,10 @@ def certify(
             A, upper = upper, None
         else:
             A = assemble(profile, N, order)
-            if 2 * N <= cap and profile.n >= 8 * N:
-                upper = assemble(profile, 2 * N, order)
-                upper._window.lend(A._window)
+            if 2 * N <= cap:
+                with contextlib.suppress(UnderResolvedGridError):
+                    upper = assemble(profile, 2 * N, order)
+                    upper._window.lend(A._window)
         lam_prev, margin_prev = lam, margin
         lam, margin = _minima((A, _shifted(A)))
         used.append(N)

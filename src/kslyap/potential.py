@@ -35,6 +35,10 @@ class MeanConditionError(ValueError):
     """Rescaled potential mean is not negative enough for the shift step."""
 
 
+class UnderResolvedGridError(ValueError):
+    """Profile grid too coarse for the requested cosine moments."""
+
+
 class DescentFailureError(RuntimeError):
     """Gradient descent did not reach the requested tolerance."""
 
@@ -227,8 +231,8 @@ class PotentialProfile:
     potential is compactly supported, so W stays near 5k samples however
     large n grows; caller-supplied samples (``from_samples``) are a window
     as long as the grid. Cosine moments, norms and phi at solver nodes are
-    computed from the window in O(W + N) memory, each when first read. The
-    dense phi_x is built only when read.
+    computed from the window in O(W + N) memory, each when first read; no
+    dense phi_x is ever built.
     """
 
     L: float
@@ -267,12 +271,6 @@ class PotentialProfile:
     def dx(self) -> float:
         return 2.0 * self.L / self.n
 
-    @cached_property
-    def phi_x(self) -> np.ndarray:
-        out = np.full(self.n, self.phi_x_off)
-        out[self.j0 : self.j0 + self.window.size] += self.window
-        return out
-
     def _phi_at(self, j) -> np.ndarray:
         """phi, the trapezoid integral of phi_x that is zero at x = 0 (index
         n/2), at grid indices j: affine off the window, where phi_x is
@@ -291,11 +289,13 @@ class PotentialProfile:
 
     def _window_moments(self, count):
         """Trapezoid cosine moments w_m of the window, phi_x - phi_x_off,
-        for m < count (count <= n/2 + 1). They are computed on the first
-        call, as many as that call's transform length yields at no extra
-        cost (at most n/2 + 1); a larger count recomputes and keeps them."""
+        for m < count. The grid resolves count <= n/2 + 1 (moment 2N of N
+        modes needs n >= 4N); past that: ``UnderResolvedGridError``. They are
+        computed on the first call, as many as that call's transform length
+        yields at no extra cost (at most n/2 + 1); a larger count recomputes
+        and keeps them."""
         if count > self.n // 2 + 1:
-            raise ValueError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}")
+            raise UnderResolvedGridError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}, not {count}")
         if self._moments.size < count:
             # w_m = dx * sum_i window[i] cos(m pi x_(j0+i) / L), x_j = -L + j dx;
             # the window starts at x_{j0}, hence the phase exp(-i pi m x_{j0} / L)
@@ -304,13 +304,6 @@ class PotentialProfile:
             phase = np.exp(-1j * np.pi * ((m * (2 * self.j0 - self.n)) % (2 * self.n)) / self.n)
             object.__setattr__(self, "_moments", self.dx * (phase * _window_dft(self.window, self.n, m.size)).real)
         return self._moments[:count]
-
-    def cosine_moments(self, count: int) -> np.ndarray:
-        """Trapezoid cosine moments C_m = int phi_x cos(m pi x / L) dx for
-        m < count: the window's, plus 2 L phi_x_off in C_0."""
-        c = self._window_moments(count).copy()
-        c[:1] += 2.0 * self.L * self.phi_x_off
-        return c
 
     @cached_property
     def _norms(self) -> "ProfileNorms":
@@ -361,7 +354,10 @@ def _phi_xx_sum_of_squares(v, n, L):
     T_0 = (pi/L)^2 M(M+1)(2M+1)/(3n), M = n/2 - 1, evaluated by one real
     FFT convolution padded to the power of two at or above 2W - 1. When the
     window spans half the grid or more, the n-point spectrum is no larger and
-    is summed directly.
+    is summed directly. That sum is also the accurate one there: T's entries
+    reach (pi/L)^2 n^2 / 12 and cancel on a smooth window, so the Toeplitz
+    form of a constant window is negative, and of a Gaussian window at
+    n = 2^19 it is off by 3e-7 relative.
     """
     W = v.size
     scale = (np.pi / L) ** 2

@@ -99,22 +99,22 @@ def read_sweep_csv(path):
     return records
 
 
+def _error_row(L, exc: Exception) -> SweepRecord:
+    return SweepRecord(L=float(L), error=f"{type(exc).__name__}: {exc}")
+
+
 def _sweep_one(
     L,
-    sp: SmoothedPotential | Exception,
+    sp: SmoothedPotential,
     pair,
     run_simulation=False,
     gamma=0.0,
     t_end=None,
     seed=0,
 ) -> SweepRecord:
-    """One sweep row from the sweep's smoothed potential, or from the
-    exception that building it raised, which becomes the row's error."""
+    """One sweep row from the sweep's smoothed potential; a failure becomes
+    the row's error."""
     try:
-        if L < 8:
-            raise DomainTooSmallError(f"sweep requires L >= 8, got {L:g}")
-        if isinstance(sp, Exception):
-            raise sp
         profile = scaled_profile(sp, L, pair)
         report = certify(profile)
         nrm = norms(profile)
@@ -143,7 +143,7 @@ def _sweep_one(
             certified=report.certified,
         )
     except Exception as exc:  # noqa: BLE001 - per-L failures become rows
-        return SweepRecord(L=float(L), error=f"{type(exc).__name__}: {exc}")
+        return _error_row(L, exc)
 
 
 def sweep(
@@ -173,12 +173,13 @@ def sweep(
     if workers != 1:
         raise ValueError(f"sweeps run serially; workers must be 1, got {workers}")
     L_list = list(L_list)
+    failure = None
     try:
         if pair is None:
             pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
         sp = smooth(params if params is not None else PiecewiseParams(), smoothing)
-    except Exception as exc:  # noqa: BLE001 - _sweep_one turns it into error rows
-        sp = exc
+    except Exception as exc:  # noqa: BLE001 - written into every row below
+        failure = exc
     fh = writer = None
     if csv_path is not None:
         fh = open(csv_path, "w", newline="")
@@ -188,7 +189,12 @@ def sweep(
     records = []
     try:
         for L in L_list:
-            rec = _sweep_one(L, sp, pair, run_simulation, gamma, t_end, seed)
+            if L < 8:
+                rec = _error_row(L, DomainTooSmallError(f"sweep requires L >= 8, got {L:g}"))
+            elif failure is not None:
+                rec = _error_row(L, failure)
+            else:
+                rec = _sweep_one(L, sp, pair, run_simulation, gamma, t_end, seed)
             records.append(rec)
             if writer is not None:
                 writer.writerow(_record_to_row(rec))

@@ -7,6 +7,16 @@ from kslyap.exponents import OperatorOrder, solve_critical_exponents
 from kslyap.potential import PiecewiseParams, PotentialProfile, build_profile, smooth
 
 
+def dense_phi_x(profile):
+    """phi_x on the profile's whole n-point grid: phi_x_off everywhere, plus
+    the window on [j0, j0 + W). The package never builds this array; tests
+    use it as the reference the window must reproduce, and to hand the same
+    samples to ``PotentialProfile.from_samples``."""
+    out = np.full(profile.n, profile.phi_x_off)
+    out[profile.j0 : profile.j0 + profile.window.size] += profile.window
+    return out
+
+
 @pytest.fixture(scope="session")
 def critical_pair():
     return solve_critical_exponents(OperatorOrder.FOURTH).pair

@@ -93,7 +93,7 @@ def test_gram_matches_double_loop():
 def test_gram_matches_scipy_toeplitz_minus_hankel(profile32):
     # the sliding-window fill gives the same bits as the dense scipy
     # construction, in one C-ordered array
-    c = profile32.cosine_moments(2 * 512 + 1)
+    c = profile32._window_moments(2 * 512 + 1)
     for n in (1, 2, 7, 64, 512):
         G = _accel.gram_from_cosine(c, n)
         ref = 0.5 * (toeplitz(c[:n]) - hankel(c[2 : n + 2], c[n + 1 : 2 * n + 1]))

@@ -26,6 +26,8 @@ from kslyap.coercivity import (
 from kslyap.exponents import OperatorOrder
 from kslyap.potential import PotentialProfile, build_profile
 
+from conftest import dense_phi_x
+
 
 def _symbol(L, N):
     kp = (np.pi / L) * np.arange(1, N + 1)
@@ -501,10 +503,11 @@ def test_sampled_profile_takes_the_dense_step(make_flat_profile, profile32, monk
     # finder's column cap, so no product is formed and every level takes
     # the dense step, which certifies what the secular step does
     p = profile32
-    sampled = PotentialProfile.from_samples(32.0, p.phi_x, p.mean_q, p.exponents)
+    phi_x = dense_phi_x(p)
+    sampled = PotentialProfile.from_samples(32.0, phi_x, p.mean_q, p.exponents)
     assert (sampled.j0, sampled.phi_x_off) == (0, 0.0)
-    assert np.array_equal(sampled.window.view(np.int64), p.phi_x.view(np.int64))
-    assert not np.shares_memory(sampled.window, p.phi_x)
+    assert np.array_equal(sampled.window.view(np.int64), phi_x.view(np.int64))
+    assert not np.shares_memory(sampled.window, phi_x)
     want = certify(p)
     rows = _applied(monkeypatch)
     got = certify(sampled)
@@ -707,6 +710,21 @@ def test_certify_free_operator_negative_beyond_pi(make_flat_profile):
 def test_certify_inconclusive_at_cap(profile32):
     with pytest.raises(CertificationInconclusiveError):
         certify(profile32, n_cap=64)
+
+
+def test_certify_closes_at_a_level_whose_double_is_past_the_grid(critical_pair):
+    # n = 1024 points resolve moment 2N up to N = 256: level 256 has no
+    # upper level to lend it a compression and solves on its own. The
+    # potential's mode 100 couples the lowest modes to mode 102, first held
+    # at N = 128, so the ladder closes at (128, 256)
+    L, n = 8.0, 1024
+    x = -L + (2.0 * L / n) * np.arange(n)
+    p = PotentialProfile.from_samples(L, 3.0 + 1000.0 * np.cos(100.0 * np.pi * x / L), -1.0, critical_pair)
+    report = certify(p)
+    assert report.converged and report.N_sequence == (64, 128, 256)
+    assert report.lambda_min == min_eigenvalue(assemble(p, 256))
+    with pytest.raises(UnderResolvedGridError):
+        assemble(p, 512)
 
 
 def test_certify_honours_a_cap_below_the_first_level(critical_pair):

@@ -3,11 +3,14 @@ Galerkin matrices take the secular eigensolve (numpy) or ``eigvalsh``, and
 a fresh interpreter with scipy blocked runs the library and the CLI; the
 tests themselves use scipy only for independent references."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import dense_phi_x
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,8 +73,9 @@ def test_runs_with_scipy_blocked(tmp_path):
         "from kslyap.coercivity import certify\n"
         "from kslyap.potential import PotentialProfile, build_profile\n"
         f"{RAW_SOLVE}"
+        f"{inspect.getsource(dense_phi_x)}"
         "p = build_profile(32.0)\n"
-        "assert certify(PotentialProfile.from_samples(32.0, p.phi_x, p.mean_q, p.exponents)).certified\n"
+        "assert certify(PotentialProfile.from_samples(32.0, dense_phi_x(p), p.mean_q, p.exponents)).certified\n"
         f"out = {str(tmp_path)!r}\n"
         "codes = [\n"
         "    main(['verify', '--L', '64', '--out', out]),\n"

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kslyap import potential
+from kslyap import coercivity, potential
 from kslyap._accel import gram_from_cosine, splitmix53
-from kslyap.coercivity import certify
+from kslyap.coercivity import assemble, certify
 from kslyap.potential import (
     AdmissibilityError,
     BSConfig,
@@ -21,6 +21,7 @@ from kslyap.potential import (
     PiecewiseParams,
     PotentialProfile,
     SmoothingParams,
+    UnderResolvedGridError,
     assemble_profile,
     bs_functional_and_gradient,
     bs_optimal_potential,
@@ -33,6 +34,8 @@ from kslyap.potential import (
     smooth,
     write_profile,
 )
+
+from conftest import dense_phi_x
 
 
 def test_default_minors():
@@ -209,7 +212,7 @@ def test_build_profile_rejects_small_L():
 def test_profile_fields(profile32, critical_pair):
     p = profile32
     assert p.phi_nodes(2)[1] == 0.0  # phi is zero at x = 0
-    assert abs(float(np.mean(p.phi_x))) < 1e-8
+    assert abs(float(np.mean(dense_phi_x(p)))) < 1e-8
     assert p.mean_q <= -0.75
     assert np.isclose(p.mean_q, -70.22292042792031, rtol=1e-10)
     assert p.exponents == critical_pair
@@ -234,16 +237,17 @@ def _dense_reference(p):
     sums. phi is accumulated in long double, because a float64 cumulative
     trapezoid over 2^20 points drifts by ~7e-12 of max|phi|."""
     n, dx = p.n, p.dx
+    phi_x = dense_phi_x(p)
     m = np.arange(8193)
-    spectrum = np.fft.rfft(p.phi_x)
+    spectrum = np.fft.rfft(phi_x)
     moments = dx * np.where(m % 2, -1.0, 1.0) * spectrum[:8193].real
     kd = (np.pi / p.L) * np.arange(n // 2 + 1)
     kd[-1] = 0.0
     phi_xx = np.fft.irfft(1j * kd * spectrum, n)
-    px = p.phi_x.astype(np.longdouble)
+    px = phi_x.astype(np.longdouble)
     phi = np.concatenate(([0.0], np.cumsum(0.5 * np.longdouble(dx) * (px[:-1] + px[1:]))))
     phi = (phi - phi[n // 2]).astype(float)
-    nrm = [np.sqrt(dx * np.sum(f**2)) for f in (phi, p.phi_x, phi_xx)]
+    nrm = [np.sqrt(dx * np.sum(f**2)) for f in (phi, phi_x, phi_xx)]
     return moments, nrm, phi
 
 
@@ -262,9 +266,11 @@ def test_profile_matches_dense_reference(L, dense):
     if dense:
         # the caller-supplied form of the same samples: a window as long as
         # the grid, whose levels take the dense step
-        p = PotentialProfile.from_samples(L, p.phi_x, p.mean_q, p.exponents)
+        p = PotentialProfile.from_samples(L, dense_phi_x(p), p.mean_q, p.exponents)
     moments, ref_norms, phi = _dense_reference(p)
-    c = p.cosine_moments(8193)
+    # phi_x's moments: the window's, plus the constant's 2 L phi_x_off in C_0
+    c = p._window_moments(8193).copy()
+    c[0] += 2.0 * p.L * p.phi_x_off
     assert np.max(np.abs(c - moments)) <= 1e-9 * np.max(np.abs(moments))
     got = norms(p)
     for value, ref in zip(got[:3], ref_norms):
@@ -276,6 +282,27 @@ def test_profile_matches_dense_reference(L, dense):
         assert np.max(np.abs(p.phi_nodes(N) - nodes)) <= phi_tol * np.max(np.abs(phi))
     report = certify(p)
     assert abs(report.delta_margin - _dense_margin(moments, L, report.N_sequence[-1])) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1 << 14, 1 << 19])
+def test_sampled_norms_match_parseval(critical_pair, n):
+    # a sampled window spans the grid, so |phi_xx|^2 is its n-point spectrum
+    # summed directly. For phi_x = c + sum a_m cos(pi m x / L + t_m), m < n/2,
+    # Parseval gives |phi_x|^2 = 2 L c^2 + L sum a_m^2 and
+    # |phi_xx|^2 = L sum a_m^2 (pi m / L)^2, here in long double. The
+    # constant makes a Toeplitz form of the window cancel: its entries reach
+    # (pi/L)^2 n^2 / 12
+    L, c = 8.0, 2.5
+    modes = {1: (1.0, 0.3), 3: (-0.5, 1.1), 17: (0.25, 2.0), n // 4: (1e-3, 0.7), n // 2 - 1: (1e-6, 0.0)}
+    x = -L + (2.0 * L / n) * np.arange(n)
+    phi_x = c + sum(a * np.cos(np.pi * m * x / L + t) for m, (a, t) in modes.items())
+    got = norms(PotentialProfile.from_samples(L, phi_x, -1.0, critical_pair))
+    k = np.pi * np.array(list(modes), dtype=np.longdouble) / L
+    a2 = np.array([a for a, _ in modes.values()], dtype=np.longdouble) ** 2
+    want_x = np.sqrt(2 * L * np.longdouble(c) ** 2 + L * np.sum(a2))
+    want_xx = np.sqrt(L * np.sum(a2 * k**2))
+    assert abs(got.phi_x - want_x) <= 1e-12 * want_x
+    assert abs(got.phi_xx - want_xx) <= 1e-12 * want_xx
 
 
 def _bits(x):
@@ -314,16 +341,15 @@ def test_moments_computed_on_demand(monkeypatch, critical_pair):
         for c in counts[::-1]:
             got = p._window_moments(c)
             assert got.size == c and np.max(np.abs(got - ref[:c])) <= tol
-            assert np.array_equal(p.cosine_moments(c)[1:], got[1:])
         assert len(calls) == rising  # smaller requests reuse the kept moments
 
 
 def _moments_as_before(p, count):
-    """cosine_moments(count) of a profile whose moments are not yet kept,
-    in one piece: the window's transform at the length that count takes,
-    with 2 L phi_x_off added to C_0 before anything is kept. The reference
-    for cosine_moments, which keeps the window's moments and adds the
-    constant to a copy."""
+    """phi_x's first count cosine moments, of a profile whose moments are
+    not yet kept, in one piece: the window's transform at the length that
+    count takes, with 2 L phi_x_off added to C_0. The reference for
+    ``_window_moments``, which keeps the window's moments and leaves the
+    constant out."""
     W = p.window.size
     total = min(potential._pow2(W + count - 1) - W + 1, p.n // 2 + 1)
     m = np.arange(total, dtype=np.int64)
@@ -335,15 +361,38 @@ def _moments_as_before(p, count):
 
 @pytest.mark.parametrize("count", [129, 1025])
 def test_cosine_moments_keep_their_bits(critical_pair, count):
-    # moment 0 included, on a constructed profile (phi_x_off != 0) and on
-    # sampled ones (phi_x_off = 0); each profile is fresh, so the moments
-    # are computed at the transform length of this count
+    # on a constructed profile (phi_x_off != 0) and on sampled ones
+    # (phi_x_off = 0); each profile is fresh, so the moments are computed at
+    # the transform length of this count. Moment 0 takes the constant's
+    # 2 L phi_x_off on top of the window's
     built = build_profile(32.0, pair=critical_pair)
-    samples = PotentialProfile.from_samples(32.0, built.phi_x, built.mean_q, critical_pair)
+    samples = PotentialProfile.from_samples(32.0, dense_phi_x(built), built.mean_q, critical_pair)
     x = np.linspace(-1.0, 1.0, 4096)
     for p in (built, samples, PotentialProfile.from_samples(64.0, x, -1.0, critical_pair)):
-        assert np.array_equal(_bits(p.cosine_moments(count)), _bits(_moments_as_before(p, count)))
+        got, want = p._window_moments(count), _moments_as_before(p, count)
+        assert np.array_equal(_bits(got[1:]), _bits(want[1:]))
+        assert _bits(got[0] + 2.0 * p.L * p.phi_x_off) == _bits(want[0])
     assert built.phi_x_off != 0.0
+
+
+def test_window_moments_stop_at_the_grid_resolution(critical_pair):
+    # n points resolve moments 0..n/2: one more raises, naming n and the count
+    p = PotentialProfile.from_samples(8.0, np.linspace(-1.0, 1.0, 64), -1.0, critical_pair)
+    assert p._window_moments(33).size == 33
+    with pytest.raises(UnderResolvedGridError, match=r"\b64 points\b.*\bnot 34$"):
+        p._window_moments(34)
+    assert issubclass(UnderResolvedGridError, ValueError)
+    assert coercivity.UnderResolvedGridError is UnderResolvedGridError
+
+
+def test_assemble_under_resolved_transforms_nothing(monkeypatch, critical_pair):
+    # moment 2N of an N-mode matrix needs n >= 4N: a fresh profile refuses
+    # N = n/2 before any window transform
+    calls = _counted_window_dfts(monkeypatch)
+    p = build_profile(32.0, pair=critical_pair)
+    with pytest.raises(UnderResolvedGridError, match=f"{p.n} points.*{p.n + 1}"):
+        assemble(p, p.n // 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("L", [2048.0, 1e4])
@@ -352,7 +401,7 @@ def test_profile_memory_flat_in_L(L):
     try:
         p = build_profile(L)
         nrm = norms(p)
-        c = p.cosine_moments(8193)
+        c = p._window_moments(8193)
         p.phi_nodes(512)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -416,7 +465,7 @@ def test_profile_file_is_checked(tmp_path, default_sp, critical_pair):
     with pytest.raises(ValueError, match="params"):
         read_profile(path)
     # a profile from samples has no parameters that rebuild it
-    sampled = PotentialProfile.from_samples(2.0, p.phi_x, p.mean_q, critical_pair)
+    sampled = PotentialProfile.from_samples(2.0, dense_phi_x(p), p.mean_q, critical_pair)
     with pytest.raises(ValueError, match="from_samples"):
         write_profile(sampled, tmp_path / "sampled.json")
     # nor has the scaled potential assembled at L = 16 on twice the grid
@@ -432,7 +481,7 @@ def test_profile_file_is_checked(tmp_path, default_sp, critical_pair):
     with pytest.raises(TypeError):
         assemble_profile(q, L, pair=critical_pair, source=default_sp)
     with pytest.raises(TypeError):
-        PotentialProfile.from_samples(2.0, p.phi_x, p.mean_q, critical_pair, source=default_sp)
+        PotentialProfile.from_samples(2.0, dense_phi_x(p), p.mean_q, critical_pair, source=default_sp)
     with pytest.raises(ValueError, match="assemble_profile"):
         write_profile(assemble_profile(q, L, pair=critical_pair), tmp_path / "assembled.json")
     assert not (tmp_path / "assembled.json").exists()
