@@ -125,10 +125,9 @@ def _cmd_build_potential(args, out_dir):
 
 def _cmd_verify(args, out_dir):
     profile = _profile(args)
-    report = certify(profile, order=args.order)
+    report = certify(profile)
     payload = {
         "L": profile.L,
-        "order": report.order.value,
         "lambda_min": report.lambda_min,
         "delta_margin": report.delta_margin,
         "N_sequence": list(report.N_sequence),
@@ -303,7 +302,6 @@ def build_parser(**defaults):
 
     p = subs.add_parser("verify", help="certify coercivity of the form")
     p.add_argument("--L", type=float, help="domain half-length")
-    p.add_argument("--order", type=OperatorOrder, default=OperatorOrder.FOURTH, help="operator order: fourth or second")
     p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)

@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from ._accel import gram_from_cosine, splitmix53
-from .exponents import OperatorOrder
 from .potential import PotentialProfile, SmoothedPotential, UnderResolvedGridError, _simpson
 
 
@@ -65,8 +64,9 @@ _OVERSAMPLE = 4
 # the floor 1e-12.
 _RANK_TOL = 1e-12
 # Newton's method on the secular eigenvalue stops once its step is below
-# _SECULAR_TOL (1 + |sigma|), and gives up after _SECULAR_PROBES probes; 2-9
-# were needed over L = 12..8192, N = 64..2048, both orders and both forms
+# _SECULAR_TOL (1 + |sigma|), and gives up after _SECULAR_PROBES probes; 2-5
+# were needed over L = 12..8192, N = 64..2048 and both forms, and along
+# certify's ladders to L = 8192
 _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
 # certify's least first level, and the agreement of two levels it accepts
@@ -186,7 +186,6 @@ class QuadFormMatrix:
 
     L: float
     N: int
-    order: OperatorOrder
     diagonal: np.ndarray
     # G_w with its FFT symbol and compression, each built on first use;
     # dataclasses.replace passes it on, so a shifted copy shares them
@@ -209,7 +208,6 @@ class CoercivityReport:
     delta_margin: float
     N_sequence: tuple
     converged: bool
-    order: OperatorOrder = OperatorOrder.FOURTH
 
     @property
     def certified(self) -> bool:
@@ -217,14 +215,12 @@ class CoercivityReport:
         return self.converged and self.delta_margin > 0
 
 
-def _kinetic_diagonal(L, N, order):
+def _kinetic_diagonal(L, N):
     kp = (np.pi / L) * np.arange(1, N + 1)
-    if order is OperatorOrder.FOURTH:
-        return kp**4 - kp**2
-    return kp**2 - 1.0
+    return kp**4 - kp**2
 
 
-def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorOrder.FOURTH) -> QuadFormMatrix:
+def assemble(profile: PotentialProfile, N: int) -> QuadFormMatrix:
     """Galerkin matrix Delta + G_w: the kinetic symbol plus phi_x's constant
     phi_x_off on the diagonal Delta, and the Gram matrix of the window.
 
@@ -241,8 +237,7 @@ def assemble(profile: PotentialProfile, N: int, order: OperatorOrder = OperatorO
     return QuadFormMatrix(
         L=L,
         N=N,
-        order=order,
-        diagonal=_kinetic_diagonal(L, N, order) + profile.phi_x_off,
+        diagonal=_kinetic_diagonal(L, N) + profile.phi_x_off,
         _window=_WindowGram(moments, L, N, profile.window.size / profile.n),
     )
 
@@ -388,7 +383,7 @@ def min_eigenvalue(m) -> float:
       inertia counts prove the Weyl bound
       min Delta + min(0, min C) - 1e-8 (1 + |.|) below the model's
       spectrum, and Newton's method inside the bracket the counts keep
-      finds the model's lambda_min in 2-9 probes of O(N r^2). The value
+      finds the model's lambda_min in 2-5 probes of O(N r^2). The value
       returned is the Rayleigh quotient on A, applied from the moments, of
       the model's closed-form eigenvector: a Rayleigh-Ritz upper bound on
       A's lambda_min. A NaN or infinity in the moments or the diagonal
@@ -410,25 +405,18 @@ def min_eigenvalue(m) -> float:
 
 def _shifted(A: QuadFormMatrix) -> QuadFormMatrix:
     """The shifted variant of ``A``'s form, whose smallest eigenvalue is
-    ``certify``'s margin: a quarter of the leading kinetic term and a
-    quarter of the identity come off the diagonal. The copy shares A's
-    window, with its compression."""
+    ``certify``'s margin: a quarter of the kinetic term k^4 and a quarter
+    of the identity come off the diagonal. The copy shares A's window, with
+    its compression."""
     kp = (np.pi / A.L) * np.arange(1, A.N + 1)
-    leading = kp**4 if A.order is OperatorOrder.FOURTH else kp**2
-    return replace(A, diagonal=A.diagonal - (0.25 * leading + 0.25))
+    return replace(A, diagonal=A.diagonal - (0.25 * kp**4 + 0.25))
 
 
-def certify(
-    profile: PotentialProfile,
-    order: OperatorOrder = OperatorOrder.FOURTH,
-    n_cap: int | None = None,
-) -> CoercivityReport:
-    """Mode-doubling certification of the form and its shifted variant.
-
-    For the fourth-order form the shifted variant is
+def certify(profile: PotentialProfile, n_cap: int | None = None) -> CoercivityReport:
+    """Mode-doubling certification of the form and its shifted variant
     int (3/4) u_xx^2 - u_x^2 + (phi_x - 1/4) u^2, whose nonnegativity is the
-    target inequality; the second-order form shifts analogously. Both smallest
-    eigenvalues must be stable under doubling before the report is issued.
+    target inequality. Both smallest eigenvalues must be stable under
+    doubling before the report is issued.
 
     The ladder starts at N_0 = max(_N_START, 2^ceil(log2(L / 2))): the form's
     minimizing mode sits near m = 0.26 L, which the sine subspace holds once
@@ -453,10 +441,10 @@ def certify(
         if upper is not None:
             A, upper = upper, None
         else:
-            A = assemble(profile, N, order)
+            A = assemble(profile, N)
             if 2 * N <= cap:
                 with contextlib.suppress(UnderResolvedGridError):
-                    upper = assemble(profile, 2 * N, order)
+                    upper = assemble(profile, 2 * N)
                     upper._window.lend(A._window)
         lam_prev, margin_prev = lam, margin
         lam, margin = _minima((A, _shifted(A)))
@@ -471,7 +459,6 @@ def certify(
                 delta_margin=margin,
                 N_sequence=tuple(used),
                 converged=True,
-                order=order,
             )
         N *= 2
     last = f"last lambda_min {lam:.6g}, margin {margin:.6g}" if used else f"first level {N} is past it"

@@ -51,6 +51,16 @@ def test_unknown_order_choice_rejected():
         main(["exponents", "--order", "sixth"])
 
 
+def test_verify_takes_no_order(capsys):
+    # verify certifies the fourth-order form only; --order is a flag of
+    # exponents, and on verify argparse rejects it before any certificate
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--L", "64", "--order", "second"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "certified" not in out and "unrecognized arguments: --order second" in err
+
+
 def test_build_verify_bound_pipeline(tmp_path, capsys):
     rc, built = run_json(capsys, ["build-potential", "--L", "2", "--out", str(tmp_path), "--json"])
     assert rc == 0
@@ -65,7 +75,6 @@ def test_build_verify_bound_pipeline(tmp_path, capsys):
     assert rc == 0
     assert verified["converged"] and verified["certified"]
     assert verified["delta_margin"] > 0
-    assert verified["order"] == "fourth"
     assert verified["N_sequence"] == sorted(verified["N_sequence"])
 
     rc, bound = run_json(capsys, ["bound", "--profile", built["meta"], "--out", str(tmp_path), "--json"])
@@ -92,7 +101,7 @@ def test_profile_file_prints_what_L_prints(tmp_path, capsys, command):
 def test_verify_rejects_zero_margin(tmp_path, capsys, monkeypatch):
     import kslyap.cli
 
-    def zero_margin(profile, order=None):
+    def zero_margin(profile):
         return CoercivityReport(lambda_min=1.0, delta_margin=0.0, N_sequence=(64, 128), converged=True)
 
     monkeypatch.setattr(kslyap.cli, "certify", zero_margin)
@@ -278,7 +287,7 @@ def test_out_directory_created(tmp_path, capsys):
 _TWINS = {
     "exponents": ["--order", "second", "--json"],
     "build-potential": ["--L", "2", "--a", "1", "--q0", "0.5", "--q1", "2.2", "--delta", "0.03", "--mu", "0.7"],
-    "verify": ["--L", "2", "--order", "fourth", "--json"],
+    "verify": ["--L", "2", "--json"],
     "bound": ["--L", "2", "--q1", "2.2", "--json"],
     "simulate": [
         "--L", "8", "--N", "64", "--t-end", "3", "--dt", "0.05", "--transient", "0.5", "--record-every", "5",

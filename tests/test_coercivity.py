@@ -47,13 +47,6 @@ def test_assemble_constant_potential_shifts_diagonal(make_flat_profile):
     assert np.allclose(A.entries, np.diag(_symbol(64.0, 16) + 1.0), atol=1e-12)
 
 
-def test_assemble_second_order_symbol(make_flat_profile):
-    p = make_flat_profile(L=64.0, n=1024, slope=0.0)
-    A = assemble(p, 16, order=OperatorOrder.SECOND)
-    kp = (np.pi / 64.0) * np.arange(1, 17)
-    assert np.allclose(A.entries, np.diag(kp**2 - 1.0), atol=1e-12)
-
-
 def test_assemble_requires_resolved_grid(make_flat_profile):
     p = make_flat_profile(n=64)
     with pytest.raises(UnderResolvedGridError):
@@ -274,27 +267,23 @@ def _refuse(monkeypatch, *names):
         monkeypatch.setattr(*((np.linalg, name) if name == "eigvalsh" else (coercivity, name)), refuse)
 
 
-@pytest.mark.parametrize("order", list(OperatorOrder))
 @pytest.mark.parametrize("N", [64, 512])
-def test_entries_are_the_gram_fill(profile32, order, N):
+def test_entries_are_the_gram_fill(profile32, N):
     # built on first read, bit for bit the window's moment fill plus the
     # symbol and phi_x's constant
-    kp = (np.pi / 32.0) * np.arange(1, N + 1)
     A = gram_from_cosine(profile32._window_moments(2 * N + 1), N) / 32.0
-    symbol = _symbol(32.0, N) if order is OperatorOrder.FOURTH else kp**2 - 1.0
-    A[np.diag_indices_from(A)] += symbol + profile32.phi_x_off
-    m = assemble(profile32, N, order)
+    A[np.diag_indices_from(A)] += _symbol(32.0, N) + profile32.phi_x_off
+    m = assemble(profile32, N)
     assert "entries" not in vars(m)
     assert np.array_equal(m.entries, A)
 
 
-@pytest.mark.parametrize("order", list(OperatorOrder))
-def test_diagonal_is_the_symbol_plus_the_constant(profile32, make_flat_profile, order):
+def test_diagonal_is_the_symbol_plus_the_constant(profile32, make_flat_profile):
     # Delta = kinetic symbol + phi_x_off, bit for bit: the constant is added
     # once, in assemble, and the window's moments leave it out
     for p in (profile32, make_flat_profile(L=64.0, n=4096, slope=0.5)):
-        m = assemble(p, 256, order)
-        want = coercivity._kinetic_diagonal(p.L, 256, order) + p.phi_x_off
+        m = assemble(p, 256)
+        want = coercivity._kinetic_diagonal(p.L, 256) + p.phi_x_off
         assert np.array_equal(m.diagonal.view(np.int64), want.view(np.int64))
         assert np.array_equal(m._window.moments, p._window_moments(2 * 256 + 1))
 
@@ -342,15 +331,28 @@ def _probes(monkeypatch):
     return sigmas
 
 
+def _second_order(profile, N):
+    """The matrices of the second-order form int u_x^2 - u^2 + phi_x u^2 and
+    of its shifted variant, built from the fourth-order assembly: its window
+    under the diagonal k^2 - 1 + phi_x_off, and that less (k^2 + 1) / 4. The
+    inverse-square well is supercritical against k^2, so lambda_min lies
+    hundreds below min Delta. The form's own diagonal k^4 - k^2 does not
+    reach that regime on the constructed profiles; under it, the L = 32
+    window scaled by 40 does (lambda_min -1320 at N = 512), but Newton runs
+    out of probes there."""
+    kp = (np.pi / profile.L) * np.arange(1, N + 1)
+    m = replace(assemble(profile, N), diagonal=kp**2 - 1.0 + profile.phi_x_off)
+    return m, replace(m, diagonal=m.diagonal - (0.25 * kp**2 + 0.25))
+
+
 @pytest.mark.parametrize("N", [256, 512, 1024])
 def test_structured_second_order(profile32, monkeypatch, N):
-    # the well is supercritical here: lambda_min lies hundreds below
-    # min Delta, so the smallest entry of Delta is a pole of the r-row
-    # secular matrix between lambda_min and the bracket's upper end hi (the
-    # model's smallest diagonal entry), which a Newton step from hi would
-    # cross; kept as a row of the bordered matrix, it leaves no pole there
-    mats = [assemble(profile32, N, OperatorOrder.SECOND)]
-    mats.append(_shifted(mats[0]))
+    # lambda_min lies hundreds below min Delta, so the smallest entry of
+    # Delta is a pole of the r-row secular matrix between lambda_min and
+    # the bracket's upper end hi (the model's smallest diagonal entry),
+    # which a Newton step from hi would cross; kept as a row of the
+    # bordered matrix, it leaves no pole there
+    mats = _second_order(profile32, N)
     refs = [float(np.linalg.eigvalsh(replace(m).entries)[0]) for m in mats]
     _refuse(monkeypatch, "eigvalsh")
     sigmas = _probes(monkeypatch)
@@ -365,20 +367,18 @@ def test_structured_second_order(profile32, monkeypatch, N):
 
 @pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 2048.0, 8192.0])
 def test_secular_matches_reference(critical_pair, monkeypatch, L):
-    # every windowed matrix at N = 64..2048, both orders and both forms, in
-    # at most 12 probes; the reference is eigvalsh while |A| < 1e8 and
-    # _reference_min above, where eigvalsh's backward error eps |A| is past
-    # the bound
+    # every windowed matrix at N = 64..2048, both forms, in at most 12
+    # probes; the reference is eigvalsh while |A| < 1e8 and _reference_min
+    # above, where eigvalsh's backward error eps |A| is past the bound
     profile = build_profile(L, pair=critical_pair)
     cases = []
     for N in (64, 128, 256, 512, 1024, 2048):
-        for order in OperatorOrder:
-            m = assemble(profile, N, order)
-            for A in (m, _shifted(m)):
-                # filled on a copy, so the matrix under test holds no dense array
-                fill = replace(A).entries
-                dense = np.abs(np.diagonal(fill)).max() < 1e8
-                cases.append((A, float(np.linalg.eigvalsh(fill)[0]) if dense else _reference_min(fill)))
+        m = assemble(profile, N)
+        for A in (m, _shifted(m)):
+            # filled on a copy, so the matrix under test holds no dense array
+            fill = replace(A).entries
+            dense = np.abs(np.diagonal(fill)).max() < 1e8
+            cases.append((A, float(np.linalg.eigvalsh(fill)[0]) if dense else _reference_min(fill)))
     _refuse(monkeypatch, "eigvalsh")
     sigmas = _probes(monkeypatch)
     for A, ref in cases:
@@ -598,7 +598,7 @@ def test_probe_matches_oracle_bit_for_bit(profile32, order):
     # the precomputed border and base diagonal give the same (n, h, x) as
     # the per-probe assembly, bit for bit, below, inside and above the
     # bracket and with entries of Delta below sigma
-    m = assemble(profile32, 512, order)
+    m = assemble(profile32, 512) if order is OperatorOrder.FOURTH else _second_order(profile32, 512)[0]
     U, C = m._window.compressed
     delta = m.diagonal
     hi = float(np.min(delta + (U * U) @ C))
@@ -649,7 +649,6 @@ def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, 
 def test_certify_constructed_profile(profile32):
     report = certify(profile32)
     assert report.converged
-    assert report.order is OperatorOrder.FOURTH
     assert report.N_sequence == (64, 128)
     assert report.delta_margin > 0.0
     # the potential's mean lifts the whole spectrum by about 70
@@ -667,23 +666,10 @@ def test_certified_requires_converged_positive_margin():
     assert not report(1.0, converged=False).certified
 
 
-def test_certify_second_order_flat_profile(make_flat_profile):
+def test_certify_flat_profile(make_flat_profile):
     report = certify(make_flat_profile(L=64.0, n=16384, slope=3.0))
-    kp1 = np.pi / 64.0
-    # fourth order: minimum of the discrete symbol sits near kappa = 1/sqrt(2)
+    # minimum of the discrete symbol sits near kappa = 1/sqrt(2)
     assert abs(report.lambda_min - (3.0 - 0.25)) < 1e-3
-    report = certify(make_flat_profile(L=64.0, n=16384, slope=3.0), order=OperatorOrder.SECOND)
-    assert report.converged
-    assert report.order is OperatorOrder.SECOND
-    assert np.isclose(report.lambda_min, kp1**2 - 1.0 + 3.0, atol=1e-9)
-    assert np.isclose(report.delta_margin, 0.75 * kp1**2 - 1.0 + 3.0 - 0.25, atol=1e-9)
-
-
-def test_certify_second_order_diverges_on_scaled_well(profile32):
-    # the inverse-square well is supercritical for the second-order form, so
-    # mode doubling never stabilizes; the dual convergence check catches it
-    with pytest.raises(CertificationInconclusiveError):
-        certify(profile32, order=OperatorOrder.SECOND)
 
 
 def test_certify_free_operator(make_flat_profile):

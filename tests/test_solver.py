@@ -482,7 +482,7 @@ def _blow_up_config():
     return random_initial(10.0, 64, seed=0, amplitude=1e8), SolveConfig(dt=0.5, t_end=50.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blow_up_raises():
     st, cfg = _blow_up_config()
     with pytest.raises(BlowUpError) as info:
@@ -496,7 +496,7 @@ def test_blow_up_raises():
     assert np.isclose(exc.norm, last.norm_l2, rtol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blow_up_raises_through_simulate():
     st, cfg = _blow_up_config()
     with pytest.raises(BlowUpError) as from_step:
@@ -508,3 +508,14 @@ def test_blow_up_raises_through_simulate():
     assert np.isclose(from_simulate.value.t, from_step.value.t, rtol=1e-12)
     assert np.isfinite(from_simulate.value.norm)
     assert from_simulate.value.norm == from_step.value.norm
+
+
+@pytest.mark.filterwarnings("error")
+def test_unstable_step_raises_quietly_and_names_dt():
+    # kslyap simulate --L 50 --odd --gamma 2 --t-end 20 --transient 10: the
+    # default step dt = 0.05 loses stability at t = 3.45, and the run raises
+    # BlowUpError without a numpy overflow warning before it
+    cfg = SolveConfig(gamma=2.0, t_end=20.0, transient=10.0, odd_only=True)
+    with pytest.raises(BlowUpError, match=r"time step dt = 0\.05 lost stability at t = 3\.45 ") as info:
+        simulate(random_initial(50.0, default_grid(50.0), odd_only=True), cfg)
+    assert np.isclose(info.value.t, 3.45, rtol=1e-12) and np.isfinite(info.value.norm)
