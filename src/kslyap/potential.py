@@ -8,14 +8,14 @@ used as a point of comparison for the constructed one.
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import Qtilde_values, mollifier, qtilde_values
+from ._accel import Qtilde_values, mollifier, qtilde_values  # noqa: F401 (mollifier: public name)
 from .exponents import ExponentPair, OperatorOrder, ResolutionFaultError, solve_critical_exponents
 
 
@@ -152,6 +152,44 @@ class SmoothedPotential:
     def qtilde(self, y):
         return qtilde_values(y, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
 
+    @cached_property
+    def _norm_integrals(self):
+        """The L-free integrals behind every profile norm: int qtilde^2 and
+        int qtilde_y^2 over the line, I1 = int_0^s (G^2 - m^2) dy and
+        I2 = int_0^s y (G - m) dy = -(1/2) int_0^s Qtilde dy, where
+        G' = qtilde, G(0) = 0, m = G(s) and s is the support half-width.
+        I2 is exact: the mollifier's f(t) + f(1 - t) = 1 gives each shoulder
+        of Qtilde the mean of the values it joins."""
+        a, q0, q1 = self.params.a, self.params.q0, self.params.q1
+        half = _converged(_norm_integrals_half, self.params, self.smoothing.delta, "the profile norms")
+        q2, qy2, I1, m = map(float, half)
+        I2 = -0.5 * ((q1 - q0) * a / 2.0 + (q0 + q1) * self.smoothing.delta)
+        return 2.0 * q2, 2.0 * qy2, I1, I2, m
+
+    def scaled_norms(self, L: float, pair: ExponentPair) -> "ProfileNorms":
+        """L2 norms over [-L, L] of phi, phi_x = q - mean(q) and phi_xx for
+        q(x) = L^{c2} qtilde(x L^{c1}), in O(1) from ``_norm_integrals``.
+        q has the mean m_L = L^{c2 - c1 - 1} m and phi(x) =
+        L^{c2 - c1} G(x L^{c1}) - m_L x, so
+        |phi_x|^2 = L^{2 c2 - c1} int qtilde^2 - 2 L m_L^2,
+        |phi_xx|^2 = L^{2 c2 + c1} int qtilde_y^2 and
+        |phi|^2 = 2 (m_L^2 L^3 / 3 + L^{2 c2 - 3 c1} I1 - 2 m_L L^{c2 - 3 c1} I2);
+        the critical pair (1/3, 4/3) gives m_L = m and the powers 7/3, 3,
+        5/3 and 1/3. The support must fit the domain, s L^{-c1} <= L, as
+        ``scaled_profile`` checks."""
+        q2, qy2, I1, I2, m = self._norm_integrals
+        c1, c2 = pair.c1, pair.c2
+
+        def power(e):  # exponents are exact fractions until here
+            return L ** float(e)
+
+        m_L = m * power(c2 - c1 - 1)
+        return ProfileNorms.from_squares(
+            2.0 * (m_L * m_L * L**3 / 3.0 + power(2 * c2 - 3 * c1) * I1 - 2.0 * m_L * power(c2 - 3 * c1) * I2),
+            power(2 * c2 - c1) * q2 - 2.0 * L * m_L * m_L,
+            power(2 * c2 + c1) * qy2,
+        )
+
 
 def _simpson(f, h):
     """Composite Simpson rule on an odd number of equispaced samples."""
@@ -163,37 +201,96 @@ def _simpson(f, h):
     return h / 3.0 * float(np.sum(w * f))
 
 
+def _running_simpson(f, h):
+    """Running integral of equispaced samples f (odd count) from the first:
+    Simpson's rule at even nodes, and at each odd node the even node before
+    it plus h/12 (5 f_0 + 8 f_1 - f_2); both are fourth order."""
+    out = np.zeros_like(f)
+    out[2::2] = np.cumsum(h / 3.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]))
+    out[1::2] = out[:-1:2] + h / 12.0 * (5.0 * f[:-2:2] + 8.0 * f[1::2] - f[2::2])
+    return out
+
+
+def _branches(params, delta, n):
+    """Qtilde on [0, a + delta] along its five smoothing branches, in order:
+    the three mollified shoulders, each as arrays (Qtilde, dQtilde/dy, 1/y)
+    at the n + 1 points y = y_lo + delta k / n (1/y is 0 at y = 0, where
+    Qtilde vanishes to all orders), alternate with the two constant pieces,
+    each as floats (y_lo, y_hi, value). The mollifier f and its slope
+    f' = f (1 - f) (1/t^2 + 1/(1 - t)^2) come from one pair of exponentials."""
+    a, q0, q1 = params.a, params.q0, params.q1
+    t = np.linspace(0.0, 1.0, n + 1)
+    f, df = np.zeros_like(t), np.zeros_like(t)
+    f[-1] = 1.0
+    ti = t[1:-1]
+    ea, eb = np.exp(-1.0 / ti), np.exp(-1.0 / (1.0 - ti))
+    f[1:-1] = ea / (ea + eb)
+    df[1:-1] = ea * eb / (ea + eb) ** 2 * (1.0 / ti**2 + 1.0 / (1.0 - ti) ** 2)
+    y = delta * t
+    return (
+        (-q0 * f, -q0 / delta * df, np.divide(1.0, y, out=np.zeros_like(y), where=y > 0)),
+        (delta, a / 2.0 - delta, -q0),
+        (-q0 + (q0 + q1) * f, (q0 + q1) / delta * df, 1.0 / (a / 2.0 - delta + y)),
+        (a / 2.0, a, q1),
+        (q1 * f[::-1], -q1 / delta * df[::-1], 1.0 / (a + y)),
+    )
+
+
 def _integral_qtilde_half(params, delta, n):
     """Integral of qtilde over [0, a + delta], splitting along the smoothing
     branches: constant pieces of Qtilde integrate in closed form and the three
-    mollified shoulders become fixed smooth integrals over [0, 1]."""
-    a, q0, q1 = params.a, params.q0, params.q1
-    t = np.linspace(0.0, 1.0, n + 1)
-    dt = 1.0 / n
-    f = mollifier(t)
-    # [0, delta]: -q0 f(y/delta) / y^2; the integrand vanishes to all orders at 0
-    core = f / np.where(t > 0, t, 1.0) ** 2
-    core[0] = 0.0
-    val = -(q0 / delta) * _simpson(core, dt)
-    # [delta, a/2 - delta]: constant -q0
-    val += -q0 * (1.0 / delta - 1.0 / (a / 2.0 - delta))
-    # [a/2 - delta, a/2]: ramp from -q0 to q1
-    y3 = a / 2.0 - delta + delta * t
-    val += delta * _simpson((-q0 + (q0 + q1) * f) / y3**2, dt)
-    # [a/2, a]: constant q1
-    val += q1 * (2.0 / a - 1.0 / a)
-    # [a, a + delta]: ramp back to 0
-    y5 = a + delta * t
-    val += q1 * delta * _simpson(f[::-1] / y5**2, dt)
+    mollified shoulders by Simpson's rule on n intervals."""
+    val = 0.0
+    for piece in _branches(params, delta, n):
+        if isinstance(piece[0], np.ndarray):
+            Q, _, r = piece
+            val += _simpson(Q * r * r, delta / n)
+        else:
+            lo, hi, c = piece
+            val += c * (1.0 / lo - 1.0 / hi)
     return val
 
 
-def _integral_qtilde(params, delta, rtol=1e-8):
-    coarse = _integral_qtilde_half(params, delta, 2048)
-    fine = _integral_qtilde_half(params, delta, 4096)
-    if abs(fine - coarse) > rtol * (1.0 + abs(fine)):
-        raise ResolutionFaultError("shoulder quadrature for the qtilde mean did not converge")
-    return 2.0 * fine
+def _converged(half, params, delta, what, rtol=1e-8):
+    """half(params, delta, n) at n = 4096 intervals per shoulder, after
+    checking each entry against n = 2048 to rtol: ``ResolutionFaultError``
+    names what did not converge."""
+    coarse = np.atleast_1d(half(params, delta, 2048))
+    fine = np.atleast_1d(half(params, delta, 4096))
+    if np.any(np.abs(fine - coarse) > rtol * (1.0 + np.abs(fine))):
+        raise ResolutionFaultError(f"shoulder quadrature for {what} did not converge")
+    return fine
+
+
+def _integral_qtilde(params, delta):
+    return 2.0 * float(_converged(_integral_qtilde_half, params, delta, "the qtilde mean")[0])
+
+
+def _norm_integrals_half(params, delta, n):
+    """Over [0, s], s = a + delta: int qtilde^2, int qtilde_y^2,
+    I1 = int (G^2 - m^2) and m = G(s), for G(y) = int_0^y qtilde. G runs
+    through a shoulder by ``_running_simpson`` and across a constant piece
+    c as K - c/y, which integrates in closed form."""
+    h = delta / n
+    q2 = qy2 = G = G2 = 0.0
+    for piece in _branches(params, delta, n):
+        if isinstance(piece[0], np.ndarray):
+            Q, dQ, r = piece
+            q = Q * r * r
+            qy = (dQ - 2.0 * Q * r) * r * r
+            g = G + _running_simpson(q, h)
+            q2 += _simpson(q * q, h)
+            qy2 += _simpson(qy * qy, h)
+            G2 += _simpson(g * g, h)
+            G = float(g[-1])
+        else:
+            lo, hi, c = piece
+            K = G + c / lo
+            q2 += c * c / 3.0 * (lo**-3 - hi**-3)
+            qy2 += 4.0 * c * c / 5.0 * (lo**-5 - hi**-5)
+            G2 += K * K * (hi - lo) - 2.0 * K * c * math.log(hi / lo) + c * c * (1.0 / lo - 1.0 / hi)
+            G = K - c / hi
+    return np.array([q2, qy2, G2 - G * G * (params.a + delta), G])
 
 
 def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) -> SmoothedPotential:
@@ -230,9 +327,10 @@ class PotentialProfile:
     window [j0, j0 + W), where it is phi_x_off + window. The constructed
     potential is compactly supported, so W stays near 5k samples however
     large n grows; caller-supplied samples (``from_samples``) are a window
-    as long as the grid. Cosine moments, norms and phi at solver nodes are
+    as long as the grid. Cosine moments and phi at solver nodes are
     computed from the window in O(W + N) memory, each when first read; no
-    dense phi_x is ever built.
+    dense phi_x is ever built. Norms come from the source's L-free
+    integrals in O(1) when there is a source, and from grid sums otherwise.
     """
 
     L: float
@@ -252,11 +350,6 @@ class PotentialProfile:
         if window.ndim != 1 or not 0 <= self.j0 <= self.n - window.size:
             raise ValueError(f"window of {window.size} samples at {self.j0} does not fit the grid of {self.n}")
         object.__setattr__(self, "window", window)
-        # trapezoid integral of the window part from node 0 to node j0 - 1 + i
-        # (up to a constant when j0 = 0, which phi's zero at x = 0 removes)
-        edges = np.concatenate(([0.0], window, [0.0]))
-        ramp = np.cumsum(0.5 * self.dx * (edges[:-1] + edges[1:]))
-        object.__setattr__(self, "_window_integral", np.concatenate(([0.0], ramp)))
         object.__setattr__(self, "_moments", np.empty(0))
 
     @classmethod
@@ -270,6 +363,14 @@ class PotentialProfile:
     @property
     def dx(self) -> float:
         return 2.0 * self.L / self.n
+
+    @cached_property
+    def _window_integral(self) -> np.ndarray:
+        """Trapezoid integral of the window part from node 0 to node
+        j0 - 1 + i (up to a constant when j0 = 0, which phi's zero at x = 0
+        removes)."""
+        edges = np.concatenate(([0.0], self.window, [0.0]))
+        return np.concatenate(([0.0], np.cumsum(0.5 * self.dx * (edges[:-1] + edges[1:]))))
 
     def _phi_at(self, j) -> np.ndarray:
         """phi, the trapezoid integral of phi_x that is zero at x = 0 (index
@@ -307,20 +408,19 @@ class PotentialProfile:
 
     @cached_property
     def _norms(self) -> "ProfileNorms":
-        dx, n, c, v = self.dx, self.n, self.phi_x_off, self.window
-        j0, j1 = self.j0, self.j0 + v.size
+        """From the source's L-free integrals when there is one; else
+        periodic trapezoid sums over the n-point grid, with phi_xx the
+        Nyquist-dropped spectral derivative, its n-point spectrum summed by
+        Parseval."""
+        if self.source is not None:
+            return self.source.scaled_norms(self.L, self.exponents)
+        n, c, v = self.n, self.phi_x_off, self.window
         grad2 = float(np.sum((c + v) ** 2)) + (n - v.size) * c * c
-        # phi is affine on the two tails [0, j0) and [j1, n): closed-form sums
-        slope = c * dx
-        phi2 = float(np.sum(self._phi_at(np.arange(j0, j1)) ** 2))
-        for lo, hi in ((0, j0), (j1, n)):
-            k = hi - lo
-            if k:
-                mid = float(self._phi_at(lo)) + 0.5 * slope * (k - 1)
-                phi2 += k * mid * mid + slope * slope * k * (k * k - 1) / 12.0
-        hess2 = _phi_xx_sum_of_squares(v, n, self.L)
-        n0, n1, n2 = (math.sqrt(dx * s) for s in (phi2, grad2, hess2))
-        return ProfileNorms(n0, n1, n2, math.sqrt(n0**2 + n1**2 + n2**2))
+        phi2 = float(np.sum(self._phi_at(np.arange(n)) ** 2))
+        k = np.arange(n // 2 + 1, dtype=float)
+        k[-1] = 0.0
+        hess2 = (np.pi / self.L) ** 2 * 2.0 / n * float(np.sum(k**2 * np.abs(np.fft.rfft(v, n)) ** 2))
+        return ProfileNorms.from_squares(*(self.dx * s for s in (phi2, grad2, hess2)))
 
 
 def _pow2(m):
@@ -343,38 +443,6 @@ def _window_dft(v, n, count):
     kernel = np.conj(np.concatenate((chirp[W - 1 : 0 : -1], chirp[:count])))
     conv = np.fft.ifft(np.fft.fft(v * chirp[:W], nfft) * np.fft.fft(kernel, nfft))
     return conv[W - 1 : W - 1 + count] * chirp[:count]
-
-
-def _phi_xx_sum_of_squares(v, n, L):
-    """sum_j phi_xx[j]^2 for phi_xx the Nyquist-dropped spectral derivative
-    of v placed on the n-point grid (zero elsewhere).
-
-    By Parseval this is the Toeplitz quadratic form v^T T v with
-    T_d = (pi/L)^2 (-1)^d [1/(2 sin^2(pi d/n)) - n/4] for d != 0 and
-    T_0 = (pi/L)^2 M(M+1)(2M+1)/(3n), M = n/2 - 1, evaluated by one real
-    FFT convolution padded to the power of two at or above 2W - 1. When the
-    window spans half the grid or more, the n-point spectrum is no larger and
-    is summed directly. That sum is also the accurate one there: T's entries
-    reach (pi/L)^2 n^2 / 12 and cancel on a smooth window, so the Toeplitz
-    form of a constant window is negative, and of a Gaussian window at
-    n = 2^19 it is off by 3e-7 relative.
-    """
-    W = v.size
-    scale = (np.pi / L) ** 2
-    if n <= 2 * W:
-        k = np.arange(n // 2 + 1, dtype=float)
-        k[-1] = 0.0
-        return scale * 2.0 / n * float(np.sum(k**2 * np.abs(np.fft.rfft(v, n)) ** 2))
-    d = np.arange(1, W)
-    M = n // 2 - 1
-    side = np.where(d % 2, -1.0, 1.0) * (0.5 / np.sin(np.pi * d / n) ** 2 - n / 4.0)
-    size = _pow2(2 * W - 1)
-    kernel = np.zeros(size)
-    kernel[0] = float(M) * (M + 1) * (2 * M + 1) / (3.0 * n)
-    kernel[1:W] = side
-    kernel[size - W + 1 :] = side[::-1]
-    Tv = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(kernel), size)[:W]
-    return scale * float(v @ Tv)
 
 
 def _grid_size(L, delta_scaled):
@@ -419,6 +487,12 @@ def assemble_profile(
     grid over [-L, L) and vanishes off it; by default the window is the whole
     grid.
     """
+    return _assemble(q, L, pair, n, j0, None)
+
+
+def _assemble(q, L, pair, n, j0, source) -> PotentialProfile:
+    """``assemble_profile``, with the source that only ``scaled_profile``
+    passes, so that a profile is constructed once."""
     if pair is None:
         pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
     q = np.asarray(q, dtype=float)
@@ -441,6 +515,7 @@ def assemble_profile(
         phi_x_off=-mean_q,
         mean_q=mean_q,
         exponents=pair,
+        source=source,
     )
 
 
@@ -466,7 +541,7 @@ def scaled_profile(sp: SmoothedPotential, L: float, pair: ExponentPair) -> Poten
     profiles at many L smooth once and rescale it for each. The profile
     keeps sp as its source, the parameters ``write_profile`` saves."""
     n, j0, q = _scaled_window(sp, L, pair)
-    return replace(assemble_profile(q, L, pair=pair, n=n, j0=j0), source=sp)
+    return _assemble(q, L, pair, n, j0, sp)
 
 
 class ProfileNorms(NamedTuple):
@@ -477,10 +552,19 @@ class ProfileNorms(NamedTuple):
     phi_xx: float
     h2: float
 
+    @classmethod
+    def from_squares(cls, phi2, grad2, hess2) -> "ProfileNorms":
+        """The norms whose squares are phi2, grad2 and hess2."""
+        n0, n1, n2 = (math.sqrt(s) for s in (phi2, grad2, hess2))
+        return cls(n0, n1, n2, math.sqrt(n0**2 + n1**2 + n2**2))
+
 
 def norms(profile: PotentialProfile) -> ProfileNorms:
-    """Periodic trapezoidal L2 norms of phi, phi_x, phi_xx and the H2 norm,
-    computed once per profile."""
+    """L2 norms of phi, phi_x, phi_xx and the H2 norm, computed once per
+    profile: for a profile of ``scaled_profile`` (``build_profile``) the
+    continuum norms in closed form (``SmoothedPotential.scaled_norms``), the
+    limit of the grid sums as the grid refines; for any other the periodic
+    trapezoid sums over its n-point grid."""
     return profile._norms
 
 

@@ -35,12 +35,37 @@ from ._accel import splitmix53
 class BlowUpError(RuntimeError):
     """The time step lost stability: a step's coefficients are not finite.
     The dealiased system's |u|_2 grows at most like e^{(gamma + 1/4) t}, so
-    this is a failure of the step size, not a blow-up of the solution."""
+    this is a failure of the step size, not a blow-up of the solution. The
+    message names dt, t, the last finite |u|_2 (``norm``) and that energy
+    bound at t from the initial state of the failed ``simulate`` or ``step``
+    call (``bound``)."""
 
-    def __init__(self, t, norm, dt):
-        super().__init__(f"time step dt = {dt:g} lost stability at t = {t:g} (last |u|_2 = {norm:g})")
+    def __init__(self, t, norm, dt, bound):
+        super().__init__(
+            f"time step dt = {dt:g} lost stability at t = {t:g} (last |u|_2 = {norm:g}; "
+            f"the energy bound e^((gamma + 1/4)(t - t0)) |u(t0)|_2 is {bound:g})"
+        )
         self.t = t
         self.norm = norm
+        self.bound = bound
+
+
+class _LostStability(Exception):
+    """A kernel step whose output is not finite: the time it reached and
+    the norm of its input. ``step`` and ``simulate`` raise it as
+    ``BlowUpError``, adding the energy bound from their initial state."""
+
+    def __init__(self, t, norm):
+        self.t = t
+        self.norm = norm
+
+    def blow_up(self, t0, norm0, cfg) -> BlowUpError:
+        """The error for a run that started at t0 with |u|_2 = norm0."""
+        try:
+            bound = norm0 * math.exp((cfg.gamma + 0.25) * (self.t - t0))
+        except OverflowError:
+            bound = math.inf
+        return BlowUpError(self.t, self.norm, cfg.dt, bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +219,10 @@ class _Kernel:
         self.spectra = tuple(np.empty(h, dtype=complex) for _ in range(5))
 
     def __call__(self, v, out, t_new):
-        """One step from v into out, a distinct array. Raises BlowUpError,
-        with the norm of v, when out is not finite. Callers run it under
-        ``np.errstate(over="ignore", invalid="ignore")``, so that a step
-        that loses stability raises only that error."""
+        """One step from v into out, a distinct array. Raises
+        ``_LostStability``, with the norm of v, when out is not finite.
+        Callers run it under ``np.errstate(over="ignore", invalid="ignore")``,
+        so that a step that loses stability raises only that error."""
         E, E2, Qg, f1g, f2x2g, f3g = self.coeffs
         u = self.u
         Nv, Na, Nb, a, s = self.spectra
@@ -225,7 +250,7 @@ class _Kernel:
         out += s
         _project(out, self.odd_only)
         if not np.dot(out.view(np.float64), self.zero) == 0.0:
-            raise BlowUpError(t_new, math.sqrt(2.0 * self.L * float(np.sum(_power(v)))), self.dt)
+            raise _LostStability(t_new, math.sqrt(2.0 * self.L * float(np.sum(_power(v)))))
         return out
 
 
@@ -247,8 +272,11 @@ def step(state: SpectralState, cfg: SolveConfig) -> SpectralState:
     """One ETDRK4 step of length cfg.dt."""
     kernel = _kernel(state.L, state.N, cfg.dt, cfg.gamma, cfg.odd_only)
     t_new = state.t + cfg.dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = kernel(state.half, np.empty_like(state.half), t_new)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = kernel(state.half, np.empty_like(state.half), t_new)
+    except _LostStability as lost:
+        raise lost.blow_up(state.t, state.norm_l2, cfg) from None
     return replace(state, half=half, t=t_new)
 
 
@@ -300,12 +328,16 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
 
     v = half[0] = _project(initial.half.copy(), cfg.odd_only)
     w = np.empty_like(v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            kernel(v, w, initial.t + i * cfg.dt)
-            v, w = w, v
-            if i % cfg.record_every == 0:
-                half[i // cfg.record_every] = v
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, n_steps + 1):
+                kernel(v, w, initial.t + i * cfg.dt)
+                v, w = w, v
+                if i % cfg.record_every == 0:
+                    half[i // cfg.record_every] = v
+    except _LostStability as lost:
+        norm0 = math.sqrt(2.0 * L * float(np.sum(_power(half[0]))))
+        raise lost.blow_up(initial.t, norm0, cfg) from None
 
     t_out = initial.t + cfg.dt * rec_idx
     k2 = ((np.pi / L) * np.arange(N // 2 + 1)) ** 2

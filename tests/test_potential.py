@@ -272,9 +272,11 @@ def test_profile_matches_dense_reference(L, dense):
     c = p._window_moments(8193).copy()
     c[0] += 2.0 * p.L * p.phi_x_off
     assert np.max(np.abs(c - moments)) <= 1e-9 * np.max(np.abs(moments))
-    got = norms(p)
-    for value, ref in zip(got[:3], ref_norms):
-        assert abs(value - ref) <= 1e-10 * ref
+    if dense:
+        # a constructed profile's norms are the continuum's, which
+        # test_constructed_norms_match_a_refined_grid checks
+        for value, ref in zip(norms(p)[:3], ref_norms):
+            assert abs(value - ref) <= 1e-10 * ref
     # a window as long as the grid has the float64 running-sum drift of phi
     phi_tol = 1e-11 if dense else 1e-12
     for N in (64, 512):
@@ -282,6 +284,71 @@ def test_profile_matches_dense_reference(L, dense):
         assert np.max(np.abs(p.phi_nodes(N) - nodes)) <= phi_tol * np.max(np.abs(phi))
     report = certify(p)
     assert abs(report.delta_margin - _dense_margin(moments, L, report.N_sequence[-1])) <= 1e-8
+
+
+def _refined_grid_norms(p, r):
+    """|phi|, |phi_x|, |phi_xx| of a constructed profile's scaled potential
+    sampled on the grid r times finer than its own, from the dense arrays:
+    phi_x = q - mean(q), phi its trapezoid integral, zero at x = 0, and
+    phi_xx by Parseval from phi_x's spectrum with the Nyquist mode dropped."""
+    L, n = p.L, r * p.n
+    dx = 2.0 * L / n
+    c1, c2 = float(p.exponents.c1), float(p.exponents.c2)
+    # q vanishes a coarse cell or more outside the coarse window
+    j = np.arange(max(r * (p.j0 - 1), 0), min(r * (p.j0 + p.window.size + 1), n))
+    phi_x = np.zeros(n)
+    phi_x[j] = L**c2 * p.source.qtilde((-L + dx * j) * L**c1)
+    phi_x -= np.sum(phi_x) / n
+    phi = np.concatenate(([0.0], np.cumsum(0.5 * dx * (phi_x[:-1] + phi_x[1:]))))
+    phi -= phi[n // 2]
+    k = (np.pi / L) * np.arange(n // 2 + 1)
+    k[-1] = 0.0
+    hess2 = 2.0 / n * float(np.sum(k**2 * np.abs(np.fft.rfft(phi_x)) ** 2))
+    # np.sum adds pairwise; a float64 dot over 2^22 terms rounds to ~1e-12
+    return [np.sqrt(dx * s) for s in (np.sum(phi * phi), np.sum(phi_x * phi_x), hess2)]
+
+
+@pytest.mark.parametrize("L", [32.0, 64.0])
+def test_constructed_norms_match_a_refined_grid(L):
+    # norms(build_profile(L)) are the continuum norms, in closed form. On
+    # the grid 4x finer than the profile's (128 points across the scaled
+    # smoothing width), the trapezoid and spectral sums of phi_x and phi_xx
+    # have converged: they agree to 7e-16 at L = 32 and 64. phi is a
+    # running trapezoid integral, second order in dx: its gap is 1.5e-8,
+    # 3.0e-9, 7.6e-10 and 1.9e-10 relative on grids 1x, 2x, 4x and 8x as
+    # fine at L = 32, falling 4x per halving, so 2e-9 leaves a factor 2.6
+    p = build_profile(L)
+    ref = _refined_grid_norms(p, 4)
+    got = norms(p)
+    assert abs(got.phi - ref[0]) <= 2e-9 * ref[0]
+    for value, want in zip(got[1:3], ref[1:]):
+        assert abs(value - want) <= 1e-12 * want
+
+
+def _counted_ffts(monkeypatch):
+    """Patch numpy's FFT calls to record each one's name."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
+def test_constructed_norms_scale_exactly(monkeypatch, critical_pair):
+    # |phi_xx|^2 = L^3 int qtilde_y^2 at every L, from one set of L-free
+    # integrals, with no window transform and no FFT of any length; nor is
+    # phi's running integral over the window, which phi_nodes reads, built
+    transforms = _counted_window_dfts(monkeypatch)
+    ffts = _counted_ffts(monkeypatch)
+    ratios = []
+    for L in (8.0, 64.0, 4096.0, 1e6):
+        p = build_profile(L, pair=critical_pair)
+        nrm = norms(p)
+        ratios.append(nrm.phi_xx**2 / L**3)
+        assert np.isclose(nrm.h2**2, nrm.phi**2 + nrm.phi_x**2 + nrm.phi_xx**2, rtol=1e-14)
+        assert "_window_integral" not in vars(p)
+    assert transforms == [] and ffts == []
+    assert max(ratios) - min(ratios) <= 1e-12 * ratios[0]
 
 
 @pytest.mark.parametrize("n", [1 << 14, 1 << 19])

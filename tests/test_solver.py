@@ -514,8 +514,15 @@ def test_blow_up_raises_through_simulate():
 def test_unstable_step_raises_quietly_and_names_dt():
     # kslyap simulate --L 50 --odd --gamma 2 --t-end 20 --transient 10: the
     # default step dt = 0.05 loses stability at t = 3.45, and the run raises
-    # BlowUpError without a numpy overflow warning before it
+    # BlowUpError without a numpy overflow warning before it. The message
+    # names the energy bound e^{(gamma + 1/4)(t - t0)} |u(t0)|_2 at t, which
+    # the last norm passes: the step size failed, not the solution
     cfg = SolveConfig(gamma=2.0, t_end=20.0, transient=10.0, odd_only=True)
+    initial = random_initial(50.0, default_grid(50.0), odd_only=True)
     with pytest.raises(BlowUpError, match=r"time step dt = 0\.05 lost stability at t = 3\.45 ") as info:
-        simulate(random_initial(50.0, default_grid(50.0), odd_only=True), cfg)
-    assert np.isclose(info.value.t, 3.45, rtol=1e-12) and np.isfinite(info.value.norm)
+        simulate(initial, cfg)
+    exc = info.value
+    assert np.isclose(exc.t, 3.45, rtol=1e-12) and np.isfinite(exc.norm)
+    assert np.isclose(exc.bound, np.exp(2.25 * 3.45) * initial.norm_l2, rtol=1e-12)
+    assert np.isfinite(exc.bound) and exc.bound < exc.norm
+    assert f"the energy bound e^((gamma + 1/4)(t - t0)) |u(t0)|_2 is {exc.bound:g})" in str(exc)
