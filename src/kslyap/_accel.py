@@ -1,10 +1,8 @@
-"""The numerical kernels: the smoothstep mollifier, the smoothed potential
-evaluated pointwise (on the smoothing grid and the profile window), the
-N x N potential Gram matrix filled from cosine coefficients, and the seeded
-splitmix64 stream that every random draw in the package comes from.
+"""The numerical kernels: the smoothstep mollifier, the N x N potential Gram
+matrix filled from cosine coefficients, and the seeded splitmix64 stream
+that every random draw in the package comes from.
 
-The pointwise kernels take any array shape and return a float for scalar
-input.
+The mollifier takes any array shape and returns a float for scalar input.
 """
 
 import operator
@@ -54,30 +52,6 @@ def mollifier(y):
         ea = np.exp(-1.0 / t)
     eb = np.exp(-1.0 / (1.0 - t))
     out[mid] = ea / (ea + eb)
-    return _float_if_scalar(out)
-
-
-def Qtilde_values(y, a, q0, q1, delta):
-    """Five-branch smoothed step potential, evenly extended; zero beyond a + delta."""
-    y = np.abs(np.asarray(y, dtype=float))
-    out = np.zeros(y.shape, dtype=float)
-    b1 = y < delta
-    b2 = (y >= delta) & (y < a / 2.0 - delta)
-    b3 = (y >= a / 2.0 - delta) & (y < a / 2.0)
-    b4 = (y >= a / 2.0) & (y <= a)
-    b5 = (y > a) & (y < a + delta)
-    out[b1] = -q0 * mollifier(y[b1] / delta)
-    out[b2] = -q0
-    out[b3] = -q0 + (q0 + q1) * mollifier((y[b3] - (a / 2.0 - delta)) / delta)
-    out[b4] = q1
-    out[b5] = q1 * mollifier((a + delta - y[b5]) / delta)
-    return _float_if_scalar(out)
-
-
-def qtilde_values(y, a, q0, q1, delta):
-    """q-tilde = Q-tilde / y^2 elementwise, zero for |y| < 1e-8."""
-    y = np.abs(np.asarray(y, dtype=float))
-    out = np.divide(Qtilde_values(y, a, q0, q1, delta), y**2, out=np.zeros(y.shape), where=y >= 1e-8)
     return _float_if_scalar(out)
 
 

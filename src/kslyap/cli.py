@@ -8,6 +8,7 @@ comments, keys named like the flag with underscores); command-line flags win.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attractor import OddSubspaceError, headline_bound, monitor
@@ -15,7 +16,7 @@ from .coercivity import certify
 from .exponents import OperatorOrder, classify, solve_critical_exponents
 from .potential import PiecewiseParams, SmoothingParams, build_profile, norms, read_profile, write_profile
 from .solver import SolveConfig, default_grid, default_transient, random_initial, simulate
-from .study import fit_power_law, molinet, read_sweep_csv, sweep
+from .study import SweepRecord, fit_power_law, molinet, read_sweep_csv, sweep
 
 
 def load_config(path):
@@ -243,6 +244,18 @@ def _cmd_sweep(args, out_dir):
     return 0
 
 
+_FIT_COLUMNS = [f.name for f in fields(SweepRecord) if f.type == float | None]
+
+
+def _fit_column(name):
+    """A numeric sweep column, checked here for config-file values too:
+    argparse applies ``choices``, which the usage line lists, to
+    command-line values only."""
+    if name not in _FIT_COLUMNS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {', '.join(_FIT_COLUMNS)})")
+    return name
+
+
 def _cmd_fit(args, out_dir):
     if args.input is None:
         raise ValueError("--input sweep CSV is required")
@@ -342,7 +355,13 @@ def build_parser(**defaults):
 
     p = subs.add_parser("fit", help="power-law fit of a sweep CSV column")
     p.add_argument("--input", help="sweep CSV path")
-    p.add_argument("--column", default="h2_norm", help="column to fit against L (default h2_norm)")
+    p.add_argument(
+        "--column",
+        type=_fit_column,
+        default="h2_norm",
+        choices=_FIT_COLUMNS,
+        help="numeric sweep column to fit against L (default h2_norm)",
+    )
     _common_flags(p)
     p.set_defaults(func=_cmd_fit, **defaults)
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import Qtilde_values, mollifier, qtilde_values  # noqa: F401 (mollifier: public name)
+from ._accel import _float_if_scalar, mollifier
 from .exponents import ExponentPair, OperatorOrder, ResolutionFaultError, solve_critical_exponents
 
 
@@ -131,8 +131,8 @@ def build_piecewise(params: PiecewiseParams):
 @dataclass(frozen=True, eq=False)
 class SmoothedPotential:
     """Mollified potential, held by its parameters: Qtilde and qtilde =
-    Qtilde/y^2 (extended by 0 at the origin) are evaluated pointwise, and
-    the integral of qtilde is at most -mu.
+    Qtilde/y^2 (extended by 0 at the origin) are evaluated pointwise from
+    one table of Qtilde's pieces, which the integrals of qtilde also read.
 
     Qtilde >= Q holds branch by branch, in floating point too, because the
     mollifier lies in [0, 1]: each mollified shoulder lies between the two
@@ -140,31 +140,109 @@ class SmoothedPotential:
 
     params: PiecewiseParams
     smoothing: SmoothingParams
-    mean_qtilde: float
 
     @property
     def support_halfwidth(self) -> float:
         return self.params.a + self.smoothing.delta
 
+    @property
+    def _pieces(self):
+        """Qtilde on [0, a + delta] as five pieces (lo, hi, base, jump,
+        rising), in order: three mollified shoulders, where Qtilde = base +
+        jump f(t) with t = (y - lo)/delta if rising and (hi - y)/delta if
+        not, alternate with two flat pieces (jump 0), where Qtilde = base.
+        A flat piece holds both its ends; a shoulder holds neither end at
+        which f = 1, so the barrier top is closed at a/2 and at a."""
+        a, q0, q1 = self.params.a, self.params.q0, self.params.q1
+        d = self.smoothing.delta
+        return (
+            (0.0, d, -0.0, -q0, True),  # -0.0 + x is x, signed zeros too
+            (d, a / 2.0 - d, -q0, 0.0, True),
+            (a / 2.0 - d, a / 2.0, -q0, q0 + q1, True),
+            (a / 2.0, a, q1, 0.0, True),
+            (a, a + d, 0.0, q1, False),
+        )
+
+    def _values(self, y):
+        """Qtilde at |y| as an array: evenly extended, zero past a + delta."""
+        y = np.abs(np.asarray(y, dtype=float))
+        out = np.zeros(y.shape)
+        for lo, hi, base, jump, rising in self._pieces:
+            if not jump:
+                out[(y >= lo) & (y <= hi)] = base
+                continue
+            on = (y >= lo) & (y < hi) if rising else (y > lo) & (y <= hi)
+            t = (y[on] - lo if rising else hi - y[on]) / self.smoothing.delta
+            out[on] = base + jump * mollifier(t)
+        return out
+
     def Qtilde(self, y):
-        return Qtilde_values(y, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
+        return _float_if_scalar(self._values(y))
 
     def qtilde(self, y):
-        return qtilde_values(y, self.params.a, self.params.q0, self.params.q1, self.smoothing.delta)
+        """Qtilde / y^2, and 0 where y^2 is 0: at the origin, where Qtilde
+        vanishes to all orders, and where y^2 underflows."""
+        y2 = np.asarray(y, dtype=float) ** 2
+        return _float_if_scalar(np.divide(self._values(y), y2, out=np.zeros(y2.shape), where=y2 > 0.0))
+
+    @property
+    def mean_qtilde(self) -> float:
+        """The integral of qtilde over the line, 2 m."""
+        return 2.0 * self._norm_integrals[4]
 
     @cached_property
     def _norm_integrals(self):
-        """The L-free integrals behind every profile norm: int qtilde^2 and
-        int qtilde_y^2 over the line, I1 = int_0^s (G^2 - m^2) dy and
-        I2 = int_0^s y (G - m) dy = -(1/2) int_0^s Qtilde dy, where
-        G' = qtilde, G(0) = 0, m = G(s) and s is the support half-width.
-        I2 is exact: the mollifier's f(t) + f(1 - t) = 1 gives each shoulder
-        of Qtilde the mean of the values it joins."""
+        """The L-free integrals behind the mean and every profile norm:
+        int qtilde^2 and int qtilde_y^2 over the line, I1 = int_0^s (G^2 -
+        m^2) dy, I2 = int_0^s y (G - m) dy = -(1/2) int_0^s Qtilde dy and m,
+        where G' = qtilde, G(0) = 0, m = G(s) and s is the support
+        half-width. The shoulder quadrature runs at 4096 intervals, after
+        each entry is checked against 2048 to 1e-8 relative
+        (``ResolutionFaultError`` if not). I2 is exact: the mollifier's
+        f(t) + f(1 - t) = 1 gives each shoulder of Qtilde the mean of the
+        values it joins."""
         a, q0, q1 = self.params.a, self.params.q0, self.params.q1
-        half = _converged(_norm_integrals_half, self.params, self.smoothing.delta, "the profile norms")
-        q2, qy2, I1, m = map(float, half)
+        coarse, fine = (self._norm_integrals_half(n) for n in (2048, 4096))
+        if np.any(np.abs(fine - coarse) > 1e-8 * (1.0 + np.abs(fine))):
+            raise ResolutionFaultError("shoulder quadrature for the integrals of qtilde did not converge")
+        q2, qy2, I1, m = map(float, fine)
         I2 = -0.5 * ((q1 - q0) * a / 2.0 + (q0 + q1) * self.smoothing.delta)
         return 2.0 * q2, 2.0 * qy2, I1, I2, m
+
+    def _norm_integrals_half(self, n):
+        """Over [0, s], s = a + delta: int qtilde^2, int qtilde_y^2,
+        I1 = int (G^2 - m^2) and m = G(s), for G(y) = int_0^y qtilde. Each
+        shoulder is sampled at the n + 1 points y = lo + delta k / n, and G
+        runs through it by ``_running_simpson``; across a flat piece c,
+        G is K - c/y, which integrates in closed form."""
+        d = self.smoothing.delta
+        h = d / n
+        t = np.linspace(0.0, 1.0, n + 1)
+        f = mollifier(t)
+        # f' = f (1 - f) (1/t^2 + 1/(1 - t)^2), and 1 - f(t) = f(1 - t)
+        df = np.zeros_like(t)
+        df[1:-1] = f[1:-1] * f[-2:0:-1] * (1.0 / t[1:-1] ** 2 + 1.0 / (1.0 - t[1:-1]) ** 2)
+        q2 = qy2 = G = G2 = 0.0
+        for lo, hi, base, jump, rising in self._pieces:
+            if not jump:
+                K = G + base / lo
+                q2 += base * base / 3.0 * (lo**-3 - hi**-3)
+                qy2 += 4.0 * base * base / 5.0 * (lo**-5 - hi**-5)
+                G2 += K * K * (hi - lo) - 2.0 * K * base * math.log(hi / lo) + base * base * (1.0 / lo - 1.0 / hi)
+                G = K - base / hi
+                continue
+            y = lo + d * t
+            r = np.divide(1.0, y, out=np.zeros_like(y), where=y * y > 0.0)
+            Q = base + jump * (f if rising else f[::-1])
+            dQ = jump / d * (df if rising else -df[::-1])
+            q = Q * r * r
+            qy = (dQ - 2.0 * Q * r) * r * r
+            g = G + _running_simpson(q, h)
+            q2 += _simpson(q * q, h)
+            qy2 += _simpson(qy * qy, h)
+            G2 += _simpson(g * g, h)
+            G = float(g[-1])
+        return np.array([q2, qy2, G2 - G * G * self.support_halfwidth, G])
 
     def scaled_norms(self, L: float, pair: ExponentPair) -> "ProfileNorms":
         """L2 norms over [-L, L] of phi, phi_x = q - mean(q) and phi_xx for
@@ -211,94 +289,14 @@ def _running_simpson(f, h):
     return out
 
 
-def _branches(params, delta, n):
-    """Qtilde on [0, a + delta] along its five smoothing branches, in order:
-    the three mollified shoulders, each as arrays (Qtilde, dQtilde/dy, 1/y)
-    at the n + 1 points y = y_lo + delta k / n (1/y is 0 at y = 0, where
-    Qtilde vanishes to all orders), alternate with the two constant pieces,
-    each as floats (y_lo, y_hi, value). The mollifier f and its slope
-    f' = f (1 - f) (1/t^2 + 1/(1 - t)^2) come from one pair of exponentials."""
-    a, q0, q1 = params.a, params.q0, params.q1
-    t = np.linspace(0.0, 1.0, n + 1)
-    f, df = np.zeros_like(t), np.zeros_like(t)
-    f[-1] = 1.0
-    ti = t[1:-1]
-    ea, eb = np.exp(-1.0 / ti), np.exp(-1.0 / (1.0 - ti))
-    f[1:-1] = ea / (ea + eb)
-    df[1:-1] = ea * eb / (ea + eb) ** 2 * (1.0 / ti**2 + 1.0 / (1.0 - ti) ** 2)
-    y = delta * t
-    return (
-        (-q0 * f, -q0 / delta * df, np.divide(1.0, y, out=np.zeros_like(y), where=y > 0)),
-        (delta, a / 2.0 - delta, -q0),
-        (-q0 + (q0 + q1) * f, (q0 + q1) / delta * df, 1.0 / (a / 2.0 - delta + y)),
-        (a / 2.0, a, q1),
-        (q1 * f[::-1], -q1 / delta * df[::-1], 1.0 / (a + y)),
-    )
-
-
-def _integral_qtilde_half(params, delta, n):
-    """Integral of qtilde over [0, a + delta], splitting along the smoothing
-    branches: constant pieces of Qtilde integrate in closed form and the three
-    mollified shoulders by Simpson's rule on n intervals."""
-    val = 0.0
-    for piece in _branches(params, delta, n):
-        if isinstance(piece[0], np.ndarray):
-            Q, _, r = piece
-            val += _simpson(Q * r * r, delta / n)
-        else:
-            lo, hi, c = piece
-            val += c * (1.0 / lo - 1.0 / hi)
-    return val
-
-
-def _converged(half, params, delta, what, rtol=1e-8):
-    """half(params, delta, n) at n = 4096 intervals per shoulder, after
-    checking each entry against n = 2048 to rtol: ``ResolutionFaultError``
-    names what did not converge."""
-    coarse = np.atleast_1d(half(params, delta, 2048))
-    fine = np.atleast_1d(half(params, delta, 4096))
-    if np.any(np.abs(fine - coarse) > rtol * (1.0 + np.abs(fine))):
-        raise ResolutionFaultError(f"shoulder quadrature for {what} did not converge")
-    return fine
-
-
-def _integral_qtilde(params, delta):
-    return 2.0 * float(_converged(_integral_qtilde_half, params, delta, "the qtilde mean")[0])
-
-
-def _norm_integrals_half(params, delta, n):
-    """Over [0, s], s = a + delta: int qtilde^2, int qtilde_y^2,
-    I1 = int (G^2 - m^2) and m = G(s), for G(y) = int_0^y qtilde. G runs
-    through a shoulder by ``_running_simpson`` and across a constant piece
-    c as K - c/y, which integrates in closed form."""
-    h = delta / n
-    q2 = qy2 = G = G2 = 0.0
-    for piece in _branches(params, delta, n):
-        if isinstance(piece[0], np.ndarray):
-            Q, dQ, r = piece
-            q = Q * r * r
-            qy = (dQ - 2.0 * Q * r) * r * r
-            g = G + _running_simpson(q, h)
-            q2 += _simpson(q * q, h)
-            qy2 += _simpson(qy * qy, h)
-            G2 += _simpson(g * g, h)
-            G = float(g[-1])
-        else:
-            lo, hi, c = piece
-            K = G + c / lo
-            q2 += c * c / 3.0 * (lo**-3 - hi**-3)
-            qy2 += 4.0 * c * c / 5.0 * (lo**-5 - hi**-5)
-            G2 += K * K * (hi - lo) - 2.0 * K * c * math.log(hi / lo) + c * c * (1.0 / lo - 1.0 / hi)
-            G = K - c / hi
-    return np.array([q2, qy2, G2 - G * G * (params.a + delta), G])
-
-
 def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) -> SmoothedPotential:
     """Mollify the step potential into a C^2 compactly supported Qtilde and
     form qtilde = Qtilde / y^2.
 
     If the integral of qtilde fails to reach -mu, delta is halved until it
     does; the floor delta >= 1e-6*a turns persistent failure into an error.
+    Each delta tried runs the quadrature of qtilde's integrals once, and
+    the potential returned keeps them for its norms.
     """
     if smoothing is None:
         smoothing = SmoothingParams(delta=params.a / 64.0, mu=0.75)
@@ -306,17 +304,15 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
         raise ValueError("delta must be below a/4 so the smoothing pieces do not overlap")
     build_piecewise(params)  # AdmissibilityError before any quadrature
     floor = 1e-6 * params.a
-    delta = smoothing.delta
-    while True:
-        integral = _integral_qtilde(params, delta)
-        if integral <= -smoothing.mu:
-            break
-        if delta / 2.0 < floor:
+    sp = SmoothedPotential(params, smoothing)
+    while not sp.mean_qtilde <= -smoothing.mu:
+        delta = sp.smoothing.delta / 2.0
+        if delta < floor:
             raise InfeasibleSmoothingError(
-                f"delta floor {floor:g} reached with integral {integral:.6g} > -mu = {-smoothing.mu:g}"
+                f"delta floor {floor:g} reached with integral {sp.mean_qtilde:.6g} > -mu = {-smoothing.mu:g}"
             )
-        delta /= 2.0
-    return SmoothedPotential(params, SmoothingParams(delta=delta, mu=smoothing.mu), integral)
+        sp = SmoothedPotential(params, SmoothingParams(delta=delta, mu=smoothing.mu))
+    return sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,11 +463,10 @@ def _scaled_window(sp: SmoothedPotential, L: float, pair: ExponentPair):
     delta_scaled = sp.smoothing.delta * L ** (-c1)
     n = _grid_size(L, delta_scaled)
     dx = 2.0 * L / n
-    a, q0, q1 = sp.params.a, sp.params.q0, sp.params.q1
     j0 = max(0, int(math.floor((L - support_x) / dx)) - 1)
     j1 = min(n, int(math.ceil((L + support_x) / dx)) + 2)
     x = -L + dx * np.arange(j0, j1)
-    return n, j0, L**c2 * qtilde_values(x * L**c1, a, q0, q1, sp.smoothing.delta)
+    return n, j0, L**c2 * sp.qtilde(x * L**c1)
 
 
 def assemble_profile(

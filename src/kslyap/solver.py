@@ -90,7 +90,7 @@ class SpectralState:
 
     @property
     def norm_l2(self) -> float:
-        return math.sqrt(2.0 * self.L * float(np.sum(_power(self.half))))
+        return _norm_l2(self.L, self.half)
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,11 @@ def _power(w):
     return p
 
 
+def _norm_l2(L, w):
+    """|u|_2 over [-L, L) for u the real field of the half spectrum w."""
+    return math.sqrt(2.0 * L * float(np.sum(_power(w))))
+
+
 def _rfft_square(w, u, out):
     """rfft(u^2) into out for u the real field of the half spectrum w,
     evaluated in the length-N buffer u: np.fft.rfft(np.fft.irfft(w, n=N,
@@ -250,7 +255,7 @@ class _Kernel:
         out += s
         _project(out, self.odd_only)
         if not np.dot(out.view(np.float64), self.zero) == 0.0:
-            raise _LostStability(t_new, math.sqrt(2.0 * self.L * float(np.sum(_power(v)))))
+            raise _LostStability(t_new, _norm_l2(self.L, v))
         return out
 
 
@@ -336,8 +341,7 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
                 if i % cfg.record_every == 0:
                     half[i // cfg.record_every] = v
     except _LostStability as lost:
-        norm0 = math.sqrt(2.0 * L * float(np.sum(_power(half[0]))))
-        raise lost.blow_up(initial.t, norm0, cfg) from None
+        raise lost.blow_up(initial.t, _norm_l2(L, half[0]), cfg) from None
 
     t_out = initial.t + cfg.dt * rec_idx
     k2 = ((np.pi / L) * np.arange(N // 2 + 1)) ** 2
@@ -389,7 +393,7 @@ def random_initial(L: float, N: int, seed: int = 0, amplitude: float = 1.0, odd_
         z = _normals(seed, 2 * n_modes)
         coeff = z[0::2] + 1j * z[1::2]
     v[1 : n_modes + 1] = coeff
-    norm = math.sqrt(2.0 * L * float(np.sum(_power(v))))
+    norm = _norm_l2(L, v)
     if norm > 0:
         v *= amplitude / norm
     return SpectralState(L=float(L), N=N, half=v)

@@ -1,4 +1,5 @@
-"""The numpy kernels against explicit reference formulas."""
+"""The numpy kernels, and the smoothed potential's pointwise values, against
+explicit reference formulas."""
 
 import warnings
 
@@ -8,6 +9,7 @@ from scipy.linalg import hankel, toeplitz
 
 from kslyap import _accel, coercivity
 from kslyap.coercivity import assemble
+from kslyap.potential import PiecewiseParams, SmoothedPotential, SmoothingParams
 
 
 def test_mollifier_values():
@@ -27,20 +29,22 @@ def test_mollifier_monotone_symmetric():
     assert np.allclose(f + f[::-1], 1.0, atol=1e-12)
 
 
-def test_mollifier_subnormal_arguments_do_not_warn():
+def test_mollifier_subnormal_arguments_do_not_warn(default_sp):
     # -1/t overflows to -inf for subnormal t, and exp(-inf) = 0 is the value
     tiny = np.nextafter(0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _accel.mollifier(np.array([tiny, 1e-310, 2.0**-1022])).tolist() == [0.0, 0.0, 0.0]
-        assert _accel.Qtilde_values(tiny, 1.0, 0.5, 2.0, 1.0 / 64) == 0.0
+        assert default_sp.Qtilde(tiny) == 0.0
+        assert default_sp.qtilde(tiny) == 0.0  # tiny^2 underflows to 0
 
 
-def test_qtilde_branch_values():
+def test_qtilde_branch_values(default_sp):
     a, q0, q1, delta = 1.0, 0.5, 2.0, 1.0 / 64
+    assert default_sp.smoothing.delta == delta
     # inside the flat branches Qtilde is exactly -q0 and q1
     flat, top = 0.3, 0.8
-    v = _accel.qtilde_values(np.array([flat, top, 0.0, a + delta, 2.0]), a, q0, q1, delta)
+    v = default_sp.qtilde(np.array([flat, top, 0.0, a + delta, 2.0]))
     assert np.isclose(v[0], -q0 / flat**2, rtol=1e-14)
     assert np.isclose(v[1], q1 / top**2, rtol=1e-14)
     assert v[2] == 0.0
@@ -48,11 +52,11 @@ def test_qtilde_branch_values():
     assert v[4] == 0.0
 
 
-def test_qtilde_even_and_supported():
-    a, q0, q1, delta = 1.0, 0.5, 2.0, 1.0 / 64
+def test_qtilde_even_and_supported(default_sp):
+    a, delta = 1.0, 1.0 / 64
     y = np.linspace(0.0, 1.2, 2001)
-    qt_pos = _accel.qtilde_values(y, a, q0, q1, delta)
-    qt_neg = _accel.qtilde_values(-y, a, q0, q1, delta)
+    qt_pos = default_sp.qtilde(y)
+    qt_neg = default_sp.qtilde(-y)
     assert np.array_equal(qt_pos, qt_neg)
     assert np.all(qt_pos[y > a + delta] == 0.0)
 
@@ -64,17 +68,18 @@ def test_qtilde_is_Qtilde_over_y_squared():
         q0 = float(rng.uniform(0.05, 0.9)) / a**2
         q1 = float(rng.uniform(0.1, 4.0))
         delta = a / float(rng.uniform(8.0, 200.0))
+        sp = SmoothedPotential(PiecewiseParams(a, q0, q1), SmoothingParams(delta=delta, mu=0.75))
         y = np.concatenate(
             [
                 rng.uniform(-1.5 * (a + delta), 1.5 * (a + delta), size=400),
-                [0.0, delta, a / 2.0, a, a + delta, -a, 1e-9, -1e-9, 1e-8],
+                [0.0, delta, a / 2.0, a, a + delta, -a, 1e-9, -1e-9, 1e-8, 1e-170, -5e-324],
             ]
         )
-        qt = _accel.qtilde_values(y, a, q0, q1, delta)
-        Qt = _accel.Qtilde_values(y, a, q0, q1, delta)
-        safe = np.abs(y) >= 1e-8
+        qt = sp.qtilde(y)
+        Qt = sp.Qtilde(y)
+        safe = y * y > 0.0  # the origin, and where y^2 underflows, give 0
         assert np.array_equal(qt[safe], Qt[safe] / y[safe] ** 2)
-        assert np.all(qt[~safe] == 0.0)
+        assert np.all(qt[~safe] == 0.0) and np.all(Qt[~safe] == 0.0)
 
 
 def test_gram_matches_double_loop():

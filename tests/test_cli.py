@@ -215,6 +215,23 @@ def test_fit_cli(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["certified", "error", "L"])
+def test_fit_column_must_be_numeric(tmp_path, capsys, column):
+    # booleans fitted as 1.0 gave slope 0 with exit 0; the error column
+    # failed as "need at least 3 points"
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv([SweepRecord(L=L, h2_norm=L**1.5, certified=True) for L in (8.0, 16.0, 32.0)], path)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"column = {column}\n")
+    for argv in (["--column", column], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fit", "--input", str(path), "--out", str(tmp_path), *argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {column!r}" in err
+        assert "delta_margin, lambda_min, h2_norm, phi_norm, M2, r_star_star, sim_sup_norm" in err
+
+
 def test_molinet_cli(capsys):
     rc, payload = run_json(capsys, ["molinet", "--Lx", "100", "--json"])
     assert rc == 0

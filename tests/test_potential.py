@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from kslyap import coercivity, potential
 from kslyap._accel import gram_from_cosine, splitmix53
@@ -106,7 +107,8 @@ def test_mollifier_wrapper():
 
 def test_smooth_default_invariants(default_sp, default_grid):
     sp = default_sp
-    assert vars(sp).keys() == {"params", "smoothing", "mean_qtilde"}  # no sampled grid
+    # its parameters and the cached integrals only: no sampled grid
+    assert vars(sp).keys() == {"params", "smoothing", "_norm_integrals"}
     assert sp.smoothing.delta == 1.0 / 64.0  # no shrink needed at defaults
     assert sp.support_halfwidth == 1.0 + 1.0 / 64.0
     assert sp.mean_qtilde <= -0.75
@@ -137,7 +139,7 @@ def test_smooth_refuses_inadmissible_before_quadrature(monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(potential, "_integral_qtilde", no_quadrature)
+    monkeypatch.setattr(potential.SmoothedPotential, "_norm_integrals_half", no_quadrature)
     with pytest.raises(AdmissibilityError):
         smooth(PiecewiseParams(a=1.0, q0=2.0, q1=3.0))
 
@@ -145,6 +147,73 @@ def test_smooth_refuses_inadmissible_before_quadrature(monkeypatch):
 def test_smooth_mean_value(default_sp):
     # frozen value confirmed by two independent quadratures of qtilde
     assert np.isclose(default_sp.mean_qtilde, -140.44584128179335, rtol=1e-10)
+
+
+def _reference_integrals(sp):
+    """mean_qtilde and ``_norm_integrals`` (int qtilde^2, int qtilde_y^2,
+    I1, I2, m) by scipy's Simpson rules, written from the step potential
+    and the mollifier's definition: piece by piece, with the branch ends as
+    breakpoints, 2^16 intervals per shoulder and 2^18 per flat piece. I1
+    and I2 integrate G(y) = int_0^y qtilde, run by cumulative Simpson."""
+    a, q0, q1 = sp.params.a, sp.params.q0, sp.params.q1
+    d = sp.smoothing.delta
+
+    def f(t):  # e^{-1/t} / (e^{-1/t} + e^{-1/(1-t)}) and its slope on [0, 1]
+        t = np.clip(t, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ea, eb = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+            slope = ea * eb / (ea + eb) ** 2 * (1.0 / t**2 + 1.0 / (1.0 - t) ** 2)
+        return ea / (ea + eb), np.where((t > 0.0) & (t < 1.0), slope, 0.0)
+
+    def shoulder(c0, c1, t_of_y, dt_dy):  # c0 + (c1 - c0) f(t(y)), and d/dy
+        def Q(y):
+            v, dv = f(t_of_y(y))
+            return c0 + (c1 - c0) * v, (c1 - c0) * dv * dt_dy
+        return Q, 1 << 16
+
+    def flat(c):
+        return (lambda y: (np.full_like(y, c), np.zeros_like(y))), 1 << 18
+
+    pieces = [
+        (0.0, d, shoulder(0.0, -q0, lambda y: y / d, 1.0 / d)),
+        (d, a / 2 - d, flat(-q0)),
+        (a / 2 - d, a / 2, shoulder(-q0, q1, lambda y: (y - (a / 2 - d)) / d, 1.0 / d)),
+        (a / 2, a, flat(q1)),
+        (a, a + d, shoulder(0.0, q1, lambda y: (a + d - y) / d, -1.0 / d)),
+    ]
+    G_end, mean, q2, qy2, runs = 0.0, 0.0, 0.0, 0.0, []
+    for lo, hi, (Q_of, n) in pieces:
+        y = np.linspace(lo, hi, n + 1)
+        Q, dQ = Q_of(y)
+        r = np.divide(1.0, y, out=np.zeros_like(y), where=y > 0.0)  # Q and dQ vanish at 0
+        q, qy = Q * r**2, dQ * r**2 - 2.0 * Q * r**3
+        mean += 2.0 * simpson(q, x=y)
+        q2 += 2.0 * simpson(q * q, x=y)
+        qy2 += 2.0 * simpson(qy * qy, x=y)
+        G = G_end + cumulative_simpson(q, x=y, initial=0.0)
+        runs.append((y, G))
+        G_end = G[-1]
+    m = G_end
+    I1 = sum(simpson(G * G - m * m, x=y) for y, G in runs)
+    I2 = sum(simpson(y * (G - m), x=y) for y, G in runs)
+    return mean, (q2, qy2, I1, I2, m)
+
+
+@pytest.mark.parametrize(
+    "params, mu", [((1.0, 0.5, 2.0), 0.75), ((0.8, 1.0, 3.0), 0.75), ((1.2, 0.3, 0.9), 0.75), ((1.0, 0.5, 2.0), 500.0)]
+)
+def test_qtilde_integrals_match_references(params, mu):
+    # mu = 500 halves delta twice, to a/256. The largest relative gap is
+    # 3.3e-13 (I1, whose G^2 - m^2 cancels), then 1.1e-13 (I2) and at most
+    # 2.5e-14 on the rest: the reference's own error, for with 2^16
+    # intervals on the flat pieces it was 6e-12 at delta = a/256. 1e-11
+    # leaves a factor 30
+    sp = smooth(PiecewiseParams(*params), SmoothingParams(delta=params[0] / 64.0, mu=mu))
+    assert sp.smoothing.delta == params[0] / (64.0 if mu < 1.0 else 256.0)
+    mean, ref = _reference_integrals(sp)
+    assert abs(sp.mean_qtilde - mean) <= 1e-11 * abs(mean)
+    for got, want in zip(sp._norm_integrals, ref):
+        assert abs(got - want) <= 1e-11 * abs(want)
 
 
 def test_smooth_second_difference_bounded(default_sp, default_grid):
