@@ -7,6 +7,7 @@ comments, keys named like the flag with underscores); command-line flags win.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -41,8 +42,20 @@ def _parse_bool(key, text):
     return value in ("1", "true", "yes", "on")
 
 
+def _half_length(text):
+    """A domain half-length L: a finite positive number. argparse names the
+    flag in the message of the error this raises."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+    return value
+
+
 def _parse_l_list(text):
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+    return [_half_length(tok) for tok in str(text).replace(",", " ").split()]
 
 
 def _config_defaults(args, config):
@@ -132,6 +145,7 @@ def _cmd_verify(args, out_dir):
         "lambda_min": report.lambda_min,
         "delta_margin": report.delta_margin,
         "N_sequence": list(report.N_sequence),
+        "pair_gaps": list(report.pair_gaps),
         "converged": report.converged,
         "certified": report.certified,
     }
@@ -308,27 +322,27 @@ def build_parser(**defaults):
     p.set_defaults(func=_cmd_exponents, **defaults)
 
     p = subs.add_parser("build-potential", help="construct and save a profile")
-    p.add_argument("--L", type=float, help="domain half-length")
+    p.add_argument("--L", type=_half_length, help="domain half-length")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_build_potential, **defaults)
 
     p = subs.add_parser("verify", help="certify coercivity of the form")
-    p.add_argument("--L", type=float, help="domain half-length")
+    p.add_argument("--L", type=_half_length, help="domain half-length")
     p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_verify, **defaults)
 
     p = subs.add_parser("bound", help="attracting-ball radius for a profile")
-    p.add_argument("--L", type=float, help="domain half-length")
+    p.add_argument("--L", type=_half_length, help="domain half-length")
     p.add_argument("--profile", help="profile JSON written by build-potential")
     _potential_flags(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_bound, **defaults)
 
     p = subs.add_parser("simulate", help="integrate the flow and record norms")
-    p.add_argument("--L", type=float, help="domain half-length")
+    p.add_argument("--L", type=_half_length, help="domain half-length")
     p.add_argument("--gamma", type=float, default=0.0, help="destabilization coefficient")
     p.add_argument("--t-end", type=float, help="integration horizon")
     p.add_argument("--dt", type=float, default=0.05, help="time step")

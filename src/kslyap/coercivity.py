@@ -8,6 +8,9 @@ with the single pinning condition u(0) = 0. A negative smallest eigenvalue at
 finite mode count is conclusive (Rayleigh-Ritz gives upper bounds); a positive
 one is accepted only after a mode-doubling convergence check, whose ladder
 starts where the sine subspace holds the form's minimizing mode (``certify``).
+Each step of the ladder solves one level N and bounds level N / 2 from above
+by the Rayleigh quotient of level N's eigenvector cut to its first N / 2
+modes.
 
 ``min_eigenvalue`` and ``certify`` take one of two steps, numpy only.
 Constructed profiles take the secular step; arrays and sampled profiles
@@ -21,13 +24,12 @@ take the dense step, up to ``_FILL_MAX``:
   lambda_min of that model, Newton's method closes the bracket, and the
   value returned is the Rayleigh quotient on A of the model's closed-form
   eigenvector: an upper bound on A's lambda_min. No N x N array.
-- Dense ``numpy.linalg.eigvalsh``, for arrays and for sampled profiles,
-  whose window is the whole grid: its predicted rank is past the range
-  finder's column cap, so no product is formed. What the secular step
-  gives up on takes it too.
+- Dense, for arrays (``numpy.linalg.eigvalsh``) and for sampled profiles
+  (``numpy.linalg.eigh``, which gives the eigenvector too), whose window is
+  the whole grid: its predicted rank is past the range finder's column cap,
+  so no product is formed. What the secular step gives up on takes it too.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -69,7 +71,8 @@ _RANK_TOL = 1e-12
 # certify's ladders to L = 8192
 _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
-# certify's least first level, and the agreement of two levels it accepts
+# certify's least first level, and the relative gap rho - lambda_N it
+# accepts between level N and rho, its bound on level N / 2
 _N_START = 64
 _RTOL = 1e-6
 # a QuadFormMatrix above this order that takes the dense step raises
@@ -162,18 +165,6 @@ class _WindowGram:
             k *= 2
         return None
 
-    def lend(self, lower):
-        """Give ``lower``, the window Gram of the first lower.N modes, this
-        one's compression: G_w(lower.N) is the leading block of G_w(N), so
-        rows 1..lower.N of U with the same C model it with the same error,
-        entry for entry. Those rows are not orthonormal, but their norm is at
-        most 1, which is all ``_secular_vector`` needs. Past the column cap
-        nothing is lent, and ``lower`` compresses itself."""
-        low_rank = self.compressed
-        if low_rank is not None:
-            U, C = low_rank
-            vars(lower)["compressed"] = (U[: lower.N], C)
-
 
 @dataclass(frozen=True, eq=False)
 class QuadFormMatrix:
@@ -202,12 +193,19 @@ class QuadFormMatrix:
 class CoercivityReport:
     """Smallest eigenvalues of the form and of its shifted variant
     (the shift subtracts a quarter of the leading kinetic term and a quarter
-    of the identity, so delta_margin >= 0 is the certified inequality)."""
+    of the identity, so delta_margin >= 0 is the certified inequality).
+
+    ``pair_gaps`` holds rho - lambda for the form and its shifted variant at
+    the accepted pair (N / 2, N): rho, the Rayleigh quotient of level N's
+    eigenvector cut to its first N / 2 modes, is at or above level N / 2's
+    smallest eigenvalue, so each gap bounds how far the pair's two levels
+    are apart."""
 
     lambda_min: float
     delta_margin: float
     N_sequence: tuple
     converged: bool
+    pair_gaps: tuple = ()
 
     @property
     def certified(self) -> bool:
@@ -303,13 +301,7 @@ def _secular_vector(m):
     lambda_min; the entries of Delta up to hi are bordered rows, so h has no
     pole in [lo, hi]. Each probe moves lo (n = 0) or hi (n > 0) to itself,
     and a Newton step that leaves [lo, hi] goes to hi from lo, later to the
-    midpoint.
-
-    U need not be orthonormal: the inertia counts and the Newton bracket
-    hold for any model Delta + U diag(C) U^T, and the Weyl bound
-    min Delta + min(0, min C) holds whenever |U| <= 1, as for the leading
-    rows of an orthonormal U that ``certify`` lends a level from the one
-    above it."""
+    midpoint."""
     if not (np.isfinite(m._window.moments).all() and np.isfinite(m.diagonal).all()):
         raise EigensolverError("matrix has a non-finite moment or diagonal entry")
     if m._window.compressed is None:
@@ -341,35 +333,70 @@ def _secular_vector(m):
     return None
 
 
-def _array_min(m):
-    """Dense smallest eigenvalue of an array or of the entries of a
-    ``QuadFormMatrix`` (see ``min_eigenvalue``)."""
-    if isinstance(m, QuadFormMatrix) and m.N > _FILL_MAX:
+def _dense_min(m):
+    """Dense smallest eigenvalue of an array, from ``eigvalsh``, or of the
+    entries of a ``QuadFormMatrix`` with its unit eigenvector, both from one
+    ``eigh`` (see ``min_eigenvalue``)."""
+    form = isinstance(m, QuadFormMatrix)
+    if form and m.N > _FILL_MAX:
         raise EigensolverError(
             f"the dense eigensolve at N = {m.N} would fill an {m.N} x {m.N} array "
             f"({8 * m.N**2 / 2**30:.3g} GiB); it stops at N = {_FILL_MAX}"
         )
-    entries = m.entries if isinstance(m, QuadFormMatrix) else np.asarray(m, dtype=float)
+    entries = m.entries if form else np.asarray(m, dtype=float)
     if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
         raise EigensolverError("matrix has a non-finite entry in its lower triangle")
     try:
+        if form:
+            w, V = np.linalg.eigh(entries)
+            return float(w[0]), V[:, 0]
         return float(np.linalg.eigvalsh(entries)[0])
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(str(exc)) from exc
 
 
-def _minima(forms):
-    """Smallest eigenvalues of ``forms``, matrices from ``assemble`` that
-    share one window: the secular vectors X close as Rayleigh quotients
-    from one batched product G_w X, and each form the secular step gives
-    up on takes the dense step."""
-    vectors = [_secular_vector(A) for A in forms]
-    X = [x for x in vectors if x is not None]
-    GX = iter(forms[0]._window.apply(np.stack(X)) if X else ())
-    return [
-        _array_min(A) if x is None else float(x @ (A.diagonal * x) + x @ next(GX))
-        for A, x in zip(forms, vectors)
-    ]
+def _minima(forms, cut=None):
+    """(lambda, rho) for each of ``forms``, matrices from ``assemble`` that
+    share one window. lambda is the smallest eigenvalue: each form the
+    secular step gives up on takes the dense step, and a secular unit
+    vector x closes as the Rayleigh quotient x^T A x. With ``cut``, rho is
+    the Rayleigh quotient of that eigenvector cut to its first ``cut``
+    modes, an upper bound on the smallest eigenvalue of the leading
+    cut x cut block (infinite for a cut of norm zero); without, None.
+
+    The secular vectors and their cuts close from one batched product
+    G_w Z; a dense form reads its cut's quotient from its entries, so a
+    sampled profile forms no product."""
+    solved = []
+    for A in forms:
+        x = _secular_vector(A)
+        solved.append((None, x) if x is not None else _dense_min(A))
+    # each secular vector, followed with cut by its cut zero-padded to N
+    Z = []
+    for lam, x in solved:
+        if lam is None:
+            Z.append(x)
+            if cut:
+                Z.append(np.concatenate((x[:cut], np.zeros(x.size - cut))))
+    products = zip(Z, forms[0]._window.apply(np.stack(Z))) if Z else iter(())
+    out = []
+    for A, (lam, x) in zip(forms, solved):
+        secular = lam is None
+        if secular:
+            lam = _rayleigh(A, *next(products))
+        rho = None
+        if cut:
+            z = x[:cut]
+            num = _rayleigh(A, *next(products)) if secular else float(z @ A.entries[:cut, :cut] @ z)
+            norm2 = float(z @ z)
+            rho = num / norm2 if norm2 > 0.0 else math.inf
+        out.append((lam, rho))
+    return out
+
+
+def _rayleigh(A, z, Gz):
+    """z^T A z for A from ``assemble``, from z and its product G_w z."""
+    return float(z @ (A.diagonal * z) + z @ Gz)
 
 
 def min_eigenvalue(m) -> float:
@@ -388,19 +415,20 @@ def min_eigenvalue(m) -> float:
       the model's closed-form eigenvector: a Rayleigh-Ritz upper bound on
       A's lambda_min. A NaN or infinity in the moments or the diagonal
       raises ``EigensolverError`` before any solve.
-    - Dense ``eigvalsh``: a ``QuadFormMatrix`` goes on as its ``entries``
-      where the range finder's rank is past its column cap (as for a
-      sampled profile's whole-grid window, before any product), and where
-      the secular step gives up: a failed Weyl count, or Newton unconverged
-      after ``_SECULAR_PROBES`` probes. Above order ``_FILL_MAX`` it raises
-      ``EigensolverError`` instead of filling them.
+    - Dense: an array takes ``eigvalsh``. A ``QuadFormMatrix`` takes one
+      ``eigh`` of its ``entries``, from which ``certify`` also reads the
+      eigenvector, where the range finder's rank is past its column cap
+      (as for a sampled profile's whole-grid window, before any product),
+      and where the secular step gives up: a failed Weyl count, or Newton
+      unconverged after ``_SECULAR_PROBES`` probes. Above order
+      ``_FILL_MAX`` it raises ``EigensolverError`` instead of filling them.
 
     A NaN or infinity in the lower triangle raises ``EigensolverError``
     before the dense solve (LAPACK's can return a finite value for a NaN
     diagonal). The strict upper triangle is never read, and the input is
     not modified.
     """
-    return _minima((m,))[0] if isinstance(m, QuadFormMatrix) else _array_min(m)
+    return _minima((m,))[0][0] if isinstance(m, QuadFormMatrix) else _dense_min(m)
 
 
 def _shifted(A: QuadFormMatrix) -> QuadFormMatrix:
@@ -424,44 +452,41 @@ def certify(profile: PotentialProfile, n_cap: int | None = None) -> CoercivityRe
     it. Without ``n_cap`` the ladder stops at max(4096, 2 N_0); an explicit
     ``n_cap`` is the last level allowed.
 
-    Levels come in pairs (N, 2N), each assembled once, with one window
-    compression, of level 2N: G_w(N) is the leading N x N block of G_w(2N),
-    so level N takes rows 1..N of its U with the same C (``_WindowGram.lend``).
-    A level whose double is past the cap or the grid's resolution
-    compresses its own window. Both forms of a level share the compression
-    and one closing product. A constructed profile takes the secular step at
-    every level; a sampled profile takes the dense step, one fill per form,
-    up to ``_FILL_MAX``.
+    Levels come in pairs (N / 2, N), and each step solves level N only.
+    Cut level N's unit eigenvector x to its first N / 2 modes: its Rayleigh
+    quotient rho is an upper bound on lambda_{N/2}, and the levels nest, so
+    lambda_N <= lambda_{N/2} <= rho. The pair is accepted when
+    rho - lambda_N < _RTOL (1 + |lambda_N|) for both forms, which bounds the
+    agreement of the two levels instead of measuring it; a cut of norm zero
+    fails the check. ``N_sequence`` lists every level visited, the first
+    one bounded, not solved. Both forms of a level share one window
+    compression and one closing product of their vectors and cuts. A
+    constructed profile takes the secular step at every level; a sampled
+    profile takes the dense step, one fill per form, up to ``_FILL_MAX``.
     """
     N = max(_N_START, 1 << max(0, math.ceil(math.log2(profile.L / 2.0))))
     cap = max(4096, 2 * N) if n_cap is None else n_cap
-    used = []
-    lam = margin = upper = None
-    while N <= cap:
-        if upper is not None:
-            A, upper = upper, None
-        else:
-            A = assemble(profile, N)
-            if 2 * N <= cap:
-                with contextlib.suppress(UnderResolvedGridError):
-                    upper = assemble(profile, 2 * N)
-                    upper._window.lend(A._window)
-        lam_prev, margin_prev = lam, margin
-        lam, margin = _minima((A, _shifted(A)))
-        used.append(N)
-        if (
-            lam_prev is not None
-            and abs(lam - lam_prev) < _RTOL * (1.0 + abs(lam))
-            and abs(margin - margin_prev) < _RTOL * (1.0 + abs(margin))
-        ):
+    used = [N]
+    lam = margin = None
+    while 2 * N <= cap:
+        A = assemble(profile, 2 * N)
+        (lam, lam_cut), (margin, margin_cut) = _minima((A, _shifted(A)), N)
+        used.append(2 * N)
+        gaps = (lam_cut - lam, margin_cut - margin)
+        if gaps[0] < _RTOL * (1.0 + abs(lam)) and gaps[1] < _RTOL * (1.0 + abs(margin)):
             return CoercivityReport(
                 lambda_min=lam,
                 delta_margin=margin,
                 N_sequence=tuple(used),
                 converged=True,
+                pair_gaps=gaps,
             )
         N *= 2
-    last = f"last lambda_min {lam:.6g}, margin {margin:.6g}" if used else f"first level {N} is past it"
+    last = (
+        f"last lambda_min {lam:.6g}, margin {margin:.6g}"
+        if lam is not None
+        else f"first level {used[0]} needs level {2 * used[0]}, past it"
+    )
     raise CertificationInconclusiveError(f"eigenvalues not converged at mode cap {cap} ({last}); not a disproof")
 
 

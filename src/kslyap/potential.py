@@ -452,8 +452,8 @@ def _scaled_window(sp: SmoothedPotential, L: float, pair: ExponentPair):
     qtilde(x * L^{c1}) on the index window [j0, j0 + W) of the uniform n-point
     grid over [-L, L); q vanishes off the window. The grid size resolves the
     scaled mollification width."""
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, not {L!r}")
     c1, c2 = float(pair.c1), float(pair.c2)
     support_x = sp.support_halfwidth * L ** (-c1)
     if L < 1.0 or support_x > L:

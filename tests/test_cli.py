@@ -261,6 +261,32 @@ def test_missing_L_exits_2(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "--L", "nan"], "--L", "nan"),
+        (["verify", "--L", "inf"], "--L", "inf"),
+        (["bound", "--L", "0"], "--L", "0"),
+        (["build-potential", "--L", "1e400"], "--L", "1e400"),
+        (["simulate", "--L", "-5"], "--L", "-5"),
+        (["verify", "--L", "wide"], "--L", "wide"),
+        (["sweep", "--L-list", "32,inf"], "--L-list", "inf"),
+        (["sweep", "--L-list", "nan 64"], "--L-list", "nan"),
+        (["sweep", "--L-list", "32,-64"], "--L-list", "-64"),
+    ],
+)
+def test_non_finite_or_non_positive_L_exits_2(tmp_path, capsys, argv, flag, value):
+    # every half-length flag takes one type, which refuses NaN, infinities,
+    # zero and negative values before the command runs; argparse exits 2
+    # with a message naming the flag and the value
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and repr(value) in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# study configuration\norder = second\njson = true\n")

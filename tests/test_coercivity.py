@@ -399,18 +399,26 @@ def test_small_windowed_levels_build_no_dense_matrix(profile32, monkeypatch, N):
     assert all("entries" not in vars(A) for A in mats)
 
 
-def test_failed_count_falls_through_to_eigvalsh(profile32, monkeypatch):
-    # a count that never proves the Weyl bound: one dense solve answers,
-    # with the array's value
+def _dense_value(m):
+    """The dense step's value for a matrix from ``assemble``: eigh's
+    smallest eigenvalue of its entries, filled on a copy."""
+    return float(np.linalg.eigh(replace(m).entries)[0][0])
+
+
+def test_failed_count_falls_through_to_eigh(profile32, monkeypatch):
+    # a count that never proves the Weyl bound: one dense eigh answers,
+    # with the entries' value, and no eigvalsh runs (the secular step's
+    # own small eigh calls are on its sketch and its bordered matrices)
     m = assemble(profile32, 512)
-    value = min_eigenvalue(replace(m).entries)
+    value = _dense_value(m)
     probe = coercivity._Secular.probe
     monkeypatch.setattr(coercivity._Secular, "probe", lambda self, sigma: (1, *probe(self, sigma)[1:]))
+    _refuse(monkeypatch, "eigvalsh")
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     assert min_eigenvalue(m) == value
-    assert calls == [(512, 512)]
+    assert calls.count((512, 512)) == 1 and max(calls) == (512, 512)
 
 
 def _applied(monkeypatch):
@@ -424,9 +432,9 @@ def _applied(monkeypatch):
 def test_range_finder_gives_up_before_any_product(critical_pair, monkeypatch):
     # at L = 8, N = 2048 the window predicts rank ceil(N W / n) + 8 = 138,
     # past _RANK_MAX: no product is formed, and the dense solve answers
-    # with the array's value
+    # with the entries' value
     m = assemble(build_profile(8.0, pair=critical_pair), 2048)
-    value = min_eigenvalue(replace(m).entries)
+    value = _dense_value(m)
     rows = _applied(monkeypatch)
     assert min_eigenvalue(m) == value
     assert rows == []
@@ -520,9 +528,9 @@ def test_sampled_profile_takes_the_dense_step(make_flat_profile, profile32, monk
     assert abs(min_eigenvalue(flat) - flat.diagonal.min()) <= 1e-12
 
 
-def test_rank_past_cap_takes_eigvalsh(profile32, monkeypatch):
+def test_rank_past_cap_takes_eigh(profile32, monkeypatch):
     m = assemble(profile32, 512)
-    value = min_eigenvalue(m.entries)
+    value = _dense_value(m)
     monkeypatch.setattr(coercivity, "_RANK_MAX", 8)
     assert m._window.compressed is None
     assert min_eigenvalue(m) == value
@@ -699,10 +707,11 @@ def test_certify_inconclusive_at_cap(profile32):
 
 
 def test_certify_closes_at_a_level_whose_double_is_past_the_grid(critical_pair):
-    # n = 1024 points resolve moment 2N up to N = 256: level 256 has no
-    # upper level to lend it a compression and solves on its own. The
-    # potential's mode 100 couples the lowest modes to mode 102, first held
-    # at N = 128, so the ladder closes at (128, 256)
+    # n = 1024 points resolve moment 2N up to N = 256, the last level the
+    # ladder can solve. The potential's mode 100 couples the lowest modes
+    # to mode 102, first held at N = 128, so the ladder closes at
+    # (128, 256); its value is the dense step's, from the same eigh that
+    # min_eigenvalue runs
     L, n = 8.0, 1024
     x = -L + (2.0 * L / n) * np.arange(n)
     p = PotentialProfile.from_samples(L, 3.0 + 1000.0 * np.cos(100.0 * np.pi * x / L), -1.0, critical_pair)
@@ -723,26 +732,73 @@ def test_certify_honours_a_cap_below_the_first_level(critical_pair):
     "L, levels", [(32.0, (64, 128)), (64.0, (64, 128)), (128.0, (64, 128)), (256.0, (128, 256)), (512.0, (256, 512))]
 )
 def test_certify_lends_the_upper_compression(critical_pair, monkeypatch, L, levels):
-    # the ladder starts at max(64, 2^ceil(log2(L/2))), and its first level
-    # takes the leading rows of the second level's compression: the same
-    # lambda, for both forms, as a fresh compression of its own window
+    # the ladder starts at max(64, 2^ceil(log2(L/2))) and solves its second
+    # level only: that level's compression serves the first as well, whose
+    # bound is the second level's eigenvectors cut to their first half. One
+    # range-finder pass, of level 2N, two secular solves (the form and its
+    # shifted copy) and one closing product of four rows: the two vectors
+    # and their two cuts
     profile = build_profile(L, pair=critical_pair)
-    N = levels[0]
-    fresh = [min_eigenvalue(A) for A in (assemble(profile, N), _shifted(assemble(profile, N)))]
-    m = assemble(profile, N)
-    assemble(profile, 2 * N)._window.lend(m._window)
-    lent = [min_eigenvalue(A) for A in (m, _shifted(m))]
-    assert np.abs(np.subtract(lent, fresh)).max() <= 1e-12
-    # one range-finder pass, of level 2N, and one closing product of two
-    # rows per level
     rows = _applied(monkeypatch)
+    solved = []
+    vector = coercivity._secular_vector
+    monkeypatch.setattr(coercivity, "_secular_vector", lambda m: solved.append(m.N) or vector(m))
     assert certify(profile).N_sequence == levels
-    assert len(rows) == 3 and rows[1:] == [2, 2]
+    assert len(rows) == 2 and rows[1:] == [4]
+    assert solved == [levels[1]] * 2
+
+
+@pytest.mark.parametrize("L", [32.0, 64.0, 128.0, 256.0, 512.0, 8192.0])
+def test_cut_bounds_the_lower_level(critical_pair, L):
+    # the lower level of the accepted pair (N / 2, N), solved on its own,
+    # lies between lambda_N and rho, the Rayleigh quotient of level N's
+    # eigenvector cut to N / 2 modes, for both forms; and the two-level
+    # rule the cut replaced (both levels solved, agreeing to _RTOL) accepts
+    # the same pair and no earlier one
+    profile = build_profile(L, pair=critical_pair)
+    report = certify(profile)
+    seq = report.N_sequence
+    top = assemble(profile, seq[-1])
+    bounds = coercivity._minima((top, _shifted(top)), seq[-1] // 2)
+    assert [lam for lam, _ in bounds] == [report.lambda_min, report.delta_margin]
+    assert report.pair_gaps == tuple(rho - lam for lam, rho in bounds)
+    levels = []
+    for N in seq:
+        m = assemble(profile, N)
+        levels.append([min_eigenvalue(A) for A in (m, _shifted(m))])
+    for (lam, rho), low in zip(bounds, levels[-2]):
+        assert lam - 1e-12 * (1.0 + abs(lam)) <= low <= rho
+    agree = [
+        all(abs(b - a) < coercivity._RTOL * (1.0 + abs(b)) for a, b in zip(lower, upper))
+        for lower, upper in zip(levels, levels[1:])
+    ]
+    assert agree == [False] * (len(agree) - 1) + [True]
+
+
+def test_certify_moves_past_a_cut_of_norm_zero(make_flat_profile, monkeypatch):
+    # a diagonal whose minimum is near mode 100 for the form and at mode 100
+    # for its shifted variant: level 128's eigenvectors are unit vectors
+    # past mode 64, so their cuts to 64 modes are zero, which fails the
+    # check without a division, and level 256 closes the pair (128, 256)
+    def kinetic(L, N):
+        k = np.arange(1.0, N + 1)
+        return (k - 100.0) ** 2 + 1.0 + 0.25 * ((np.pi / L) * k) ** 4 + 0.25
+
+    monkeypatch.setattr(coercivity, "_kinetic_diagonal", kinetic)
+    profile = make_flat_profile(L=64.0, n=16384, slope=0.0)
+    m = assemble(profile, 128)
+    assert np.argmin(m.diagonal) >= 64
+    assert coercivity._minima((m, _shifted(m)), 64) == [(m.diagonal.min(), math.inf), (1.0, math.inf)]
+    report = certify(profile)
+    assert report.N_sequence == (64, 128, 256)
+    assert report.delta_margin == 1.0 and report.pair_gaps == (0.0, 0.0)
 
 
 def test_certify_level_with_one_form_past_the_secular_step(profile32, monkeypatch):
-    # a form the secular step gives up on takes the dense step on its own;
-    # the other keeps its secular value and closes with a one-row product
+    # a form the secular step gives up on takes the dense step on its own
+    # and reads its cut's quotient from its entries; the other keeps its
+    # secular value and closes with a two-row product, its vector and its
+    # cut
     report = certify(profile32)
     vector = coercivity._secular_vector
     forms = []
@@ -757,7 +813,7 @@ def test_certify_level_with_one_form_past_the_secular_step(profile32, monkeypatc
     again = certify(profile32)
     assert again.N_sequence == report.N_sequence and again.lambda_min == report.lambda_min
     assert abs(again.delta_margin - report.delta_margin) <= 1e-9 * report.delta_margin
-    assert rows[1:] == [1, 1] and all("entries" in vars(m) for m in forms[1::2])
+    assert rows[1:] == [2] and len(forms) == 2 and all("entries" in vars(m) for m in forms[1::2])
 
 
 def test_certify_reaches_the_minimizing_mode_at_large_L(critical_pair):

@@ -2,6 +2,7 @@
 assembly, file round trip, and the quartic descent construction."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -276,6 +277,14 @@ def test_scale_to_domain_rejects_small_L():
 def test_build_profile_rejects_small_L():
     with pytest.raises(DomainTooSmallError):
         build_profile(0.9)
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+def test_build_profile_rejects_non_finite_and_non_positive_L(L):
+    # refused before the grid size, which an infinite L divides by zero and
+    # a NaN L cannot convert to an integer
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_profile(L)
 
 
 def test_profile_fields(profile32, critical_pair):
