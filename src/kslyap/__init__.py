@@ -23,7 +23,6 @@ from .potential import (
     PotentialProfile,
     SmoothedPotential,
     SmoothingParams,
-    assemble_profile,
     bs_optimal_potential,
     build_piecewise,
     build_profile,

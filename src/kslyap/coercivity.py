@@ -12,9 +12,9 @@ Each step of the ladder solves one level N and bounds level N / 2 from above
 by the Rayleigh quotient of level N's eigenvector cut to its first N / 2
 modes.
 
-``min_eigenvalue`` and ``certify`` take one of two steps, numpy only.
-Constructed profiles take the secular step; arrays and sampled profiles
-take the dense step, up to ``_FILL_MAX``:
+``min_eigenvalue`` and ``certify`` take a matrix from ``assemble`` and one
+of two steps, numpy only. Constructed profiles take the secular step;
+sampled profiles take the dense step, up to ``_FILL_MAX``:
 
 - Secular: A = Delta + G_w, a diagonal plus the Gram matrix of phi_x's
   departure from its constant off the window, which the critical scaling
@@ -24,10 +24,10 @@ take the dense step, up to ``_FILL_MAX``:
   lambda_min of that model, Newton's method closes the bracket, and the
   value returned is the Rayleigh quotient on A of the model's closed-form
   eigenvector: an upper bound on A's lambda_min. No N x N array.
-- Dense, for arrays (``numpy.linalg.eigvalsh``) and for sampled profiles
-  (``numpy.linalg.eigh``, which gives the eigenvector too), whose window is
-  the whole grid: its predicted rank is past the range finder's column cap,
-  so no product is formed. What the secular step gives up on takes it too.
+- Dense: one ``numpy.linalg.eigh`` of the filled entries, which gives the
+  eigenvector too. A sampled profile's window is the whole grid: its
+  predicted rank is past the range finder's column cap, so no product is
+  formed. What the secular step gives up on takes it too.
 """
 
 import math
@@ -71,9 +71,11 @@ _RANK_TOL = 1e-12
 # certify's ladders to L = 8192
 _SECULAR_TOL = 1e-13
 _SECULAR_PROBES = 16
-# certify's least first level, and the relative gap rho - lambda_N it
-# accepts between level N and rho, its bound on level N / 2
+# certify's least first level, its last level unless twice the first is
+# higher, and the relative gap rho - lambda_N it accepts between level N
+# and rho, its bound on level N / 2
 _N_START = 64
+_N_MAX = 4096
 _RTOL = 1e-6
 # a QuadFormMatrix above this order that takes the dense step raises
 # instead of filling its N x N entries (134 MB at 4096; 34 GB at the
@@ -334,25 +336,19 @@ def _secular_vector(m):
 
 
 def _dense_min(m):
-    """Dense smallest eigenvalue of an array, from ``eigvalsh``, or of the
-    entries of a ``QuadFormMatrix`` with its unit eigenvector, both from one
-    ``eigh`` (see ``min_eigenvalue``)."""
-    form = isinstance(m, QuadFormMatrix)
-    if form and m.N > _FILL_MAX:
+    """Smallest eigenvalue of the entries of a matrix from ``assemble``,
+    with its unit eigenvector, from one ``eigh``; above order ``_FILL_MAX``
+    ``EigensolverError`` instead of the fill."""
+    if m.N > _FILL_MAX:
         raise EigensolverError(
             f"the dense eigensolve at N = {m.N} would fill an {m.N} x {m.N} array "
             f"({8 * m.N**2 / 2**30:.3g} GiB); it stops at N = {_FILL_MAX}"
         )
-    entries = m.entries if form else np.asarray(m, dtype=float)
-    if entries.ndim == 2 and not np.isfinite(entries).all() and np.tril(~np.isfinite(entries)).any():
-        raise EigensolverError("matrix has a non-finite entry in its lower triangle")
     try:
-        if form:
-            w, V = np.linalg.eigh(entries)
-            return float(w[0]), V[:, 0]
-        return float(np.linalg.eigvalsh(entries)[0])
+        w, V = np.linalg.eigh(m.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(str(exc)) from exc
+    return float(w[0]), V[:, 0]
 
 
 def _minima(forms, cut=None):
@@ -399,36 +395,21 @@ def _rayleigh(A, z, Gz):
     return float(z @ (A.diagonal * z) + z @ Gz)
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a symmetric matrix, read from its lower triangle.
-
-    ``m`` is an array or a ``QuadFormMatrix``. A constructed profile's
-    matrix takes the secular step; an array or a sampled profile's matrix
-    takes the dense step, up to order ``_FILL_MAX``:
-
-    - Secular: G_w is compressed to U C U^T, ``_Secular``'s Haynsworth
-      inertia counts prove the Weyl bound
-      min Delta + min(0, min C) - 1e-8 (1 + |.|) below the model's
-      spectrum, and Newton's method inside the bracket the counts keep
-      finds the model's lambda_min in 2-5 probes of O(N r^2). The value
-      returned is the Rayleigh quotient on A, applied from the moments, of
-      the model's closed-form eigenvector: a Rayleigh-Ritz upper bound on
-      A's lambda_min. A NaN or infinity in the moments or the diagonal
-      raises ``EigensolverError`` before any solve.
-    - Dense: an array takes ``eigvalsh``. A ``QuadFormMatrix`` takes one
-      ``eigh`` of its ``entries``, from which ``certify`` also reads the
-      eigenvector, where the range finder's rank is past its column cap
-      (as for a sampled profile's whole-grid window, before any product),
-      and where the secular step gives up: a failed Weyl count, or Newton
-      unconverged after ``_SECULAR_PROBES`` probes. Above order
-      ``_FILL_MAX`` it raises ``EigensolverError`` instead of filling them.
-
-    A NaN or infinity in the lower triangle raises ``EigensolverError``
-    before the dense solve (LAPACK's can return a finite value for a NaN
-    diagonal). The strict upper triangle is never read, and the input is
-    not modified.
-    """
-    return _minima((m,))[0][0] if isinstance(m, QuadFormMatrix) else _dense_min(m)
+def min_eigenvalue(m: QuadFormMatrix) -> float:
+    """Smallest eigenvalue of a matrix from ``assemble``, by the secular
+    step (an upper bound: the Rayleigh quotient of the model's eigenvector)
+    or by one dense ``eigh`` of its ``entries``: where the range finder's
+    rank is past its column cap, as for a sampled profile's whole-grid
+    window, or where the secular step gives up (a failed Weyl count, or
+    Newton unconverged after ``_SECULAR_PROBES`` probes). Above order
+    ``_FILL_MAX`` the dense step raises ``EigensolverError`` instead of
+    filling the entries. A NaN or infinity in the moments or the diagonal
+    raises ``EigensolverError`` before either step (LAPACK's can return a
+    finite value for a NaN diagonal). An array raises ``TypeError``:
+    ``numpy.linalg.eigvalsh`` is its eigensolve."""
+    if not isinstance(m, QuadFormMatrix):
+        raise TypeError("min_eigenvalue takes a QuadFormMatrix from assemble; for an array use numpy.linalg.eigvalsh")
+    return _minima((m,))[0][0]
 
 
 def _shifted(A: QuadFormMatrix) -> QuadFormMatrix:
@@ -440,7 +421,7 @@ def _shifted(A: QuadFormMatrix) -> QuadFormMatrix:
     return replace(A, diagonal=A.diagonal - (0.25 * kp**4 + 0.25))
 
 
-def certify(profile: PotentialProfile, n_cap: int | None = None) -> CoercivityReport:
+def certify(profile: PotentialProfile) -> CoercivityReport:
     """Mode-doubling certification of the form and its shifted variant
     int (3/4) u_xx^2 - u_x^2 + (phi_x - 1/4) u^2, whose nonnegativity is the
     target inequality. Both smallest eigenvalues must be stable under
@@ -449,8 +430,7 @@ def certify(profile: PotentialProfile, n_cap: int | None = None) -> CoercivityRe
     The ladder starts at N_0 = max(_N_START, 2^ceil(log2(L / 2))): the form's
     minimizing mode sits near m = 0.26 L, which the sine subspace holds once
     N >= L / 4, and two levels below that would agree on values that miss
-    it. Without ``n_cap`` the ladder stops at max(4096, 2 N_0); an explicit
-    ``n_cap`` is the last level allowed.
+    it. The ladder stops at max(_N_MAX, 2 N_0) = max(4096, 2 N_0).
 
     Levels come in pairs (N / 2, N), and each step solves level N only.
     Cut level N's unit eigenvector x to its first N / 2 modes: its Rayleigh
@@ -465,9 +445,8 @@ def certify(profile: PotentialProfile, n_cap: int | None = None) -> CoercivityRe
     profile takes the dense step, one fill per form, up to ``_FILL_MAX``.
     """
     N = max(_N_START, 1 << max(0, math.ceil(math.log2(profile.L / 2.0))))
-    cap = max(4096, 2 * N) if n_cap is None else n_cap
+    cap = max(_N_MAX, 2 * N)
     used = [N]
-    lam = margin = None
     while 2 * N <= cap:
         A = assemble(profile, 2 * N)
         (lam, lam_cut), (margin, margin_cut) = _minima((A, _shifted(A)), N)
@@ -482,12 +461,9 @@ def certify(profile: PotentialProfile, n_cap: int | None = None) -> CoercivityRe
                 pair_gaps=gaps,
             )
         N *= 2
-    last = (
-        f"last lambda_min {lam:.6g}, margin {margin:.6g}"
-        if lam is not None
-        else f"first level {used[0]} needs level {2 * used[0]}, past it"
+    raise CertificationInconclusiveError(
+        f"eigenvalues not converged at mode cap {cap} (last lambda_min {lam:.6g}, margin {margin:.6g}); not a disproof"
     )
-    raise CertificationInconclusiveError(f"eigenvalues not converged at mode cap {cap} ({last}); not a disproof")
 
 
 def _fd1(u, h):

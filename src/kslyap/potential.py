@@ -441,79 +441,6 @@ def _window_dft(v, n, count):
     return conv[W - 1 : W - 1 + count] * chirp[:count]
 
 
-def _grid_size(L, delta_scaled):
-    # at least 32 samples across the scaled smoothing width, floor 2^14
-    target = max(32.0 * 2.0 * L / delta_scaled, 16384.0)
-    return 1 << math.ceil(math.log2(target))
-
-
-def _scaled_window(sp: SmoothedPotential, L: float, pair: ExponentPair):
-    """Grid size n, start index j0 and the samples of q(x) = L^{c2} *
-    qtilde(x * L^{c1}) on the index window [j0, j0 + W) of the uniform n-point
-    grid over [-L, L); q vanishes off the window. The grid size resolves the
-    scaled mollification width."""
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"L must be finite and positive, not {L!r}")
-    c1, c2 = float(pair.c1), float(pair.c2)
-    support_x = sp.support_halfwidth * L ** (-c1)
-    if L < 1.0 or support_x > L:
-        raise DomainTooSmallError(
-            f"support half-width {support_x:g} exceeds domain half-length {L:g}"
-        )
-    delta_scaled = sp.smoothing.delta * L ** (-c1)
-    n = _grid_size(L, delta_scaled)
-    dx = 2.0 * L / n
-    j0 = max(0, int(math.floor((L - support_x) / dx)) - 1)
-    j1 = min(n, int(math.ceil((L + support_x) / dx)) + 2)
-    x = -L + dx * np.arange(j0, j1)
-    return n, j0, L**c2 * sp.qtilde(x * L**c1)
-
-
-def assemble_profile(
-    q: np.ndarray,
-    L: float,
-    pair: ExponentPair | None = None,
-    n: int | None = None,
-    j0: int = 0,
-) -> PotentialProfile:
-    """Mean-adjust the scaled potential q into phi_x = q - mean(q).
-
-    q holds the samples on the index window [j0, j0 + q.size) of the n-point
-    grid over [-L, L) and vanishes off it; by default the window is the whole
-    grid.
-    """
-    return _assemble(q, L, pair, n, j0, None)
-
-
-def _assemble(q, L, pair, n, j0, source) -> PotentialProfile:
-    """``assemble_profile``, with the source that only ``scaled_profile``
-    passes, so that a profile is constructed once."""
-    if pair is None:
-        pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
-    q = np.asarray(q, dtype=float)
-    n = q.size if n is None else n
-    if n < 4 or n % 2:
-        raise ValueError("q must have even length >= 4")
-    if q.ndim != 1 or not 0 <= j0 <= n - q.size:
-        raise ValueError(f"window of {q.size} samples at {j0} does not fit the grid of {n}")
-    mean_q = float(np.sum(q)) / n
-    if mean_q > -0.75:
-        raise MeanConditionError(
-            f"mean of q is {mean_q:.6g} > -3/4; use a smaller delta or a larger mu"
-        )
-    nonzero = np.flatnonzero(q)
-    return PotentialProfile(
-        L=float(L),
-        n=n,
-        j0=j0 + int(nonzero[0]),
-        window=q[nonzero[0] : nonzero[-1] + 1].copy(),
-        phi_x_off=-mean_q,
-        mean_q=mean_q,
-        exponents=pair,
-        source=source,
-    )
-
-
 def build_profile(
     L: float,
     pair: ExponentPair | None = None,
@@ -531,12 +458,45 @@ def build_profile(
 
 def scaled_profile(sp: SmoothedPotential, L: float, pair: ExponentPair) -> PotentialProfile:
     """Profile of the smoothed potential rescaled critically to [-L, L):
-    q(x) = L^{c2} qtilde(x L^{c1}), sampled only where it is nonzero. The
-    smoothed potential does not depend on L, so callers that build
-    profiles at many L smooth once and rescale it for each. The profile
-    keeps sp as its source, the parameters ``write_profile`` saves."""
-    n, j0, q = _scaled_window(sp, L, pair)
-    return _assemble(q, L, pair, n, j0, sp)
+    q(x) = L^{c2} qtilde(x L^{c1}) on the uniform n-point grid, which puts
+    at least 32 samples across the scaled mollification width (n >= 2^14),
+    sampled only on the index window where it is nonzero, and
+    phi_x = q - mean(q), whose mean must be at most -3/4
+    (``MeanConditionError``). The smoothed potential does not depend on L,
+    so callers that build profiles at many L smooth once and rescale it for
+    each. The profile keeps sp as its source, the parameters
+    ``write_profile`` saves."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, not {L!r}")
+    c1, c2 = float(pair.c1), float(pair.c2)
+    support_x = sp.support_halfwidth * L ** (-c1)
+    if L < 1.0 or support_x > L:
+        raise DomainTooSmallError(
+            f"support half-width {support_x:g} exceeds domain half-length {L:g}"
+        )
+    delta_scaled = sp.smoothing.delta * L ** (-c1)
+    n = 1 << math.ceil(math.log2(max(32.0 * 2.0 * L / delta_scaled, 16384.0)))
+    dx = 2.0 * L / n
+    j0 = max(0, int(math.floor((L - support_x) / dx)) - 1)
+    j1 = min(n, int(math.ceil((L + support_x) / dx)) + 2)
+    x = -L + dx * np.arange(j0, j1)
+    q = L**c2 * sp.qtilde(x * L**c1)
+    mean_q = float(np.sum(q)) / n
+    if mean_q > -0.75:
+        raise MeanConditionError(
+            f"mean of q is {mean_q:.6g} > -3/4; use a smaller delta or a larger mu"
+        )
+    nonzero = np.flatnonzero(q)
+    return PotentialProfile(
+        L=float(L),
+        n=n,
+        j0=j0 + int(nonzero[0]),
+        window=q[nonzero[0] : nonzero[-1] + 1].copy(),
+        phi_x_off=-mean_q,
+        mean_q=mean_q,
+        exponents=pair,
+        source=sp,
+    )
 
 
 class ProfileNorms(NamedTuple):
@@ -567,11 +527,11 @@ def write_profile(profile: PotentialProfile, path) -> None:
     """Save a constructed profile as the JSON parameters ``read_profile``
     rebuilds it from (L, exponents, the step potential and its final
     smoothing), with its n, mean_q and norms. Only ``scaled_profile`` (and
-    so ``build_profile``) gives a profile such parameters; any other, as
-    from ``from_samples`` or ``assemble_profile``: ValueError."""
+    so ``build_profile``) gives a profile such parameters; one from
+    ``from_samples``: ValueError."""
     sp = profile.source
     if sp is None:
-        raise ValueError("only scaled_profile gives a profile parameters to save, not from_samples or assemble_profile")
+        raise ValueError("only scaled_profile gives a profile parameters to save, not from_samples")
     meta = {
         "L": profile.L,
         "n": profile.n,

@@ -103,6 +103,10 @@ class SolveConfig:
     odd_only: bool = False
 
     def __post_init__(self):
+        for name in ("gamma", "dt", "t_end", "transient"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.transient is not None and not self.transient < self.t_end:

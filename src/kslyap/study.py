@@ -6,7 +6,6 @@ interruption; floats are written with repr for exact round-trips.
 import csv
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -69,12 +68,20 @@ def _record_to_row(rec: SweepRecord):
     return row
 
 
-def write_sweep_csv(records, path) -> None:
+def write_sweep_csv(records, path) -> list:
+    """Write the header and then each of ``records`` to path, flushed as it
+    comes, so that records computed one by one leave a valid prefix if
+    interrupted; return them as a list."""
+    written = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
+        fh.flush()
         for rec in records:
             writer.writerow(_record_to_row(rec))
+            fh.flush()
+            written.append(rec)
+    return written
 
 
 def read_sweep_csv(path):
@@ -180,29 +187,17 @@ def sweep(
         sp = smooth(params if params is not None else PiecewiseParams(), smoothing)
     except Exception as exc:  # noqa: BLE001 - written into every row below
         failure = exc
-    fh = writer = None
-    if csv_path is not None:
-        fh = open(csv_path, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        fh.flush()
-    records = []
-    try:
+
+    def rows():
         for L in L_list:
             if L < 8:
-                rec = _error_row(L, DomainTooSmallError(f"sweep requires L >= 8, got {L:g}"))
+                yield _error_row(L, DomainTooSmallError(f"sweep requires L >= 8, got {L:g}"))
             elif failure is not None:
-                rec = _error_row(L, failure)
+                yield _error_row(L, failure)
             else:
-                rec = _sweep_one(L, sp, pair, run_simulation, gamma, t_end, seed)
-            records.append(rec)
-            if writer is not None:
-                writer.writerow(_record_to_row(rec))
-                fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
-    return records
+                yield _sweep_one(L, sp, pair, run_simulation, gamma, t_end, seed)
+
+    return list(rows()) if csv_path is None else write_sweep_csv(rows(), csv_path)
 
 
 @dataclass(frozen=True)
@@ -238,15 +233,15 @@ class MolinetBound(NamedTuple):
 def molinet(Lx: float, C: float = 1.0, Ly: float | None = None) -> MolinetBound:
     """Thin-rectangle corollary: admissible strip height Ly_max = C*Lx^{-13/7}
     and the L2 bound C*Lx^{3/2}*Ly^{1/2} at Ly (default: at the threshold)."""
-    if not Lx > 1:
-        raise ValueError("Lx must exceed 1")
-    if not C > 0:
-        raise ValueError("C must be positive")
+    if not 1.0 < Lx < math.inf:
+        raise ValueError(f"Lx must be finite and exceed 1, not {Lx!r}")
+    if not 0.0 < C < math.inf:
+        raise ValueError(f"C must be finite and positive, not {C!r}")
     ly_max = C * Lx ** (-13.0 / 7.0)
     if Ly is None:
         Ly = ly_max
+    elif not 0.0 < Ly < math.inf:
+        raise ValueError(f"Ly must be finite and positive, not {Ly!r}")
     elif Ly > ly_max * (1.0 + 1e-12):
         raise ConditionViolatedError(f"Ly = {Ly:g} exceeds the admissible {ly_max:g}")
-    elif Ly <= 0:
-        raise ValueError("Ly must be positive")
     return MolinetBound(ly_max=ly_max, norm_bound=C * Lx**1.5 * math.sqrt(Ly))

@@ -287,6 +287,26 @@ def test_non_finite_or_non_positive_L_exits_2(tmp_path, capsys, argv, flag, valu
     assert "Traceback" not in err and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--L", "50", "--dt", "nan"], "dt must be finite"),
+        (["simulate", "--L", "50", "--t-end", "inf"], "t_end must be finite"),
+        (["simulate", "--L", "50", "--gamma", "nan", "--t-end", "20", "--transient", "10"], "gamma must be finite"),
+        (["simulate", "--L", "50", "--t-end", "20", "--transient", "nan"], "transient must be finite"),
+        (["molinet", "--Lx", "inf"], "Lx must be finite"),
+        (["molinet", "--Lx", "100", "--C", "inf"], "C must be finite"),
+        (["molinet", "--Lx", "100", "--Ly", "nan"], "Ly must be finite"),
+    ],
+)
+def test_non_finite_solver_and_molinet_flags_exit_2(tmp_path, capsys, argv, message):
+    # refused before any run, with a message naming the field
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# study configuration\norder = second\njson = true\n")

@@ -1,5 +1,5 @@
 """The import graph: the package needs numpy only. No path loads scipy:
-Galerkin matrices take the secular eigensolve (numpy) or ``eigvalsh``, and
+Galerkin matrices take the secular eigensolve or numpy's ``eigh``, and
 a fresh interpreter with scipy blocked runs the library and the CLI; the
 tests themselves use scipy only for independent references."""
 
@@ -14,8 +14,20 @@ from conftest import dense_phi_x
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# one dense solve: a raw array, which the secular step does not take
-RAW_SOLVE = "from kslyap.coercivity import min_eigenvalue\nimport numpy as np\nmin_eigenvalue(np.diag(np.arange(1.0, 513.0)))\n"
+# one dense 512 x 512 solve: a sampled profile, whose whole-grid window the
+# secular step does not take
+DENSE_SOLVE = (
+    "import numpy as np\n"
+    "from kslyap.coercivity import assemble, min_eigenvalue\n"
+    "from kslyap.exponents import OperatorOrder, solve_critical_exponents\n"
+    "from kslyap.potential import PotentialProfile\n"
+    "x = np.linspace(-8.0, 8.0, 2048, endpoint=False)\n"
+    "pair = solve_critical_exponents(OperatorOrder.FOURTH).pair\n"
+    "sampled = PotentialProfile.from_samples(8.0, 3.0 + np.cos(np.pi * x / 8.0), -1.0, pair)\n"
+    "m = assemble(sampled, 512)\n"
+    "assert m._window.compressed is None\n"
+    "min_eigenvalue(m)\n"
+)
 
 
 def _fresh(code):
@@ -54,17 +66,17 @@ def test_import_loads_no_unused_scipy_subpackage():
     code = (
         "import json, sys\n"
         "import kslyap, kslyap.cli\n"
-        f"{RAW_SOLVE}"
+        f"{DENSE_SOLVE}"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
     assert _fresh(code) == []
 
 
 def test_runs_with_scipy_blocked(tmp_path):
-    # sys.modules["scipy"] = None makes any import of scipy raise: a raw
-    # 512 x 512 array, a from_samples profile, and verify (with --profile on
-    # a build-potential output), sweep and simulate --check-lyapunov through
-    # the CLI entry point
+    # sys.modules["scipy"] = None makes any import of scipy raise: a dense
+    # 512 x 512 solve, a from_samples profile's certificate, and verify
+    # (with --profile on a build-potential output), sweep and simulate
+    # --check-lyapunov through the CLI entry point
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -72,7 +84,7 @@ def test_runs_with_scipy_blocked(tmp_path):
         "from kslyap.cli import main\n"
         "from kslyap.coercivity import certify\n"
         "from kslyap.potential import PotentialProfile, build_profile\n"
-        f"{RAW_SOLVE}"
+        f"{DENSE_SOLVE}"
         f"{inspect.getsource(dense_phi_x)}"
         "p = build_profile(32.0)\n"
         "assert certify(PotentialProfile.from_samples(32.0, dense_phi_x(p), p.mean_q, p.exponents)).certified\n"

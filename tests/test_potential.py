@@ -24,7 +24,6 @@ from kslyap.potential import (
     PotentialProfile,
     SmoothingParams,
     UnderResolvedGridError,
-    assemble_profile,
     bs_functional_and_gradient,
     bs_optimal_potential,
     build_piecewise,
@@ -33,6 +32,7 @@ from kslyap.potential import (
     mollifier,
     norms,
     read_profile,
+    scaled_profile,
     smooth,
     write_profile,
 )
@@ -304,7 +304,8 @@ def test_profile_norms_resolution_independent(default_sp, critical_pair):
     x2 = -L + dx2 * np.arange(n2)
     c1, c2 = float(critical_pair.c1), float(critical_pair.c2)
     q2 = L**c2 * default_sp.qtilde(x2 * L**c1)
-    p2 = assemble_profile(q2, L, pair=critical_pair)
+    mean = float(np.sum(q2)) / n2
+    p2 = PotentialProfile.from_samples(L, q2 - mean, mean, critical_pair)
     for coarse, fine in zip(norms(p), norms(p2)):
         assert abs(coarse - fine) <= 1e-6 * abs(fine)
 
@@ -564,17 +565,20 @@ def test_profile_sup_grows_linearly(profile32):
     assert 1.8 < ratio < 2.2
 
 
-def test_assemble_rejects_weak_mean():
-    q = np.full(16, -0.5)
-    with pytest.raises(MeanConditionError):
-        assemble_profile(q, 4.0)
+def test_assemble_rejects_weak_mean(critical_pair):
+    # delta = 0.22 leaves the integral of qtilde at -1.09: past smooth's
+    # mu = 0.5, but the profile's mean, half of it, is above -3/4
+    sp = smooth(PiecewiseParams(), SmoothingParams(delta=0.22, mu=0.5))
+    assert sp.smoothing.delta == 0.22
+    with pytest.raises(MeanConditionError, match="-0.54"):
+        scaled_profile(sp, 4.0, critical_pair)
 
 
-def test_assemble_rejects_bad_shape():
+def test_assemble_rejects_bad_shape(critical_pair):
     with pytest.raises(ValueError):
-        assemble_profile(np.zeros(15), 4.0)
+        PotentialProfile.from_samples(4.0, np.zeros(15), -1.0, critical_pair)
     with pytest.raises(ValueError):
-        assemble_profile(np.zeros(2), 4.0)
+        PotentialProfile.from_samples(4.0, np.zeros(2), -1.0, critical_pair)
 
 
 def test_profile_round_trip(tmp_path):
@@ -609,27 +613,15 @@ def test_profile_file_is_checked(tmp_path, default_sp, critical_pair):
     path.write_text(json.dumps({k: v for k, v in meta.items() if k != "params"}))
     with pytest.raises(ValueError, match="params"):
         read_profile(path)
-    # a profile from samples has no parameters that rebuild it
+    # a profile from samples has no parameters that rebuild it: writing it
+    # fails, and leaves no file for read_profile to reject; nor can it be
+    # handed a source that claims otherwise
     sampled = PotentialProfile.from_samples(2.0, dense_phi_x(p), p.mean_q, critical_pair)
     with pytest.raises(ValueError, match="from_samples"):
         write_profile(sampled, tmp_path / "sampled.json")
-    # nor has the scaled potential assembled at L = 16 on twice the grid
-    # build_profile takes, and it cannot be handed a source that claims
-    # otherwise: writing it fails, and leaves no file for read_profile to
-    # reject
-    L = 16.0
-    n = 2 * build_profile(L).n
-    assert n == 1 << 19
-    x = -L + (2.0 * L / n) * np.arange(n)
-    c1, c2 = float(critical_pair.c1), float(critical_pair.c2)
-    q = L**c2 * default_sp.qtilde(x * L**c1)
-    with pytest.raises(TypeError):
-        assemble_profile(q, L, pair=critical_pair, source=default_sp)
+    assert not (tmp_path / "sampled.json").exists()
     with pytest.raises(TypeError):
         PotentialProfile.from_samples(2.0, dense_phi_x(p), p.mean_q, critical_pair, source=default_sp)
-    with pytest.raises(ValueError, match="assemble_profile"):
-        write_profile(assemble_profile(q, L, pair=critical_pair), tmp_path / "assembled.json")
-    assert not (tmp_path / "assembled.json").exists()
 
 
 def test_bs_gradient_matches_finite_differences():

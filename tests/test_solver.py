@@ -175,6 +175,15 @@ def test_config_validation():
     assert SolveConfig(dt=0.05, t_end=0.03).t_end == 0.03  # rounds to one step
 
 
+@pytest.mark.parametrize("field", ["gamma", "dt", "t_end", "transient"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_non_finite(field, value):
+    # a NaN passes dt <= 0, an infinite t_end overflows the step count, and
+    # a NaN gamma would run into a blow-up that blames dt
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SolveConfig(**{field: value})
+
+
 def test_small_domain_decays():
     st = random_initial(2.0, 64, seed=0)
     traj = simulate(st, SolveConfig(dt=0.05, t_end=50.0, record_every=20))

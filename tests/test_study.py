@@ -189,6 +189,14 @@ def test_molinet_condition_enforced():
         molinet(50.0, C=0.0)
 
 
+@pytest.mark.parametrize("field", ["Lx", "C", "Ly"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_molinet_rejects_non_finite(field, value):
+    # an infinite Lx or C, or a NaN Ly, gave a bound of nan or inf
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        molinet(**{"Lx": 100.0, field: value})
+
+
 def test_molinet_exponent_beats_steeper_reference():
     # the admissible height decays like Lx^{-13/7}, slower than Lx^{-67/35}
     assert Fraction(-13, 7) > Fraction(-67, 35)
