@@ -166,6 +166,80 @@ def test_structured_matches_reference_at_2048(critical_pair, monkeypatch):
         assert abs(min_eigenvalue(A) - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
+@pytest.mark.parametrize("L", [32.0, 128.0, 512.0, 1024.0])
+@pytest.mark.parametrize("N", [512, 1024])
+def test_shift_invert_matches_dense(structured, monkeypatch, L, N):
+    # the dense step, forced where the secular step would answer, must
+    # match shift-and-invert iteration on a Cholesky factor (_reference_min);
+    # each form is a fresh copy, so the fixture's hold no dense array
+    monkeypatch.setattr(coercivity, "_secular_vector", lambda m: None)
+    for m, (_, ref) in structured[L, N]:
+        assert abs(min_eigenvalue(replace(m)) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 600])
+def test_min_eigenvalue_leaves_input_unchanged(profile32, n):
+    # the form and its shifted copy share one window: neither solve may
+    # write to its moments or to either diagonal
+    m = assemble(profile32, n)
+    s = _shifted(m)
+    before = (m.diagonal.copy(), s.diagonal.copy(), m._window.moments.copy())
+    min_eigenvalue(m)
+    min_eigenvalue(s)
+    for a, b in zip((m.diagonal, s.diagonal, m._window.moments), before):
+        assert np.array_equal(a, b)
+
+
+def _non_finite_positions(n):
+    # first and middle diagonal entries, a lower entry near the corner and
+    # one far from it
+    return {
+        "diag_first": (0, 0),
+        "diag_mid": (n // 2, n // 2),
+        "lower_near": (5, 2),
+        "lower_far": (n - 3, n // 2),
+    }
+
+
+def _with_non_finite(m, where, bad):
+    """m with ``bad`` at the named entry: in the diagonal, or in the moment
+    w_(i+j+2) that the lower entry (i, j) = (w_(i-j) - w_(i+j+2)) / 2L reads."""
+    i, j = _non_finite_positions(m.N)[where]
+    if i == j:
+        d = m.diagonal.copy()
+        d[i] = bad
+        out = replace(m, diagonal=d)
+    else:
+        w = m._window.moments.copy()
+        w[i + j + 2] = bad
+        out = replace(m, _window=replace(m._window, moments=w))
+    assert not np.isfinite(replace(out).entries[i, j])
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 600])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diag_first", "diag_mid", "lower_near", "lower_far"])
+def test_min_eigenvalue_rejects_non_finite(profile32, make_flat_profile, n, bad, where):
+    # a constructed profile's form takes the secular step, a sampled one's
+    # the dense step: both check the moments and the diagonal first
+    for p in (profile32, make_flat_profile(L=64.0, n=16384, slope=0.5)):
+        with pytest.raises(EigensolverError, match="non-finite"):
+            min_eigenvalue(_with_non_finite(assemble(p, n), where, bad))
+
+
+@pytest.mark.parametrize("n", [64, 600])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lower_triangle_raises_before_dense_solve(capfd, monkeypatch, make_flat_profile, n, bad):
+    # LAPACK's dense eigensolve would print a DLASCL error before failing;
+    # a sampled profile's form raises before the dense step runs
+    m = _with_non_finite(assemble(make_flat_profile(L=64.0, n=16384, slope=0.5), n), "lower_far", bad)
+    _refuse(monkeypatch, "_dense_min")
+    with pytest.raises(EigensolverError, match="non-finite moment"):
+        min_eigenvalue(m)
+    assert capfd.readouterr().err == ""
+
+
 def _probes(monkeypatch):
     """Patch _Secular.probe to record the sigma of each probe."""
     sigmas = []
