@@ -307,7 +307,7 @@ def _potential_flags(sub):
     sub.add_argument("--q0", type=float, default=0.5, help="well depth")
     sub.add_argument("--q1", type=float, default=2.0, help="barrier height")
     sub.add_argument("--delta", type=float, help="mollification width (default a/64)")
-    sub.add_argument("--mu", type=float, default=0.75, help="required magnitude of the negative mean")
+    sub.add_argument("--mu", type=float, default=0.75, help="required magnitude of the profile's negative mean")
 
 
 def build_parser(**defaults):

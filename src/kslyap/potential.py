@@ -1,7 +1,7 @@
 """Background-profile construction pipeline.
 
-Step potential -> mollified compactly supported potential -> rescaled sample on
-[-L, L) -> mean-adjusted derivative profile phi_x -> integrated phi with norms.
+Step potential -> mollified compactly supported potential -> sample on [-L, L)
+rescaled by ``CRITICAL_PAIR`` -> mean-adjusted phi_x -> integrated phi with norms.
 Also a small variational solver for the Burgers-Sivashinsky optimal potential,
 used as a point of comparison for the constructed one.
 """
@@ -17,6 +17,8 @@ import numpy as np
 
 from ._accel import _float_if_scalar, mollifier
 from .exponents import ExponentPair, OperatorOrder, ResolutionFaultError, solve_critical_exponents
+
+CRITICAL_PAIR = solve_critical_exponents(OperatorOrder.FOURTH).pair
 
 
 class AdmissibilityError(ValueError):
@@ -59,7 +61,7 @@ class PiecewiseParams:
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Mollification width and required magnitude of the negative mean."""
+    """Mollification width and required magnitude of the profile's negative mean."""
 
     delta: float
     mu: float
@@ -244,28 +246,21 @@ class SmoothedPotential:
             G = float(g[-1])
         return np.array([q2, qy2, G2 - G * G * self.support_halfwidth, G])
 
-    def scaled_norms(self, L: float, pair: ExponentPair) -> "ProfileNorms":
+    def scaled_norms(self, L: float) -> "ProfileNorms":
         """L2 norms over [-L, L] of phi, phi_x = q - mean(q) and phi_xx for
-        q(x) = L^{c2} qtilde(x L^{c1}), in O(1) from ``_norm_integrals``.
-        q has the mean m_L = L^{c2 - c1 - 1} m and phi(x) =
-        L^{c2 - c1} G(x L^{c1}) - m_L x, so
-        |phi_x|^2 = L^{2 c2 - c1} int qtilde^2 - 2 L m_L^2,
-        |phi_xx|^2 = L^{2 c2 + c1} int qtilde_y^2 and
-        |phi|^2 = 2 (m_L^2 L^3 / 3 + L^{2 c2 - 3 c1} I1 - 2 m_L L^{c2 - 3 c1} I2);
-        the critical pair (1/3, 4/3) gives m_L = m and the powers 7/3, 3,
-        5/3 and 1/3. The support must fit the domain, s L^{-c1} <= L, as
+        the critically rescaled q(x) = L^{4/3} qtilde(x L^{1/3}), in O(1)
+        from ``_norm_integrals``. q has the mean m at every L and
+        phi(x) = L G(x L^{1/3}) - m x, so
+        |phi_x|^2 = L^{7/3} int qtilde^2 - 2 L m^2,
+        |phi_xx|^2 = L^3 int qtilde_y^2 and
+        |phi|^2 = 2 (m^2 L^3 / 3 + L^{5/3} I1 - 2 m L^{1/3} I2).
+        The support must fit the domain, s L^{-1/3} <= L, as
         ``scaled_profile`` checks."""
         q2, qy2, I1, I2, m = self._norm_integrals
-        c1, c2 = pair.c1, pair.c2
-
-        def power(e):  # exponents are exact fractions until here
-            return L ** float(e)
-
-        m_L = m * power(c2 - c1 - 1)
         return ProfileNorms.from_squares(
-            2.0 * (m_L * m_L * L**3 / 3.0 + power(2 * c2 - 3 * c1) * I1 - 2.0 * m_L * power(c2 - 3 * c1) * I2),
-            power(2 * c2 - c1) * q2 - 2.0 * L * m_L * m_L,
-            power(2 * c2 + c1) * qy2,
+            2.0 * (m * m * L**3 / 3.0 + L ** (5.0 / 3.0) * I1 - 2.0 * m * L ** (1.0 / 3.0) * I2),
+            L ** (7.0 / 3.0) * q2 - 2.0 * L * m * m,
+            L**3 * qy2,
         )
 
 
@@ -293,8 +288,9 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
     """Mollify the step potential into a C^2 compactly supported Qtilde and
     form qtilde = Qtilde / y^2.
 
-    If the integral of qtilde fails to reach -mu, delta is halved until it
-    does; the floor delta >= 1e-6*a turns persistent failure into an error.
+    If the profile's mean, half the integral of qtilde, fails to reach -mu,
+    delta is halved until it does; the floor delta >= 1e-6*a turns
+    persistent failure into an error.
     Each delta tried runs the quadrature of qtilde's integrals once, and
     the potential returned keeps them for its norms.
     """
@@ -305,11 +301,12 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
     build_piecewise(params)  # AdmissibilityError before any quadrature
     floor = 1e-6 * params.a
     sp = SmoothedPotential(params, smoothing)
-    while not sp.mean_qtilde <= -smoothing.mu:
+    while not sp.mean_qtilde / 2.0 <= -smoothing.mu:
         delta = sp.smoothing.delta / 2.0
         if delta < floor:
             raise InfeasibleSmoothingError(
-                f"delta floor {floor:g} reached with integral {sp.mean_qtilde:.6g} > -mu = {-smoothing.mu:g}"
+                f"delta floor {floor:g} reached with the profile's mean {sp.mean_qtilde / 2:.6g}"
+                f" > -mu = {-smoothing.mu:g}"
             )
         sp = SmoothedPotential(params, SmoothingParams(delta=delta, mu=smoothing.mu))
     return sp
@@ -334,8 +331,6 @@ class PotentialProfile:
     j0: int
     window: np.ndarray
     phi_x_off: float
-    mean_q: float
-    exponents: ExponentPair
     # set by scaled_profile alone: the parameters that rebuild this profile
     source: SmoothedPotential | None = None
 
@@ -349,12 +344,17 @@ class PotentialProfile:
         object.__setattr__(self, "_moments", np.empty(0))
 
     @classmethod
-    def from_samples(cls, L, phi_x, mean_q, exponents) -> "PotentialProfile":
+    def from_samples(cls, L, phi_x) -> "PotentialProfile":
         """Profile from dense phi_x samples on the whole grid, which is its
         window, bit for bit: j0 = 0 and phi_x_off = 0. The window is a copy,
         so the caller's array may change afterwards."""
         phi_x = np.array(phi_x, dtype=float)
-        return cls(L=float(L), n=phi_x.size, j0=0, window=phi_x, phi_x_off=0.0, mean_q=float(mean_q), exponents=exponents)
+        return cls(L=float(L), n=phi_x.size, j0=0, window=phi_x, phi_x_off=0.0)
+
+    @property
+    def mean_q(self) -> float:
+        """-phi_x_off: the mean of q for ``scaled_profile``, 0 for ``from_samples``."""
+        return -self.phi_x_off
 
     @property
     def dx(self) -> float:
@@ -409,7 +409,7 @@ class PotentialProfile:
         Nyquist-dropped spectral derivative, its n-point spectrum summed by
         Parseval."""
         if self.source is not None:
-            return self.source.scaled_norms(self.L, self.exponents)
+            return self.source.scaled_norms(self.L)
         n, c, v = self.n, self.phi_x_off, self.window
         grad2 = float(np.sum((c + v) ** 2)) + (n - v.size) * c * c
         phi2 = float(np.sum(self._phi_at(np.arange(n)) ** 2))
@@ -447,28 +447,27 @@ def build_profile(
     params: PiecewiseParams | None = None,
     smoothing: SmoothingParams | None = None,
 ) -> PotentialProfile:
-    """Full pipeline with defaults: step -> smoothed -> scaled -> profile.
-    Only the window where the scaled potential is nonzero is sampled."""
-    if pair is None:
-        pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
+    """Full pipeline with defaults: step -> smoothed -> scaled -> profile,
+    sampled only where nonzero; a pair other than ``CRITICAL_PAIR``: ValueError."""
+    if pair is not None and pair != CRITICAL_PAIR:
+        raise ValueError(f"profiles are rescaled by the critical pair (1/3, 4/3), not ({pair.c1}, {pair.c2})")
     if params is None:
         params = PiecewiseParams()
-    return scaled_profile(smooth(params, smoothing), L, pair)
+    return scaled_profile(smooth(params, smoothing), L)
 
 
-def scaled_profile(sp: SmoothedPotential, L: float, pair: ExponentPair) -> PotentialProfile:
+def scaled_profile(sp: SmoothedPotential, L: float) -> PotentialProfile:
     """Profile of the smoothed potential rescaled critically to [-L, L):
-    q(x) = L^{c2} qtilde(x L^{c1}) on the uniform n-point grid, which puts
-    at least 32 samples across the scaled mollification width (n >= 2^14),
-    sampled only on the index window where it is nonzero, and
-    phi_x = q - mean(q), whose mean must be at most -3/4
-    (``MeanConditionError``). The smoothed potential does not depend on L,
-    so callers that build profiles at many L smooth once and rescale it for
-    each. The profile keeps sp as its source, the parameters
-    ``write_profile`` saves."""
+    q(x) = L^{c2} qtilde(x L^{c1}) at ``CRITICAL_PAIR``, on the uniform
+    n-point grid (n >= 2^14, and at least 32 samples across the scaled
+    mollification width), sampled only on the index window where it is
+    nonzero, and phi_x = q - mean(q), whose mean must be at most -3/4
+    (``MeanConditionError``). The smoothed potential does not depend on L, so
+    callers that build profiles at many L smooth once and rescale it for each.
+    The profile keeps sp as its source, the parameters ``write_profile`` saves."""
     if not 0.0 < L < math.inf:
         raise ValueError(f"L must be finite and positive, not {L!r}")
-    c1, c2 = float(pair.c1), float(pair.c2)
+    c1, c2 = float(CRITICAL_PAIR.c1), float(CRITICAL_PAIR.c2)
     support_x = sp.support_halfwidth * L ** (-c1)
     if L < 1.0 or support_x > L:
         raise DomainTooSmallError(
@@ -493,8 +492,6 @@ def scaled_profile(sp: SmoothedPotential, L: float, pair: ExponentPair) -> Poten
         j0=j0 + int(nonzero[0]),
         window=q[nonzero[0] : nonzero[-1] + 1].copy(),
         phi_x_off=-mean_q,
-        mean_q=mean_q,
-        exponents=pair,
         source=sp,
     )
 
@@ -536,7 +533,7 @@ def write_profile(profile: PotentialProfile, path) -> None:
         "L": profile.L,
         "n": profile.n,
         "mean_q": profile.mean_q,
-        "exponents": {"c1": str(profile.exponents.c1), "c2": str(profile.exponents.c2)},
+        "exponents": {"c1": str(CRITICAL_PAIR.c1), "c2": str(CRITICAL_PAIR.c2)},
         "norms": norms(profile)._asdict(),
         "params": asdict(sp.params),
         "smoothing": asdict(sp.smoothing),
@@ -547,8 +544,8 @@ def write_profile(profile: PotentialProfile, path) -> None:
 
 def read_profile(path) -> PotentialProfile:
     """Rebuild with ``build_profile`` the profile that ``write_profile``
-    saved. Raises ValueError naming the key when one is missing, or when
-    the rebuilt n or mean_q differs from the stored value."""
+    saved. Raises ValueError naming the key that is missing, or whose value
+    differs from ``CRITICAL_PAIR`` (exponents) or from the rebuild (n, mean_q)."""
     meta = json.loads(Path(path).read_text())
     try:
         stored = {"n": meta["n"], "mean_q": meta["mean_q"]}
@@ -557,7 +554,9 @@ def read_profile(path) -> PotentialProfile:
         L = float(meta["L"])
     except KeyError as exc:
         raise ValueError(f"profile file {path} has no key {exc.args[0]!r}") from None
-    profile = build_profile(L, pair, params, smoothing)
+    if pair != CRITICAL_PAIR:
+        raise ValueError(f"profile file {path} stores exponents ({pair.c1}, {pair.c2}), not the critical pair")
+    profile = build_profile(L, params=params, smoothing=smoothing)
     for key, value in stored.items():
         if getattr(profile, key) != value:
             raise ValueError(

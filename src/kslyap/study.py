@@ -1,5 +1,6 @@
 """L-sweep orchestration, power-law fitting, and the thin-rectangle corollary
-calculator. Records persist incrementally to CSV so partial sweeps survive
+calculator. A sweep smooths the potential once and rescales it critically
+to each L. Records persist incrementally to CSV so partial sweeps survive
 interruption; floats are written with repr for exact round-trips.
 """
 
@@ -12,9 +13,7 @@ import numpy as np
 
 from .attractor import forcing_constant, headline_bound
 from .coercivity import certify
-from .exponents import ExponentPair, OperatorOrder, solve_critical_exponents
 from .potential import (
-    DomainTooSmallError,
     PiecewiseParams,
     SmoothedPotential,
     SmoothingParams,
@@ -30,7 +29,8 @@ class ConditionViolatedError(ValueError):
 
 
 class FitError(ValueError):
-    """Power-law fit input invalid (too few points or nonpositive values)."""
+    """Power-law fit input invalid (too few points, or values that are not
+    finite and positive)."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,9 @@ def read_sweep_csv(path):
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"sweep CSV {path} is empty")
         if header != _CSV_FIELDS:
             raise ValueError(f"unexpected sweep CSV header: {header}")
         for row in reader:
@@ -113,7 +115,6 @@ def _error_row(L, exc: Exception) -> SweepRecord:
 def _sweep_one(
     L,
     sp: SmoothedPotential,
-    pair,
     run_simulation=False,
     gamma=0.0,
     t_end=None,
@@ -122,7 +123,7 @@ def _sweep_one(
     """One sweep row from the sweep's smoothed potential; a failure becomes
     the row's error."""
     try:
-        profile = scaled_profile(sp, L, pair)
+        profile = scaled_profile(sp, L)
         report = certify(profile)
         nrm = norms(profile)
         hb = headline_bound(profile, report) if report.certified else None
@@ -156,7 +157,6 @@ def _sweep_one(
 def sweep(
     L_list,
     csv_path=None,
-    pair: ExponentPair | None = None,
     params: PiecewiseParams | None = None,
     smoothing: SmoothingParams | None = None,
     run_simulation: bool = False,
@@ -167,12 +167,12 @@ def sweep(
 ):
     """Build, certify, and bound a profile for each L; optionally simulate.
 
-    The exponent pair and the smoothed potential do not depend on L: they
-    are computed once per call, and every row rescales the same smoothed
-    potential. Rows are flushed to csv_path in input order as soon as
-    available, so an interrupted sweep leaves a valid prefix. Per-L failures
-    are recorded in the row's error column and do not stop the sweep; a
-    failure to smooth is recorded on every row.
+    The smoothed potential does not depend on L: it is computed once per
+    call, and every row rescales it critically. Rows are flushed to csv_path
+    in input order as soon as available, so an interrupted sweep leaves a
+    valid prefix. Per-L failures, scaled_profile's refusal of an L too
+    small for the support among them, are recorded in the row's error column
+    and do not stop the sweep; a failure to smooth is recorded on every row.
 
     Rows are computed serially: a thread pool was measured no faster on
     L = 32..1024. ``workers`` stays for callers that pass ``workers=1``.
@@ -182,20 +182,16 @@ def sweep(
     L_list = list(L_list)
     failure = None
     try:
-        if pair is None:
-            pair = solve_critical_exponents(OperatorOrder.FOURTH).pair
         sp = smooth(params if params is not None else PiecewiseParams(), smoothing)
     except Exception as exc:  # noqa: BLE001 - written into every row below
         failure = exc
 
     def rows():
         for L in L_list:
-            if L < 8:
-                yield _error_row(L, DomainTooSmallError(f"sweep requires L >= 8, got {L:g}"))
-            elif failure is not None:
+            if failure is not None:
                 yield _error_row(L, failure)
             else:
-                yield _sweep_one(L, sp, pair, run_simulation, gamma, t_end, seed)
+                yield _sweep_one(L, sp, run_simulation, gamma, t_end, seed)
 
     return list(rows()) if csv_path is None else write_sweep_csv(rows(), csv_path)
 
@@ -213,8 +209,8 @@ def fit_power_law(pairs) -> PowerLawFit:
     pts = [(float(L), float(v)) for L, v in pairs]
     if len(pts) < 3:
         raise FitError("need at least 3 points")
-    if any(L <= 0 or v <= 0 for L, v in pts):
-        raise FitError("power-law fit requires positive L and values")
+    if not all(0.0 < L < math.inf and 0.0 < v < math.inf for L, v in pts):
+        raise FitError("power-law fit requires finite positive L and values")
     logx = np.log([L for L, _ in pts])
     logy = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(logx, logy, 1)

@@ -43,11 +43,10 @@ def profile32():
 
 
 @pytest.fixture()
-def make_flat_profile(critical_pair):
+def make_flat_profile():
     """Factory for profiles with constant phi_x (phi_x = 0 gives the free operator)."""
 
     def make(L=64.0, n=16384, slope=0.0):
-        phi_x = np.full(n, float(slope))
-        return PotentialProfile.from_samples(L, phi_x, mean_q=-1.0, exponents=critical_pair)
+        return PotentialProfile.from_samples(L, np.full(n, float(slope)))
 
     return make

@@ -6,7 +6,9 @@ Run from the repository root:
 
 Each golden file holds the bytes the CLI writes for one command: the sweep
 CSV at L = 32..512, ``verify --json`` at L = 64, 512 and 4096, the profile
-JSON of ``build-potential`` at L = 64 and 4096, and ``exponents --json``.
+JSON of ``build-potential`` at L = 64 and 4096, ``exponents --json``,
+``bound --json`` at L = 512, and the CSV of a seeded odd ``simulate`` at
+L = 50 with ``--check-lyapunov``, which holds the monitor's residuals.
 ``recorded.json`` names the numpy version and the CPU features its SIMD
 kernels dispatch to on the machine that wrote them; ``tests/test_golden.py``
 compares bytes where both match, and numbers to a stated tolerance elsewhere.
@@ -34,6 +36,11 @@ OUTPUTS = {
     "profile_L64.json": (["build-potential", "--L", "64"], "profile_L64.json"),
     "profile_L4096.json": (["build-potential", "--L", "4096"], "profile_L4096.json"),
     "exponents.json": (["exponents", "--json"], None),
+    "bound_L512.json": (["bound", "--L", "512", "--json"], None),
+    "simulate_L50.csv": (
+        ["simulate", "--L", "50", "--odd", "--seed", "3", "--t-end", "20", "--transient", "10", "--check-lyapunov"],
+        "simulate_L50.csv",
+    ),
 }
 
 

@@ -70,12 +70,12 @@ def test_forcing_zero_profile(make_flat_profile):
     assert forcing_constant(make_flat_profile(slope=0.0)) == 0.0
 
 
-def test_forcing_constant_sine_profile(critical_pair):
+def test_forcing_constant_sine_profile():
     # phi = -cos x on [-pi, pi): |phi_x|^2 = |phi_xx|^2 = pi exactly
     n = 1024
     L = np.pi
     x = -L + (2.0 * L / n) * np.arange(n)
-    prof = PotentialProfile.from_samples(L, np.sin(x), mean_q=-1.0, exponents=critical_pair)
+    prof = PotentialProfile.from_samples(L, np.sin(x))
     expect = GRAD_COEFF * np.pi + HESS_COEFF * np.pi
     assert np.isclose(forcing_constant(prof), expect, rtol=1e-12)
     assert np.isclose(forcing_constant(prof, grad_coeff=1.0, hess_coeff=0.0), np.pi, rtol=1e-12)

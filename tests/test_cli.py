@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through main()."""
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -185,13 +186,13 @@ def test_simulate_refuses_an_uncertified_profile_before_the_run(tmp_path, capsys
 
 
 def test_sweep_cli(tmp_path, capsys):
-    rc = main(["sweep", "--L-list", "8,4", "--out", str(tmp_path)])
+    rc = main(["sweep", "--L-list", "8,1", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "wrote 2 records" in out
-    assert "L = 4: error:" in out
+    assert "L = 1: error:" in out
     records = read_sweep_csv(tmp_path / "sweep.csv")
-    assert [r.L for r in records] == [8.0, 4.0]
+    assert [r.L for r in records] == [8.0, 1.0]
     assert records[0].certified and not records[1].certified
 
 
@@ -230,6 +231,35 @@ def test_fit_column_must_be_numeric(tmp_path, capsys, column):
         err = capsys.readouterr().err
         assert f"invalid choice: {column!r}" in err
         assert "delta_margin, lambda_min, h2_norm, phi_norm, M2, r_star_star, sim_sup_norm" in err
+
+
+def test_fit_refuses_an_empty_csv(tmp_path, capsys):
+    # a bare StopIteration printed "error: " with no message
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["fit", "--input", str(path)]) == 2
+    assert f"error: sweep CSV {path} is empty" in capsys.readouterr().err
+
+
+def test_fit_refuses_non_finite_values(tmp_path, capsys):
+    # sim_sup_norm is nan when no recorded sample lies past the transient;
+    # the fit printed "slope: nan" and exited 0
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv([SweepRecord(L=L, sim_sup_norm=L if L < 64.0 else math.nan) for L in (8.0, 16.0, 32.0, 64.0)], path)
+    assert main(["fit", "--input", str(path), "--column", "sim_sup_norm"]) == 2
+    assert "finite positive" in capsys.readouterr().err
+
+
+def test_mu_bounds_the_profiles_mean(tmp_path, capsys):
+    # at delta = 0.22 the integral of qtilde is -1.09, past -mu = -3/4, but
+    # the profile's mean is half of it: smooth halves delta once, to 0.11,
+    # which certifies, as verify --delta 0.11 does
+    rc, payload = run_json(capsys, ["verify", "--L", "64", "--delta", "0.22", "--json"])
+    assert rc == 0 and payload["certified"]
+    assert payload == run_json(capsys, ["verify", "--L", "64", "--delta", "0.11", "--json"])[1]
+    assert main(["build-potential", "--L", "64", "--delta", "0.22", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "profile_L64.json").read_text())
+    assert meta["smoothing"] == {"delta": 0.11, "mu": 0.75}
 
 
 def test_molinet_cli(capsys):

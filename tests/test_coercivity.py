@@ -132,12 +132,12 @@ def test_diagonal_is_the_symbol_plus_the_constant(profile32, make_flat_profile):
 
 
 @pytest.fixture(scope="module")
-def structured(critical_pair):
+def structured():
     """assemble(build_profile(L), N) with its shifted variant, and both
     smallest eigenvalues from eigvalsh and from ``_reference_min``."""
     out = {}
     for L in (32.0, 128.0, 512.0, 1024.0):
-        profile = build_profile(L, pair=critical_pair)
+        profile = build_profile(L)
         for N in (512, 1024):
             mats = (assemble(profile, N), _shifted(assemble(profile, N)))
             # filled on copies, so the matrices under test hold no dense array
@@ -157,8 +157,8 @@ def test_structured_matches_dense_and_reference(structured, monkeypatch, L, N):
             assert abs(lam - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
-def test_structured_matches_reference_at_2048(critical_pair, monkeypatch):
-    m = assemble(build_profile(128.0, pair=critical_pair), 2048)
+def test_structured_matches_reference_at_2048(monkeypatch):
+    m = assemble(build_profile(128.0), 2048)
     mats = (m, _shifted(m))
     refs = [_reference_min(replace(A).entries) for A in mats]
     _refuse(monkeypatch, "eigvalsh")
@@ -283,11 +283,11 @@ def test_structured_second_order(profile32, monkeypatch, N):
 
 
 @pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 2048.0, 8192.0])
-def test_secular_matches_reference(critical_pair, monkeypatch, L):
+def test_secular_matches_reference(monkeypatch, L):
     # every windowed matrix at N = 64..2048, both forms, in at most 12
     # probes; the reference is eigvalsh while |A| < 1e8 and _reference_min
     # above, where eigvalsh's backward error eps |A| is past the bound
-    profile = build_profile(L, pair=critical_pair)
+    profile = build_profile(L)
     cases = []
     for N in (64, 128, 256, 512, 1024, 2048):
         m = assemble(profile, N)
@@ -346,11 +346,11 @@ def _applied(monkeypatch):
     return rows
 
 
-def test_range_finder_gives_up_before_any_product(critical_pair, monkeypatch):
+def test_range_finder_gives_up_before_any_product(monkeypatch):
     # at L = 8, N = 2048 the window predicts rank ceil(N W / n) + 8 = 138,
     # past _RANK_MAX: no product is formed, and the dense solve answers
     # with the entries' value
-    m = assemble(build_profile(8.0, pair=critical_pair), 2048)
+    m = assemble(build_profile(8.0), 2048)
     value = _dense_value(m)
     rows = _applied(monkeypatch)
     assert min_eigenvalue(m) == value
@@ -359,11 +359,11 @@ def test_range_finder_gives_up_before_any_product(critical_pair, monkeypatch):
 
 @pytest.mark.parametrize("L", [12.0, 128.0, 8192.0])
 @pytest.mark.parametrize("N", [64, 2048])
-def test_range_finder_starts_from_predicted_rank(critical_pair, monkeypatch, L, N):
+def test_range_finder_starts_from_predicted_rank(monkeypatch, L, N):
     # one pass of ceil(N W / n) + 3 _OVERSAMPLE columns finds the rank, and
     # the pass takes one product: the model is solved from it, not from a
     # second product Q^T G_w Q
-    profile = build_profile(L, pair=critical_pair)
+    profile = build_profile(L)
     k = math.ceil(N * profile.window.size / profile.n) + 3 * coercivity._OVERSAMPLE
     rows = _applied(monkeypatch)
     U, C = assemble(profile, N)._window.compressed
@@ -394,11 +394,11 @@ def test_singular_sketch_doubles_the_columns(profile32, monkeypatch):
 
 @pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 8192.0])
 @pytest.mark.parametrize("N", [64, 2048])
-def test_one_product_model_matches_two_sided_projection(critical_pair, L, N):
+def test_one_product_model_matches_two_sided_projection(L, N):
     # the model U C U^T solved from Y = Omega G_w against Q^T G_w Q formed
     # from a second product with the same basis Q: on fixed inputs the
     # one-product error is within 10 times the two-product one
-    window = assemble(build_profile(L, pair=critical_pair), N)._window
+    window = assemble(build_profile(L), N)._window
     U, C = window.compressed
     k = math.ceil(N * window.share) + 3 * coercivity._OVERSAMPLE
     Q = np.linalg.qr(window.apply(coercivity._test_rows(0, k, N)).T)[0]
@@ -429,7 +429,7 @@ def test_sampled_profile_takes_the_dense_step(make_flat_profile, profile32, monk
     # the dense step, which certifies what the secular step does
     p = profile32
     phi_x = dense_phi_x(p)
-    sampled = PotentialProfile.from_samples(32.0, phi_x, p.mean_q, p.exponents)
+    sampled = PotentialProfile.from_samples(32.0, phi_x)
     assert (sampled.j0, sampled.phi_x_off) == (0, 0.0)
     assert np.array_equal(sampled.window.view(np.int64), phi_x.view(np.int64))
     assert not np.shares_memory(sampled.window, phi_x)
@@ -536,8 +536,8 @@ def test_probe_matches_oracle_bit_for_bit(profile32, order):
     assert secular.probe(pole) is None and _probe_oracle(delta, U, C, inner, pole) is None
 
 
-def test_structured_path_allocates_no_dense_matrix(critical_pair):
-    profile = build_profile(128.0, pair=critical_pair)
+def test_structured_path_allocates_no_dense_matrix():
+    profile = build_profile(128.0)
     tracemalloc.start()
     try:
         min_eigenvalue(assemble(profile, 2048))
@@ -626,7 +626,7 @@ def test_certify_inconclusive_at_cap(profile32, monkeypatch):
         certify(profile32)
 
 
-def test_certify_closes_at_a_level_whose_double_is_past_the_grid(critical_pair):
+def test_certify_closes_at_a_level_whose_double_is_past_the_grid():
     # n = 1024 points resolve moment 2N up to N = 256, the last level the
     # ladder can solve. The potential's mode 100 couples the lowest modes
     # to mode 102, first held at N = 128, so the ladder closes at
@@ -634,7 +634,7 @@ def test_certify_closes_at_a_level_whose_double_is_past_the_grid(critical_pair):
     # min_eigenvalue runs
     L, n = 8.0, 1024
     x = -L + (2.0 * L / n) * np.arange(n)
-    p = PotentialProfile.from_samples(L, 3.0 + 1000.0 * np.cos(100.0 * np.pi * x / L), -1.0, critical_pair)
+    p = PotentialProfile.from_samples(L, 3.0 + 1000.0 * np.cos(100.0 * np.pi * x / L))
     report = certify(p)
     assert report.converged and report.N_sequence == (64, 128, 256)
     assert report.lambda_min == min_eigenvalue(assemble(p, 256))
@@ -645,14 +645,14 @@ def test_certify_closes_at_a_level_whose_double_is_past_the_grid(critical_pair):
 @pytest.mark.parametrize(
     "L, levels", [(32.0, (64, 128)), (64.0, (64, 128)), (128.0, (64, 128)), (256.0, (128, 256)), (512.0, (256, 512))]
 )
-def test_certify_lends_the_upper_compression(critical_pair, monkeypatch, L, levels):
+def test_certify_lends_the_upper_compression(monkeypatch, L, levels):
     # the ladder starts at max(64, 2^ceil(log2(L/2))) and solves its second
     # level only: that level's compression serves the first as well, whose
     # bound is the second level's eigenvectors cut to their first half. One
     # range-finder pass, of level 2N, two secular solves (the form and its
     # shifted copy) and one closing product of four rows: the two vectors
     # and their two cuts
-    profile = build_profile(L, pair=critical_pair)
+    profile = build_profile(L)
     rows = _applied(monkeypatch)
     solved = []
     vector = coercivity._secular_vector
@@ -663,13 +663,13 @@ def test_certify_lends_the_upper_compression(critical_pair, monkeypatch, L, leve
 
 
 @pytest.mark.parametrize("L", [32.0, 64.0, 128.0, 256.0, 512.0, 8192.0])
-def test_cut_bounds_the_lower_level(critical_pair, L):
+def test_cut_bounds_the_lower_level(L):
     # the lower level of the accepted pair (N / 2, N), solved on its own,
     # lies between lambda_N and rho, the Rayleigh quotient of level N's
     # eigenvector cut to N / 2 modes, for both forms; and the two-level
     # rule the cut replaced (both levels solved, agreeing to _RTOL) accepts
     # the same pair and no earlier one
-    profile = build_profile(L, pair=critical_pair)
+    profile = build_profile(L)
     report = certify(profile)
     seq = report.N_sequence
     top = assemble(profile, seq[-1])
@@ -730,13 +730,13 @@ def test_certify_level_with_one_form_past_the_secular_step(profile32, monkeypatc
     assert rows[1:] == [2] and len(forms) == 2 and all("entries" in vars(m) for m in forms[1::2])
 
 
-def test_certify_reaches_the_minimizing_mode_at_large_L(critical_pair):
+def test_certify_reaches_the_minimizing_mode_at_large_L():
     # the form's minimizing mode sits near m = 0.26 L: two levels with
     # N < L / 4 miss it and agree on phi_x's constant part less 1/4, margin
     # 69.9729 at L = 65536. The references are single solves at N = 32768,
     # the first level that holds the mode
-    assert certify(build_profile(8192.0, pair=critical_pair)).certified
-    report = certify(build_profile(65536.0, pair=critical_pair))
+    assert certify(build_profile(8192.0)).certified
+    report = certify(build_profile(65536.0))
     assert report.certified and report.N_sequence == (32768, 65536)
     assert abs(report.delta_margin - 69.63958732298403) <= 1e-6
     assert abs(report.lambda_min - 69.9729206563173) <= 1e-6
@@ -748,7 +748,7 @@ def test_rayleigh_ritz_monotone_in_mode_count(profile32):
         assert b <= a + 1e-12
 
 
-def test_brute_force_rayleigh_consistency(critical_pair):
+def test_brute_force_rayleigh_consistency():
     # N = 8 Galerkin matrix for a random smooth odd-form potential profile:
     # sampled Rayleigh quotients stay above lambda_min, and a short polish of
     # the best sample closes the gap
@@ -759,7 +759,7 @@ def test_brute_force_rayleigh_consistency(critical_pair):
     for m in range(1, 7):
         phi_x += rng.normal() * np.cos(np.pi * m * x / L)
         phi_x += rng.normal() * np.sin(np.pi * m * x / L)
-    profile = PotentialProfile.from_samples(L, phi_x, mean_q=-1.0, exponents=critical_pair)
+    profile = PotentialProfile.from_samples(L, phi_x)
     m = assemble(profile, 8)
     A = m.entries
     lam = min_eigenvalue(m)

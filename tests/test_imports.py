@@ -19,11 +19,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DENSE_SOLVE = (
     "import numpy as np\n"
     "from kslyap.coercivity import assemble, min_eigenvalue\n"
-    "from kslyap.exponents import OperatorOrder, solve_critical_exponents\n"
     "from kslyap.potential import PotentialProfile\n"
     "x = np.linspace(-8.0, 8.0, 2048, endpoint=False)\n"
-    "pair = solve_critical_exponents(OperatorOrder.FOURTH).pair\n"
-    "sampled = PotentialProfile.from_samples(8.0, 3.0 + np.cos(np.pi * x / 8.0), -1.0, pair)\n"
+    "sampled = PotentialProfile.from_samples(8.0, 3.0 + np.cos(np.pi * x / 8.0))\n"
     "m = assemble(sampled, 512)\n"
     "assert m._window.compressed is None\n"
     "min_eigenvalue(m)\n"
@@ -87,7 +85,7 @@ def test_runs_with_scipy_blocked(tmp_path):
         f"{DENSE_SOLVE}"
         f"{inspect.getsource(dense_phi_x)}"
         "p = build_profile(32.0)\n"
-        "assert certify(PotentialProfile.from_samples(32.0, dense_phi_x(p), p.mean_q, p.exponents)).certified\n"
+        "assert certify(PotentialProfile.from_samples(32.0, dense_phi_x(p))).certified\n"
         f"out = {str(tmp_path)!r}\n"
         "codes = [\n"
         "    main(['verify', '--L', '64', '--out', out]),\n"

@@ -13,6 +13,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from kslyap import coercivity, potential
 from kslyap._accel import gram_from_cosine, splitmix53
 from kslyap.coercivity import assemble, certify
+from kslyap.exponents import ExponentPair
 from kslyap.potential import (
     AdmissibilityError,
     BSConfig,
@@ -201,10 +202,10 @@ def _reference_integrals(sp):
 
 
 @pytest.mark.parametrize(
-    "params, mu", [((1.0, 0.5, 2.0), 0.75), ((0.8, 1.0, 3.0), 0.75), ((1.2, 0.3, 0.9), 0.75), ((1.0, 0.5, 2.0), 500.0)]
+    "params, mu", [((1.0, 0.5, 2.0), 0.75), ((0.8, 1.0, 3.0), 0.75), ((1.2, 0.3, 0.9), 0.75), ((1.0, 0.5, 2.0), 250.0)]
 )
 def test_qtilde_integrals_match_references(params, mu):
-    # mu = 500 halves delta twice, to a/256. The largest relative gap is
+    # mu = 250 halves delta twice, to a/256. The largest relative gap is
     # 3.3e-13 (I1, whose G^2 - m^2 cancels), then 1.1e-13 (I2) and at most
     # 2.5e-14 on the rest: the reference's own error, for with 2^16
     # intervals on the flat pieces it was 6e-12 at delta = a/256. 1e-11
@@ -234,7 +235,7 @@ def test_smooth_deep_well_mean():
 def test_smooth_shrinks_delta_to_meet_mu():
     sp = smooth(PiecewiseParams(), SmoothingParams(delta=1.0 / 64.0, mu=500.0))
     assert sp.smoothing.delta < 1.0 / 64.0
-    assert sp.mean_qtilde <= -500.0
+    assert sp.mean_qtilde / 2.0 <= -500.0
 
 
 def test_smooth_delta_floor_error():
@@ -293,7 +294,8 @@ def test_profile_fields(profile32, critical_pair):
     assert abs(float(np.mean(dense_phi_x(p)))) < 1e-8
     assert p.mean_q <= -0.75
     assert np.isclose(p.mean_q, -70.22292042792031, rtol=1e-10)
-    assert p.exponents == critical_pair
+    assert p.mean_q == -p.phi_x_off
+    assert potential.CRITICAL_PAIR == critical_pair
 
 
 def test_profile_norms_resolution_independent(default_sp, critical_pair):
@@ -305,7 +307,7 @@ def test_profile_norms_resolution_independent(default_sp, critical_pair):
     c1, c2 = float(critical_pair.c1), float(critical_pair.c2)
     q2 = L**c2 * default_sp.qtilde(x2 * L**c1)
     mean = float(np.sum(q2)) / n2
-    p2 = PotentialProfile.from_samples(L, q2 - mean, mean, critical_pair)
+    p2 = PotentialProfile.from_samples(L, q2 - mean)
     for coarse, fine in zip(norms(p), norms(p2)):
         assert abs(coarse - fine) <= 1e-6 * abs(fine)
 
@@ -345,7 +347,7 @@ def test_profile_matches_dense_reference(L, dense):
     if dense:
         # the caller-supplied form of the same samples: a window as long as
         # the grid, whose levels take the dense step
-        p = PotentialProfile.from_samples(L, dense_phi_x(p), p.mean_q, p.exponents)
+        p = PotentialProfile.from_samples(L, dense_phi_x(p))
     moments, ref_norms, phi = _dense_reference(p)
     # phi_x's moments: the window's, plus the constant's 2 L phi_x_off in C_0
     c = p._window_moments(8193).copy()
@@ -372,7 +374,7 @@ def _refined_grid_norms(p, r):
     phi_xx by Parseval from phi_x's spectrum with the Nyquist mode dropped."""
     L, n = p.L, r * p.n
     dx = 2.0 * L / n
-    c1, c2 = float(p.exponents.c1), float(p.exponents.c2)
+    c1, c2 = float(potential.CRITICAL_PAIR.c1), float(potential.CRITICAL_PAIR.c2)
     # q vanishes a coarse cell or more outside the coarse window
     j = np.arange(max(r * (p.j0 - 1), 0), min(r * (p.j0 + p.window.size + 1), n))
     phi_x = np.zeros(n)
@@ -413,7 +415,7 @@ def _counted_ffts(monkeypatch):
     return calls
 
 
-def test_constructed_norms_scale_exactly(monkeypatch, critical_pair):
+def test_constructed_norms_scale_exactly(monkeypatch):
     # |phi_xx|^2 = L^3 int qtilde_y^2 at every L, from one set of L-free
     # integrals, with no window transform and no FFT of any length; nor is
     # phi's running integral over the window, which phi_nodes reads, built
@@ -421,7 +423,7 @@ def test_constructed_norms_scale_exactly(monkeypatch, critical_pair):
     ffts = _counted_ffts(monkeypatch)
     ratios = []
     for L in (8.0, 64.0, 4096.0, 1e6):
-        p = build_profile(L, pair=critical_pair)
+        p = build_profile(L)
         nrm = norms(p)
         ratios.append(nrm.phi_xx**2 / L**3)
         assert np.isclose(nrm.h2**2, nrm.phi**2 + nrm.phi_x**2 + nrm.phi_xx**2, rtol=1e-14)
@@ -431,7 +433,7 @@ def test_constructed_norms_scale_exactly(monkeypatch, critical_pair):
 
 
 @pytest.mark.parametrize("n", [1 << 14, 1 << 19])
-def test_sampled_norms_match_parseval(critical_pair, n):
+def test_sampled_norms_match_parseval(n):
     # a sampled window spans the grid, so |phi_xx|^2 is its n-point spectrum
     # summed directly. For phi_x = c + sum a_m cos(pi m x / L + t_m), m < n/2,
     # Parseval gives |phi_x|^2 = 2 L c^2 + L sum a_m^2 and
@@ -442,7 +444,7 @@ def test_sampled_norms_match_parseval(critical_pair, n):
     modes = {1: (1.0, 0.3), 3: (-0.5, 1.1), 17: (0.25, 2.0), n // 4: (1e-3, 0.7), n // 2 - 1: (1e-6, 0.0)}
     x = -L + (2.0 * L / n) * np.arange(n)
     phi_x = c + sum(a * np.cos(np.pi * m * x / L + t) for m, (a, t) in modes.items())
-    got = norms(PotentialProfile.from_samples(L, phi_x, -1.0, critical_pair))
+    got = norms(PotentialProfile.from_samples(L, phi_x))
     k = np.pi * np.array(list(modes), dtype=np.longdouble) / L
     a2 = np.array([a for a, _ in modes.values()], dtype=np.longdouble) ** 2
     want_x = np.sqrt(2 * L * np.longdouble(c) ** 2 + L * np.sum(a2))
@@ -468,10 +470,10 @@ def _counted_window_dfts(monkeypatch):
     return counts
 
 
-def test_moments_computed_on_demand(monkeypatch, critical_pair):
+def test_moments_computed_on_demand(monkeypatch):
     calls = _counted_window_dfts(monkeypatch)
-    built = [build_profile(L, pair=critical_pair) for L in (32.0, 512.0)]
-    PotentialProfile.from_samples(64.0, np.linspace(-1.0, 1.0, 4096), -1.0, critical_pair)
+    built = [build_profile(L) for L in (32.0, 512.0)]
+    PotentialProfile.from_samples(64.0, np.linspace(-1.0, 1.0, 4096))
     assert calls == []
     counts = [129, 1025, 4097, 8193]
     for p in built:
@@ -506,24 +508,24 @@ def _moments_as_before(p, count):
 
 
 @pytest.mark.parametrize("count", [129, 1025])
-def test_cosine_moments_keep_their_bits(critical_pair, count):
+def test_cosine_moments_keep_their_bits(count):
     # on a constructed profile (phi_x_off != 0) and on sampled ones
     # (phi_x_off = 0); each profile is fresh, so the moments are computed at
     # the transform length of this count. Moment 0 takes the constant's
     # 2 L phi_x_off on top of the window's
-    built = build_profile(32.0, pair=critical_pair)
-    samples = PotentialProfile.from_samples(32.0, dense_phi_x(built), built.mean_q, critical_pair)
+    built = build_profile(32.0)
+    samples = PotentialProfile.from_samples(32.0, dense_phi_x(built))
     x = np.linspace(-1.0, 1.0, 4096)
-    for p in (built, samples, PotentialProfile.from_samples(64.0, x, -1.0, critical_pair)):
+    for p in (built, samples, PotentialProfile.from_samples(64.0, x)):
         got, want = p._window_moments(count), _moments_as_before(p, count)
         assert np.array_equal(_bits(got[1:]), _bits(want[1:]))
         assert _bits(got[0] + 2.0 * p.L * p.phi_x_off) == _bits(want[0])
     assert built.phi_x_off != 0.0
 
 
-def test_window_moments_stop_at_the_grid_resolution(critical_pair):
+def test_window_moments_stop_at_the_grid_resolution():
     # n points resolve moments 0..n/2: one more raises, naming n and the count
-    p = PotentialProfile.from_samples(8.0, np.linspace(-1.0, 1.0, 64), -1.0, critical_pair)
+    p = PotentialProfile.from_samples(8.0, np.linspace(-1.0, 1.0, 64))
     assert p._window_moments(33).size == 33
     with pytest.raises(UnderResolvedGridError, match=r"\b64 points\b.*\bnot 34$"):
         p._window_moments(34)
@@ -531,11 +533,11 @@ def test_window_moments_stop_at_the_grid_resolution(critical_pair):
     assert coercivity.UnderResolvedGridError is UnderResolvedGridError
 
 
-def test_assemble_under_resolved_transforms_nothing(monkeypatch, critical_pair):
+def test_assemble_under_resolved_transforms_nothing(monkeypatch):
     # moment 2N of an N-mode matrix needs n >= 4N: a fresh profile refuses
     # N = n/2 before any window transform
     calls = _counted_window_dfts(monkeypatch)
-    p = build_profile(32.0, pair=critical_pair)
+    p = build_profile(32.0)
     with pytest.raises(UnderResolvedGridError, match=f"{p.n} points.*{p.n + 1}"):
         assemble(p, p.n // 2)
     assert calls == []
@@ -565,20 +567,21 @@ def test_profile_sup_grows_linearly(profile32):
     assert 1.8 < ratio < 2.2
 
 
-def test_assemble_rejects_weak_mean(critical_pair):
-    # delta = 0.22 leaves the integral of qtilde at -1.09: past smooth's
-    # mu = 0.5, but the profile's mean, half of it, is above -3/4
+def test_assemble_rejects_weak_mean():
+    # delta = 0.22 leaves the profile's mean, half the integral of qtilde,
+    # at -0.54: past smooth's mu = 0.5, but above the -3/4 that
+    # scaled_profile requires
     sp = smooth(PiecewiseParams(), SmoothingParams(delta=0.22, mu=0.5))
     assert sp.smoothing.delta == 0.22
     with pytest.raises(MeanConditionError, match="-0.54"):
-        scaled_profile(sp, 4.0, critical_pair)
+        scaled_profile(sp, 4.0)
 
 
-def test_assemble_rejects_bad_shape(critical_pair):
+def test_assemble_rejects_bad_shape():
     with pytest.raises(ValueError):
-        PotentialProfile.from_samples(4.0, np.zeros(15), -1.0, critical_pair)
+        PotentialProfile.from_samples(4.0, np.zeros(15))
     with pytest.raises(ValueError):
-        PotentialProfile.from_samples(4.0, np.zeros(2), -1.0, critical_pair)
+        PotentialProfile.from_samples(4.0, np.zeros(2))
 
 
 def test_profile_round_trip(tmp_path):
@@ -595,13 +598,14 @@ def test_profile_round_trip(tmp_path):
         assert meta["smoothing"] == {"delta": 1.0 / 64.0, "mu": 0.75}
         assert meta["norms"] == norms(p)._asdict()
         back = read_profile(path)
-        assert (back.L, back.n, back.j0, back.exponents) == (p.L, p.n, p.j0, p.exponents)
+        assert (back.L, back.n, back.j0) == (p.L, p.n, p.j0)
+        assert meta["exponents"] == {"c1": "1/3", "c2": "4/3"}
         assert np.array_equal(_bits(back.window), _bits(p.window))
         assert _bits(back.phi_x_off) == _bits(p.phi_x_off)
         assert _bits(back.mean_q) == _bits(p.mean_q)
 
 
-def test_profile_file_is_checked(tmp_path, default_sp, critical_pair):
+def test_profile_file_is_checked(tmp_path, default_sp):
     p = build_profile(2.0)
     path = tmp_path / "profile.json"
     write_profile(p, path)
@@ -616,12 +620,31 @@ def test_profile_file_is_checked(tmp_path, default_sp, critical_pair):
     # a profile from samples has no parameters that rebuild it: writing it
     # fails, and leaves no file for read_profile to reject; nor can it be
     # handed a source that claims otherwise
-    sampled = PotentialProfile.from_samples(2.0, dense_phi_x(p), p.mean_q, critical_pair)
+    sampled = PotentialProfile.from_samples(2.0, dense_phi_x(p))
     with pytest.raises(ValueError, match="from_samples"):
         write_profile(sampled, tmp_path / "sampled.json")
     assert not (tmp_path / "sampled.json").exists()
     with pytest.raises(TypeError):
-        PotentialProfile.from_samples(2.0, dense_phi_x(p), p.mean_q, critical_pair, source=default_sp)
+        PotentialProfile.from_samples(2.0, dense_phi_x(p), source=default_sp)
+
+
+def test_profiles_are_critical(critical_pair):
+    # build_profile keeps its pair keyword for callers that pass the
+    # critical pair, which changes nothing, and refuses any other
+    with pytest.raises(ValueError, match="critical pair"):
+        build_profile(64.0, pair=ExponentPair(1, 2))
+    p, q = build_profile(2.0), build_profile(2.0, pair=critical_pair)
+    assert (p.n, p.j0, _bits(p.phi_x_off)) == (q.n, q.j0, _bits(q.phi_x_off))
+    assert np.array_equal(_bits(p.window), _bits(q.window))
+
+
+def test_profile_file_must_be_critical(tmp_path):
+    path = tmp_path / "profile.json"
+    write_profile(build_profile(2.0), path)
+    meta = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(meta, exponents={"c1": "1", "c2": "2"})))
+    with pytest.raises(ValueError, match="exponents"):
+        read_profile(path)
 
 
 def test_bs_gradient_matches_finite_differences():

@@ -22,7 +22,11 @@ from kslyap.study import (
     write_sweep_csv,
 )
 
-SWEEP_LS = [8.0, 4.0, 16.0]
+SWEEP_LS = [8.0, 1.0, 16.0]
+
+# scaled_profile's one domain rule: the support, a + delta = 1 + 1/64 at the
+# defaults, must fit in [-L, L] after the rescaling by L^{-1/3}
+TOO_SMALL = "DomainTooSmallError: support half-width 1.01562 exceeds domain half-length 1"
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +47,7 @@ def test_sweep_rows_in_input_order(sweep_out):
     assert good.sim_sup_norm is None  # no simulation requested
     bad = records[1]
     assert not bad.certified
-    assert bad.error == "DomainTooSmallError: sweep requires L >= 8, got 4"
+    assert bad.error == TOO_SMALL
     assert bad.delta_margin is None and bad.r_star_star is None
     assert records[2].certified  # failure in the middle does not stop the sweep
 
@@ -70,10 +74,10 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_sweep_smooths_once(monkeypatch):
-    # every row rescales one smoothed potential, with one exponent solve
-    counts = _count_calls(monkeypatch, study, ["smooth", "solve_critical_exponents"])
+    # every row rescales one smoothed potential
+    counts = _count_calls(monkeypatch, study, ["smooth"])
     records = sweep([32.0, 64.0, 128.0], workers=1)
-    assert counts == {"smooth": 1, "solve_critical_exponents": 1}
+    assert counts == {"smooth": 1}
     for rec in records:
         assert repr(rec.delta_margin) == repr(certify(build_profile(rec.L)).delta_margin)
 
@@ -83,9 +87,17 @@ def test_sweep_reports_failed_smoothing_on_every_row():
     with pytest.raises(ValueError) as exc:
         smooth(PiecewiseParams(), bad)
     expected = f"ValueError: {exc.value}"
-    records = sweep([32.0, 4.0, 64.0], smoothing=bad)
-    assert [r.error for r in records] == [expected, "DomainTooSmallError: sweep requires L >= 8, got 4", expected]
+    records = sweep([32.0, 1.0, 64.0], smoothing=bad)
+    assert [r.error for r in records] == [expected] * 3
     assert not any(r.certified or r.delta_margin is not None for r in records)
+
+
+def test_sweep_certifies_below_eight():
+    # sweep applies scaled_profile's domain rule and no other: the rows at
+    # L = 2, 4 and 6 are the certificates that verify prints
+    for rec in sweep([2.0, 4.0, 6.0]):
+        assert rec.certified and rec.error is None
+        assert repr(rec.delta_margin) == repr(certify(build_profile(rec.L)).delta_margin)
 
 
 def test_sweep_csv_round_trip(sweep_out):
@@ -106,7 +118,7 @@ def test_round_trip_preserves_every_field(tmp_path):
             sim_sup_norm=151.25,
             certified=True,
         ),
-        SweepRecord(L=4.0, error="DomainTooSmallError: sweep requires L >= 8, got 4"),
+        SweepRecord(L=1.0, error=TOO_SMALL),
         SweepRecord(L=64.0, delta_margin=-0.5, certified=False),
     ]
     path = tmp_path / "rt.csv"
