@@ -4,8 +4,8 @@ ball radii it implies, and a residual monitor that checks the inequality along
 simulated trajectories.
 
 The forcing constant uses the weighted-norm bookkeeping constants of the
-rescaled estimate: M^2 = 16 |phi_x|_2^2 + 2*16^3 |phi_xx|_2^2 by default, with
-both coefficients exposed. lambda is taken from the certified coercivity
+rescaled estimate: M^2 = 16 |phi_x|_2^2 + 2*16^3 |phi_xx|_2^2, with both
+weights named constants. lambda is taken from the certified coercivity
 margin, the only computable instantiation.
 """
 
@@ -18,7 +18,7 @@ from .coercivity import CoercivityReport
 from .potential import PotentialProfile, norms
 from .solver import Trajectory, _power
 
-#: default weights in M^2 = GRAD_COEFF*|phi_x|^2 + HESS_COEFF*|phi_xx|^2;
+#: the weights in M^2 = GRAD_COEFF*|phi_x|^2 + HESS_COEFF*|phi_xx|^2;
 #: GRAD_COEFF is the amplitude rescale factor, HESS_COEFF = 2*rescale^3
 GRAD_COEFF = 16.0
 HESS_COEFF = 2.0 * 16.0**3
@@ -72,12 +72,10 @@ def radius(phi_norm: float, M2: float, lam: float) -> AttractorBound:
     return AttractorBound(r_star=r_star, r_star_star=r_star_star)
 
 
-def forcing_constant(
-    profile: PotentialProfile, grad_coeff: float = GRAD_COEFF, hess_coeff: float = HESS_COEFF
-) -> float:
-    """M^2 = grad_coeff * |phi_x|_2^2 + hess_coeff * |phi_xx|_2^2."""
+def forcing_constant(profile: PotentialProfile) -> float:
+    """M^2 = GRAD_COEFF * |phi_x|_2^2 + HESS_COEFF * |phi_xx|_2^2."""
     nrm = norms(profile)
-    return grad_coeff * nrm.phi_x**2 + hess_coeff * nrm.phi_xx**2
+    return GRAD_COEFF * nrm.phi_x**2 + HESS_COEFF * nrm.phi_xx**2
 
 
 @dataclass(frozen=True)

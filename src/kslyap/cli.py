@@ -15,7 +15,15 @@ from pathlib import Path
 from .attractor import OddSubspaceError, headline_bound, monitor
 from .coercivity import certify
 from .exponents import OperatorOrder, classify, solve_critical_exponents
-from .potential import PiecewiseParams, SmoothingParams, build_profile, norms, read_profile, write_profile
+from .potential import (
+    MEAN_BOUND,
+    PiecewiseParams,
+    SmoothingParams,
+    build_profile,
+    norms,
+    read_profile,
+    write_profile,
+)
 from .solver import SolveConfig, default_grid, default_transient, random_initial, simulate
 from .study import SweepRecord, fit_power_law, molinet, read_sweep_csv, sweep
 
@@ -307,7 +315,7 @@ def _potential_flags(sub):
     sub.add_argument("--q0", type=float, default=0.5, help="well depth")
     sub.add_argument("--q1", type=float, default=2.0, help="barrier height")
     sub.add_argument("--delta", type=float, help="mollification width (default a/64)")
-    sub.add_argument("--mu", type=float, default=0.75, help="required magnitude of the profile's negative mean")
+    sub.add_argument("--mu", type=float, default=float(MEAN_BOUND), help="required magnitude of the profile's negative mean")
 
 
 def build_parser(**defaults):

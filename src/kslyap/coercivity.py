@@ -488,25 +488,19 @@ def _fd2(u, h):
     return d
 
 
-def hardy_check(u, a: float = 1.0, n: int = 16385):
-    """Check (1/4) int u_yy^2 >= (1/2) int (u/y)_y^2 on [-a, a] for u(0) = 0.
+def hardy_check(u, n: int = 16385):
+    """Check (1/4) int u_yy^2 >= (1/2) int (u/y)_y^2 on [-1, 1] for a
+    callable u with u(0) = 0.
 
-    u may be a callable or an array of samples on the uniform grid
-    linspace(-a, a, n) (n odd so the origin is a sample). Derivatives are
-    finite differences; integrals are Simpson. Returns (lhs, rhs, margin).
+    u is sampled on the uniform grid linspace(-1, 1, n), n made odd so the
+    origin is a sample. Derivatives are finite differences; integrals are
+    Simpson. Returns (lhs, rhs, margin).
     """
-    if callable(u):
-        if n % 2 == 0:
-            n += 1
-        y = np.linspace(-a, a, n)
-        uu = np.asarray(u(y), dtype=float)
-    else:
-        uu = np.asarray(u, dtype=float)
-        n = uu.size
-        if n % 2 == 0:
-            raise ValueError("sampled u needs an odd point count so y = 0 is on the grid")
-        y = np.linspace(-a, a, n)
-    h = 2.0 * a / (n - 1)
+    if n % 2 == 0:
+        n += 1
+    y = np.linspace(-1.0, 1.0, n)
+    uu = np.asarray(u(y), dtype=float)
+    h = 2.0 / (n - 1)
     mid = n // 2
     scale = float(np.max(np.abs(uu)))
     if abs(uu[mid]) > 1e-10 * (1.0 + scale):
@@ -523,29 +517,20 @@ def hardy_check(u, a: float = 1.0, n: int = 16385):
     return lhs, rhs, lhs - rhs
 
 
-def reduced_form_check(sp: SmoothedPotential, v, y=None) -> float:
-    """Value of int (1/2) v_y^2 + Qtilde v^2 over a uniform grid.
+def reduced_form_check(sp: SmoothedPotential, v) -> float:
+    """Value of int (1/2) v_y^2 + Qtilde v^2 over the support
+    [-(a + delta), a + delta], for v a callable on y or a constant.
 
-    By default the grid spans the support [-(a + delta), a + delta] in 2^k
-    intervals, the fewest that put 64 across each smoothing shoulder, with k
-    between 14 and 22; a custom uniform y may be supplied to probe v
-    supported outside it. v may be a callable on y or an array matching the grid. No boundary
-    condition is imposed; the admissibility construction guarantees the
-    value is nonnegative for every finite-energy v.
+    The grid has 2^k uniform intervals, the fewest that put 64 across each
+    smoothing shoulder, with k between 14 and 22. No boundary condition is
+    imposed; the admissibility construction guarantees the value is
+    nonnegative for every finite-energy v.
     """
-    if y is None:
-        s, delta = sp.support_halfwidth, sp.smoothing.delta
-        n = 1 << max(14, min(22, math.ceil(math.log2(64.0 * 2.0 * s / delta))))
-        y = np.linspace(-s, s, n + 1)
-    else:
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.size < 5:
-            raise ValueError("y must be a 1d grid with at least 5 points")
-        # np.linspace rounds each point to about an ulp of max|y|, so its
-        # steps differ by up to 2 ulps of max|y| (measured to 10^7 points)
-        steps = np.diff(y)
-        if not np.abs(steps - steps[0]).max() <= 4.0 * np.spacing(np.abs(y).max()):
-            raise ValueError("y must be uniformly spaced")
+    if not callable(v) and np.ndim(v) != 0:
+        raise ValueError("v must be a callable on y or a constant, not an array")
+    s, delta = sp.support_halfwidth, sp.smoothing.delta
+    n = 1 << max(14, min(22, math.ceil(math.log2(64.0 * 2.0 * s / delta))))
+    y = np.linspace(-s, s, n + 1)
     Qt = sp.Qtilde(y)
     vv = np.asarray(v(y) if callable(v) else v, dtype=float)
     if vv.ndim == 0:

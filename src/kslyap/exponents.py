@@ -20,10 +20,6 @@ class ResolutionFaultError(RuntimeError):
     """Quadrature refinement exhausted without convergence."""
 
 
-class EmptyNegativeRegionError(ValueError):
-    """The bump interval is empty."""
-
-
 class OperatorOrder(Enum):
     """Order of the kinetic term: fourth for K = d4 - d2 + phi_x, second for
     the Schrodinger-type comparison form."""
@@ -107,13 +103,9 @@ def _refining_quadrature(func, lo, hi, rtol=1e-12, n0=4096, max_levels=12):
     )
 
 
-def delocalized_test_value(pair, gamma_prefactor, L, k, profile=None):
-    """<u, K u> for u = L^{-1/2} sin(k pi x / L) against the scaled ansatz.
-
-    profile=None means the compact part of the potential is absent (phi_x is
-    just the constant gamma_prefactor * L^{c2-c1-1} term, or identically zero
-    when gamma_prefactor = 0).
-    """
+def delocalized_test_value(pair, gamma_prefactor, L, k, profile):
+    """<u, K u> for u = L^{-1/2} sin(k pi x / L) against the scaled ansatz
+    built on the smoothed potential ``profile``."""
     if L <= 0:
         raise ValueError("L must be positive")
     if k < 1 or int(k) != k:
@@ -122,15 +114,14 @@ def delocalized_test_value(pair, gamma_prefactor, L, k, profile=None):
     value = kappa**4 - kappa**2
     mean_exp = float(pair.c2 - pair.c1 - 1)
     value += gamma_prefactor * L**mean_exp
-    if profile is not None:
-        half = profile.support_halfwidth
-        arg_scale = np.pi * k * L ** float(-1 - pair.c1)
+    half = profile.support_halfwidth
+    arg_scale = np.pi * k * L ** float(-1 - pair.c1)
 
-        def integrand(y):
-            return profile.qtilde(y) * np.sin(arg_scale * y) ** 2
+    def integrand(y):
+        return profile.qtilde(y) * np.sin(arg_scale * y) ** 2
 
-        integral = _refining_quadrature(integrand, -half, half)
-        value += L ** float(pair.c2 - 1 - pair.c1) * integral
+    integral = _refining_quadrature(integrand, -half, half)
+    value += L ** float(pair.c2 - 1 - pair.c1) * integral
     return value
 
 
@@ -171,44 +162,34 @@ class LocalizedBudget:
     bump_halfwidth: float
 
 
-def localized_test_value(pair, L, profile, gamma_prefactor=1.0, bump_interval=None):
+def localized_test_value(pair, L, profile):
     """<u, K u> for a smooth bump u placed where the scaled potential is negative.
 
     The bump is the standard compactly supported exponential bump scaled to the
     middle half of the smoothed potential's well |y| < y*, where qtilde < 0.
     The edge y* = a/2 - delta + delta t* is where the mollified ramp from -q0
     to q1 crosses zero, f(t*) = q0/(q0 + q1): t* = 2/(kappa + 2 +
-    sqrt(kappa^2 + 4)) with kappa = ln(q1/q0). bump_interval=(lo, hi) in
-    unscaled y coordinates overrides the placement, and is required when
-    profile is None. Returns the total and the four scaling contributions.
+    sqrt(kappa^2 + 4)) with kappa = ln(q1/q0). Its half-width
+    (a/2 - delta (1 - t*))/2 exceeds a/8, since delta < a/4. The mean term
+    carries the unit prefactor. Returns the total and the four scaling
+    contributions.
     """
-    if bump_interval is None:
-        if profile is None:
-            raise ValueError("without a profile, bump_interval must place the bump")
-        p, delta = profile.params, profile.smoothing.delta
-        kappa = math.log(p.q1 / p.q0)
-        t_edge = 2.0 / (kappa + 2.0 + math.sqrt(kappa * kappa + 4.0))
-        center, halfwidth = 0.0, 0.5 * (p.a / 2.0 - delta + delta * t_edge)
-    else:
-        lo, hi = bump_interval
-        center, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    if halfwidth <= 0:
-        raise EmptyNegativeRegionError("degenerate bump interval")
+    p, delta = profile.params, profile.smoothing.delta
+    kappa = math.log(p.q1 / p.q0)
+    t_edge = 2.0 / (kappa + 2.0 + math.sqrt(kappa * kappa + 4.0))
+    halfwidth = 0.5 * (p.a / 2.0 - delta + delta * t_edge)
 
     t = np.linspace(-1.0, 1.0, 20001)
     b2 = np.trapezoid(_bump(t) ** 2, t)
     b1sq = np.trapezoid(_bump_d1(t) ** 2, t)
     b2sq = np.trapezoid(_bump_d2(t) ** 2, t)
-    if profile is not None:
-        qb = np.trapezoid(profile.qtilde(center + halfwidth * t) * _bump(t) ** 2, t)
-    else:
-        qb = 0.0
+    qb = np.trapezoid(profile.qtilde(halfwidth * t) * _bump(t) ** 2, t)
 
     c1f, c2f = float(pair.c1), float(pair.c2)
     potential_term = L ** (c2f - c1f) * halfwidth * qb
     kinetic_fourth = L ** (3 * c1f) * b2sq / halfwidth**3
     kinetic_second = -(L**c1f) * b1sq / halfwidth
-    mean_term = gamma_prefactor * L ** (c2f - 2 * c1f - 1) * halfwidth * b2
+    mean_term = L ** (c2f - 2 * c1f - 1) * halfwidth * b2
     total = potential_term + kinetic_fourth + kinetic_second + mean_term
     return LocalizedBudget(
         total=total,
@@ -216,6 +197,6 @@ def localized_test_value(pair, L, profile, gamma_prefactor=1.0, bump_interval=No
         kinetic_fourth=kinetic_fourth,
         kinetic_second=kinetic_second,
         mean_term=mean_term,
-        bump_center=center,
+        bump_center=0.0,
         bump_halfwidth=halfwidth,
     )

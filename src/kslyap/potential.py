@@ -9,6 +9,7 @@ used as a point of comparison for the constructed one.
 import json
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -19,6 +20,10 @@ from ._accel import _float_if_scalar, mollifier
 from .exponents import ExponentPair, OperatorOrder, ResolutionFaultError, solve_critical_exponents
 
 CRITICAL_PAIR = solve_critical_exponents(OperatorOrder.FOURTH).pair
+
+#: the magnitude the profile's negative mean must reach: smooth's default mu,
+#: the bound scaled_profile checks and the CLI's --mu default
+MEAN_BOUND = Fraction(3, 4)
 
 
 class AdmissibilityError(ValueError):
@@ -135,6 +140,8 @@ class SmoothedPotential:
     """Mollified potential, held by its parameters: Qtilde and qtilde =
     Qtilde/y^2 (extended by 0 at the origin) are evaluated pointwise from
     one table of Qtilde's pieces, which the integrals of qtilde also read.
+    delta must be below a/4, so the smoothing pieces do not overlap
+    (ValueError).
 
     Qtilde >= Q holds branch by branch, in floating point too, because the
     mollifier lies in [0, 1]: each mollified shoulder lies between the two
@@ -142,6 +149,10 @@ class SmoothedPotential:
 
     params: PiecewiseParams
     smoothing: SmoothingParams
+
+    def __post_init__(self):
+        if not self.smoothing.delta < self.params.a / 4.0:
+            raise ValueError("delta must be below a/4 so the smoothing pieces do not overlap")
 
     @property
     def support_halfwidth(self) -> float:
@@ -295,12 +306,10 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
     the potential returned keeps them for its norms.
     """
     if smoothing is None:
-        smoothing = SmoothingParams(delta=params.a / 64.0, mu=0.75)
-    if not smoothing.delta < params.a / 4.0:
-        raise ValueError("delta must be below a/4 so the smoothing pieces do not overlap")
+        smoothing = SmoothingParams(delta=params.a / 64.0, mu=float(MEAN_BOUND))
+    sp = SmoothedPotential(params, smoothing)
     build_piecewise(params)  # AdmissibilityError before any quadrature
     floor = 1e-6 * params.a
-    sp = SmoothedPotential(params, smoothing)
     while not sp.mean_qtilde / 2.0 <= -smoothing.mu:
         delta = sp.smoothing.delta / 2.0
         if delta < floor:
@@ -461,15 +470,17 @@ def scaled_profile(sp: SmoothedPotential, L: float) -> PotentialProfile:
     q(x) = L^{c2} qtilde(x L^{c1}) at ``CRITICAL_PAIR``, on the uniform
     n-point grid (n >= 2^14, and at least 32 samples across the scaled
     mollification width), sampled only on the index window where it is
-    nonzero, and phi_x = q - mean(q), whose mean must be at most -3/4
-    (``MeanConditionError``). The smoothed potential does not depend on L, so
-    callers that build profiles at many L smooth once and rescale it for each.
-    The profile keeps sp as its source, the parameters ``write_profile`` saves."""
+    nonzero, and phi_x = q - mean(q), whose mean must be at most
+    -``MEAN_BOUND`` (``MeanConditionError``). The support, s L^{-1/3}, must
+    fit the domain (``DomainTooSmallError``); nothing else bounds L below.
+    The smoothed potential does not depend on L, so callers that build
+    profiles at many L smooth once and rescale it for each. The profile
+    keeps sp as its source, the parameters ``write_profile`` saves."""
     if not 0.0 < L < math.inf:
         raise ValueError(f"L must be finite and positive, not {L!r}")
     c1, c2 = float(CRITICAL_PAIR.c1), float(CRITICAL_PAIR.c2)
     support_x = sp.support_halfwidth * L ** (-c1)
-    if L < 1.0 or support_x > L:
+    if support_x > L:
         raise DomainTooSmallError(
             f"support half-width {support_x:g} exceeds domain half-length {L:g}"
         )
@@ -481,9 +492,9 @@ def scaled_profile(sp: SmoothedPotential, L: float) -> PotentialProfile:
     x = -L + dx * np.arange(j0, j1)
     q = L**c2 * sp.qtilde(x * L**c1)
     mean_q = float(np.sum(q)) / n
-    if mean_q > -0.75:
+    if mean_q > -MEAN_BOUND:
         raise MeanConditionError(
-            f"mean of q is {mean_q:.6g} > -3/4; use a smaller delta or a larger mu"
+            f"mean of q is {mean_q:.6g} > -{MEAN_BOUND}; use a smaller delta or a larger mu"
         )
     nonzero = np.flatnonzero(q)
     return PotentialProfile(

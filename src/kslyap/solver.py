@@ -387,7 +387,10 @@ def random_initial(L: float, N: int, seed: int = 0, amplitude: float = 1.0, odd_
     """Band-limited random initial data on the lowest max(1, floor(L/pi))
     modes, zero mean, |u|_2 = amplitude, deterministic in the seed (a
     nonnegative integer). For z the normals of the seed's stream (0-based),
-    mode m = 1..n gets i z_(m-1) with odd_only, else z_(2m-2) + i z_(2m-1)."""
+    mode m = 1..n gets i z_(m-1) with odd_only, else z_(2m-2) + i z_(2m-1).
+    A non-finite or negative amplitude: ValueError."""
+    if not (math.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"amplitude must be finite and nonnegative, not {amplitude!r}")
     n_modes = max(1, int(L / np.pi))
     n_modes = min(n_modes, N // 3)
     v = np.zeros(N // 2 + 1, dtype=complex)

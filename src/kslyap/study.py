@@ -136,6 +136,7 @@ def _sweep_one(
                 t_end=t_end if t_end is not None else transient + 200.0,
                 transient=transient,
                 record_every=100,
+                odd_only=True,
             )
             traj = simulate(random_initial(L, N, seed=seed, odd_only=True), cfg)
             sim_sup = traj.sup_norm

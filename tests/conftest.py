@@ -29,14 +29,6 @@ def default_sp():
 
 
 @pytest.fixture(scope="session")
-def default_grid(default_sp):
-    """The grid reduced_form_check integrates on by default: 2^14 uniform
-    intervals across the default potential's support [-(a + delta), a + delta]."""
-    s = default_sp.support_halfwidth
-    return np.linspace(-s, s, (1 << 14) + 1)
-
-
-@pytest.fixture(scope="session")
 def profile32():
     """Constructed potential profile at L = 32 with the default parameters."""
     return build_profile(32.0)

@@ -262,6 +262,28 @@ def test_mu_bounds_the_profiles_mean(tmp_path, capsys):
     assert meta["smoothing"] == {"delta": 0.11, "mu": 0.75}
 
 
+def test_L_below_one_certifies_once_the_support_fits(tmp_path, capsys):
+    # the support's rule alone bounds L below: at a = 0.5 the support
+    # half-width is 0.547 at L = 0.8, which fits; at the defaults L = 0.5
+    # is still refused, since 1.28 does not fit
+    rc, payload = run_json(capsys, ["verify", "--L", "0.8", "--a", "0.5", "--out", str(tmp_path), "--json"])
+    assert rc == 0 and payload["certified"]
+    assert round(payload["delta_margin"], 5) == 306.75843
+    assert payload["N_sequence"] == [64, 128]
+    assert main(["verify", "--L", "0.5", "--out", str(tmp_path)]) == 2
+    assert "error: support half-width 1.27961 exceeds domain half-length 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "-2"])
+def test_simulate_refuses_a_bad_amplitude(tmp_path, capsys, amplitude):
+    # a NaN amplitude exited 2 blaming the step dt; -2 ran with |u0|_2 = 2
+    argv = ["simulate", "--L", "8", "--N", "64", "--t-end", "1", "--transient", "0.5", "--amplitude", amplitude]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "amplitude must be finite and nonnegative" in err and "dt" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_molinet_cli(capsys):
     rc, payload = run_json(capsys, ["molinet", "--Lx", "100", "--json"])
     assert rc == 0

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kslyap.exponents import (
-    EmptyNegativeRegionError,
     ExponentPair,
     OperatorOrder,
     PotentialClass,
@@ -76,18 +75,11 @@ def test_pair_coerces_to_exact_rationals():
     assert pair.objective() == Fraction(13, 6)
 
 
-def test_delocalized_is_symbol_without_potential(critical_pair):
-    L = 64.0
-    for k in (1, 2, 17):
-        kappa = k * np.pi / L
-        assert delocalized_test_value(critical_pair, 0.0, L, k) == kappa**4 - kappa**2
-
-
-def test_delocalized_gamma_enters_additively_at_critical_pair(critical_pair):
+def test_delocalized_gamma_enters_additively_at_critical_pair(critical_pair, default_sp):
     # c2 - c1 - 1 = 0, so the mean term is gamma itself at every L
     for L in (8.0, 512.0):
-        v0 = delocalized_test_value(critical_pair, 0.0, L, 4)
-        v1 = delocalized_test_value(critical_pair, 0.7, L, 4)
+        v0 = delocalized_test_value(critical_pair, 0.0, L, 4, default_sp)
+        v1 = delocalized_test_value(critical_pair, 0.7, L, 4, default_sp)
         assert np.isclose(v1 - v0, 0.7, rtol=1e-12)
 
 
@@ -111,13 +103,13 @@ def test_delocalized_profile_quadrature_converged(critical_pair, default_sp):
     assert abs(val - ref) <= 1e-8 * (1.0 + abs(ref))
 
 
-def test_delocalized_rejects_bad_arguments(critical_pair):
+def test_delocalized_rejects_bad_arguments(critical_pair, default_sp):
     with pytest.raises(ValueError):
-        delocalized_test_value(critical_pair, 0.0, -4.0, 1)
+        delocalized_test_value(critical_pair, 0.0, -4.0, 1, default_sp)
     with pytest.raises(ValueError):
-        delocalized_test_value(critical_pair, 0.0, 8.0, 0)
+        delocalized_test_value(critical_pair, 0.0, 8.0, 0, default_sp)
     with pytest.raises(ValueError):
-        delocalized_test_value(critical_pair, 0.0, 8.0, 1.5)
+        delocalized_test_value(critical_pair, 0.0, 8.0, 1.5, default_sp)
 
 
 def test_localized_bump_placement(critical_pair, default_sp):
@@ -152,21 +144,6 @@ def test_localized_critical_pair_scales_evenly(critical_pair, default_sp):
     assert np.isclose(b2.kinetic_fourth / b1.kinetic_fourth, 2.0, rtol=1e-12)
     assert abs(b2.kinetic_second / b1.kinetic_second) < 1.5
     assert abs(b2.mean_term / b1.mean_term) < 1.0
-
-
-def test_localized_bump_off_support_sees_no_potential(critical_pair, default_sp):
-    b = localized_test_value(critical_pair, 32.0, default_sp, bump_interval=(2.0, 3.0))
-    assert b.potential_term == 0.0
-    assert b.total > 0.0
-
-
-def test_localized_requires_negative_region(critical_pair, default_sp):
-    # with no potential there is no well to place the bump in
-    with pytest.raises(ValueError, match="bump_interval"):
-        localized_test_value(critical_pair, 32.0, None)
-    for profile in (None, default_sp):
-        with pytest.raises(EmptyNegativeRegionError):
-            localized_test_value(critical_pair, 32.0, profile, bump_interval=(1.0, 1.0))
 
 
 @pytest.mark.parametrize("params", [PiecewiseParams(), PiecewiseParams(a=0.8, q0=1.0, q1=3.0)])

@@ -23,6 +23,7 @@ from kslyap.potential import (
     MeanConditionError,
     PiecewiseParams,
     PotentialProfile,
+    SmoothedPotential,
     SmoothingParams,
     UnderResolvedGridError,
     bs_functional_and_gradient,
@@ -39,6 +40,12 @@ from kslyap.potential import (
 )
 
 from conftest import dense_phi_x
+
+
+def _support_grid(sp):
+    """2^14 uniform intervals across the support [-(a + delta), a + delta]."""
+    s = sp.support_halfwidth
+    return np.linspace(-s, s, (1 << 14) + 1)
 
 
 def test_default_minors():
@@ -107,7 +114,7 @@ def test_mollifier_wrapper():
     assert out.shape == (2, 2)
 
 
-def test_smooth_default_invariants(default_sp, default_grid):
+def test_smooth_default_invariants(default_sp):
     sp = default_sp
     # its parameters and the cached integrals only: no sampled grid
     assert vars(sp).keys() == {"params", "smoothing", "_norm_integrals"}
@@ -117,7 +124,7 @@ def test_smooth_default_invariants(default_sp, default_grid):
     assert sp.qtilde(0.0) == 0.0
     assert sp.Qtilde(0.3) == -0.5  # flat branch is exact
     assert sp.Qtilde(0.75) == 2.0
-    Qt = sp.Qtilde(default_grid)
+    Qt = sp.Qtilde(_support_grid(sp))
     assert Qt[0] == Qt[-1] == 0.0  # the support's ends
     assert np.array_equal(Qt, Qt[::-1])
 
@@ -218,9 +225,10 @@ def test_qtilde_integrals_match_references(params, mu):
         assert abs(got - want) <= 1e-11 * abs(want)
 
 
-def test_smooth_second_difference_bounded(default_sp, default_grid):
-    h = default_grid[1] - default_grid[0]
-    Qt = default_sp.Qtilde(default_grid)
+def test_smooth_second_difference_bounded(default_sp):
+    y = _support_grid(default_sp)
+    h = y[1] - y[0]
+    Qt = default_sp.Qtilde(y)
     d2 = (Qt[2:] - 2.0 * Qt[1:-1] + Qt[:-2]) / h**2
     assert np.all(np.isfinite(d2))
     assert np.max(np.abs(d2)) < 1e7
@@ -248,7 +256,20 @@ def test_smooth_rejects_wide_delta():
         smooth(PiecewiseParams(), SmoothingParams(delta=0.3, mu=0.75))
 
 
-def test_scale_to_domain_samples(default_sp, default_grid, profile32):
+def test_smoothed_potential_requires_delta_below_a_quarter():
+    # the type itself refuses overlapping smoothing pieces, at delta = a/4
+    # already; smooth reports it before the admissibility of the step
+    for params in (PiecewiseParams(), PiecewiseParams(a=0.8, q0=1.0, q1=3.0)):
+        with pytest.raises(ValueError, match="below a/4"):
+            SmoothedPotential(params, SmoothingParams(delta=params.a / 4.0, mu=0.75))
+    inadmissible = PiecewiseParams(q0=2.0)
+    with pytest.raises(ValueError, match="below a/4"):
+        smooth(inadmissible, SmoothingParams(delta=0.25, mu=0.75))
+    with pytest.raises(AdmissibilityError):
+        smooth(inadmissible, SmoothingParams(delta=0.2, mu=0.75))
+
+
+def test_scale_to_domain_samples(default_sp, profile32):
     # the scaled potential q on the whole grid: the profile's window of
     # nonzero samples, zero elsewhere
     L = 32.0
@@ -260,7 +281,7 @@ def test_scale_to_domain_samples(default_sp, default_grid, profile32):
     # even about the origin, bit-exact because the kernel sees |y|
     assert np.array_equal(q[n // 2 + 1 :], q[1 : n // 2][::-1])
     sup = np.max(np.abs(q))
-    assert np.isclose(sup, L ** (4.0 / 3.0) * np.max(np.abs(default_sp.qtilde(default_grid))), rtol=0.05)
+    assert np.isclose(sup, L ** (4.0 / 3.0) * np.max(np.abs(default_sp.qtilde(_support_grid(default_sp)))), rtol=0.05)
     # support half-width (a + delta) L^{-1/3} up to one grid cell
     dx = 2.0 * L / n
     x = -L + dx * np.arange(n)

@@ -134,6 +134,20 @@ def test_random_initial_validation():
         random_initial(8.0, 64, seed=-1)
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+def test_random_initial_refuses_non_finite_amplitude(amplitude):
+    # a NaN amplitude reached the integrator, which blamed the step size
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        random_initial(8.0, 64, amplitude=amplitude)
+
+
+def test_random_initial_refuses_negative_amplitude():
+    # -2 ran with |u0|_2 = 2; zero stays the zero state
+    with pytest.raises(ValueError, match="amplitude must be finite and nonnegative"):
+        random_initial(8.0, 64, amplitude=-2.0)
+    assert not np.any(random_initial(8.0, 64, amplitude=0.0).half)
+
+
 def test_normals_are_standard():
     n = 4000
     z = _normals(0, n)

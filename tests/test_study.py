@@ -9,6 +9,7 @@ import pytest
 from kslyap import study
 from kslyap.coercivity import certify
 from kslyap.potential import PiecewiseParams, SmoothingParams, build_profile, smooth
+from kslyap.solver import simulate as study_simulate
 from kslyap.study import (
     ConditionViolatedError,
     FitError,
@@ -213,6 +214,24 @@ def test_molinet_exponent_beats_steeper_reference():
     # the admissible height decays like Lx^{-13/7}, slower than Lx^{-67/35}
     assert Fraction(-13, 7) > Fraction(-67, 35)
     assert molinet(1e6).ly_max > 1e6 ** (-67.0 / 35.0)
+
+
+def test_sweep_simulates_on_the_odd_subspace(monkeypatch):
+    # the certificate behind R** holds on odd functions only, so the row's
+    # run must stay on them: the general kernel drifts off (max |Re u_hat|
+    # reached 5e-3 by t = 400 at L = 16 pi)
+    runs = []
+
+    def recorded(initial, cfg):
+        runs.append(study_simulate(initial, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(study, "simulate", recorded)
+    (row,) = sweep([16.0], run_simulation=True)
+    (traj,) = runs
+    assert traj.config.odd_only and traj.N == 64
+    assert np.max(np.abs(traj.half.real)) == 0.0
+    assert row.certified and row.sim_sup_norm == traj.sup_norm <= row.r_star_star
 
 
 def test_uncertified_row_keeps_M2_and_has_no_ball(monkeypatch):
