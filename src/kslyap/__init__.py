@@ -56,6 +56,7 @@ from .solver import (
     linear_symbol,
     random_initial,
     simulate,
+    simulate_many,
     step,
 )
 from .study import (

@@ -103,9 +103,17 @@ def _refining_quadrature(func, lo, hi, rtol=1e-12, n0=4096, max_levels=12):
     )
 
 
-def delocalized_test_value(pair, gamma_prefactor, L, k, profile):
+def _check_smoothed(sp):
+    from .potential import SmoothedPotential  # potential imports this module
+
+    if not isinstance(sp, SmoothedPotential):
+        raise TypeError(f"sp must be a SmoothedPotential, not {type(sp).__name__}")
+
+
+def delocalized_test_value(pair, gamma_prefactor, L, k, sp):
     """<u, K u> for u = L^{-1/2} sin(k pi x / L) against the scaled ansatz
-    built on the smoothed potential ``profile``."""
+    built on the smoothed potential ``sp``; TypeError for anything else."""
+    _check_smoothed(sp)
     if L <= 0:
         raise ValueError("L must be positive")
     if k < 1 or int(k) != k:
@@ -114,11 +122,11 @@ def delocalized_test_value(pair, gamma_prefactor, L, k, profile):
     value = kappa**4 - kappa**2
     mean_exp = float(pair.c2 - pair.c1 - 1)
     value += gamma_prefactor * L**mean_exp
-    half = profile.support_halfwidth
+    half = sp.support_halfwidth
     arg_scale = np.pi * k * L ** float(-1 - pair.c1)
 
     def integrand(y):
-        return profile.qtilde(y) * np.sin(arg_scale * y) ** 2
+        return sp.qtilde(y) * np.sin(arg_scale * y) ** 2
 
     integral = _refining_quadrature(integrand, -half, half)
     value += L ** float(pair.c2 - 1 - pair.c1) * integral
@@ -162,7 +170,7 @@ class LocalizedBudget:
     bump_halfwidth: float
 
 
-def localized_test_value(pair, L, profile):
+def localized_test_value(pair, L, sp):
     """<u, K u> for a smooth bump u placed where the scaled potential is negative.
 
     The bump is the standard compactly supported exponential bump scaled to the
@@ -172,9 +180,11 @@ def localized_test_value(pair, L, profile):
     sqrt(kappa^2 + 4)) with kappa = ln(q1/q0). Its half-width
     (a/2 - delta (1 - t*))/2 exceeds a/8, since delta < a/4. The mean term
     carries the unit prefactor. Returns the total and the four scaling
-    contributions.
+    contributions. ``sp`` is the smoothed potential; TypeError for anything
+    else.
     """
-    p, delta = profile.params, profile.smoothing.delta
+    _check_smoothed(sp)
+    p, delta = sp.params, sp.smoothing.delta
     kappa = math.log(p.q1 / p.q0)
     t_edge = 2.0 / (kappa + 2.0 + math.sqrt(kappa * kappa + 4.0))
     halfwidth = 0.5 * (p.a / 2.0 - delta + delta * t_edge)
@@ -183,7 +193,7 @@ def localized_test_value(pair, L, profile):
     b2 = np.trapezoid(_bump(t) ** 2, t)
     b1sq = np.trapezoid(_bump_d1(t) ** 2, t)
     b2sq = np.trapezoid(_bump_d2(t) ** 2, t)
-    qb = np.trapezoid(profile.qtilde(halfwidth * t) * _bump(t) ** 2, t)
+    qb = np.trapezoid(sp.qtilde(halfwidth * t) * _bump(t) ** 2, t)
 
     c1f, c2f = float(pair.c1), float(pair.c2)
     potential_term = L ** (c2f - c1f) * halfwidth * qb

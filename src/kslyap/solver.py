@@ -4,25 +4,36 @@ destabilized variant), on x in [-L, L) with zero-mean data.
 
 Fourier coefficients are stored normalized, uhat = fft(u)/N, so Parseval reads
 |u|_2^2 = 2L * sum |uhat|^2. States and trajectories hold the real-FFT half
-spectrum m = 0..N/2, rfft(u)/N (modes m < 0 are its conjugates), and one
-kernel steps it for `step` and `simulate`. The kernel runs in buffers
-allocated once per setting, with the dealiased derivative folded into
-the ETDRK4 coefficients, so a step costs eight transforms and ~20 in-place
-products and sums at numpy's per-call overhead. Its transforms call the
-pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` dispatch to
-(`numpy.fft._pocketfft_umath`, numpy >= 2.0), with the scale factor 1 that
-both public calls pass here, writing into the kernel's buffers: the results
-are bit-identical (tests/test_solver.py keeps the public calls as the
-reference), and the wrappers' Python argument handling, a third to a half
-of each call at N = 256-512, drops out. The gufuncs do not check N against
-the buffers, so a state's N must be a power of two >= 8. Transforms that
-run once per state, trajectory or level use `np.fft`. The linear part is
-treated exactly; the ETD phi-function coefficients are averaged over a
-complex contour to avoid cancellation at small |sigma*dt| (Cox & Matthews
-2002; Kassam & Trefethen 2005).
+spectrum m = 0..N/2, rfft(u)/N (modes m < 0 are its conjugates). One step
+function, a closure over the ETDRK4 coefficients and buffers allocated once,
+steps a (N/2+1,) state or a stacked (B, N/2+1) batch of them: it projects
+with ``...`` indexing, and the dealiased derivative is folded into the
+coefficients, so a step costs eight transforms and 22 elementwise products
+and sums, each with positional outputs, at numpy's per-call floor. Its
+transforms call the pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft`
+dispatch to (`numpy.fft._pocketfft_umath`, numpy >= 2.0), with the scale
+factor 1 that both public calls pass here as a module-level 0-d array: the
+results are bit-identical (tests/test_solver.py keeps the public calls as
+the reference), the wrappers' Python argument handling drops out, and a
+batch row is bit-identical to the same state stepped alone. The gufuncs do
+not check N against the buffers, so a state's N must be a power of two
+>= 8. Transforms that run once per state, trajectory or level use `np.fft`.
+
+`step` checks every step for finiteness. `simulate` and `simulate_many`
+check once per recorded sample: a state that is not finite stays so (each
+transform spreads a NaN or inf to every mode the projection keeps), so a
+non-finite sample means a step since the last one lost stability, and that
+interval is replayed from the last sample with the checked step to name
+the step that failed. `simulate_many` steps members that share (L, N) as
+one stacked state and gives each the `Trajectory` or `BlowUpError` that
+`simulate` gives it. The linear part is treated exactly; the ETD
+phi-function coefficients are averaged over a complex contour to avoid
+cancellation at small |sigma*dt| (Cox & Matthews 2002; Kassam & Trefethen
+2005).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -33,7 +44,8 @@ from ._accel import splitmix53
 
 
 class BlowUpError(RuntimeError):
-    """The time step lost stability: a step's coefficients are not finite.
+    """The time step lost stability: a step from finite coefficients gave
+    coefficients that are not finite.
     The dealiased system's |u|_2 grows at most like e^{(gamma + 1/4) t}, so
     this is a failure of the step size, not a blow-up of the solution. The
     message names dt, t, the last finite |u|_2 (``norm``) and that energy
@@ -51,9 +63,10 @@ class BlowUpError(RuntimeError):
 
 
 class _LostStability(Exception):
-    """A kernel step whose output is not finite: the time it reached and
-    the norm of its input. ``step`` and ``simulate`` raise it as
-    ``BlowUpError``, adding the energy bound from their initial state."""
+    """A checked step whose output is not finite: the time it reached and
+    the norm of its input. ``step``, ``simulate`` and ``simulate_many``
+    raise it as ``BlowUpError``, adding the energy bound from the initial
+    state."""
 
     def __init__(self, t, norm):
         self.t = t
@@ -68,9 +81,16 @@ class _LostStability(Exception):
         return BlowUpError(self.t, self.norm, cfg.dt, bound)
 
 
+def _check_half_length(L):
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be finite and positive, not {L!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Normalized Fourier coefficients of u at one instant, m = 0..N/2."""
+    """Normalized Fourier coefficients of u at one instant, m = 0..N/2.
+    L must be finite and positive, t finite and every coefficient finite;
+    the stepping checks only what a step makes."""
 
     L: float
     N: int
@@ -78,11 +98,16 @@ class SpectralState:
     t: float = 0.0
 
     def __post_init__(self):
+        _check_half_length(self.L)
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, not {self.t!r}")
         if self.N < 8 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 8, got N = {self.N}")
         half = np.asarray(self.half, dtype=complex)
         if half.shape != (self.N // 2 + 1,):
             raise ValueError(f"half spectrum must have N/2+1 = {self.N // 2 + 1} entries, got shape {half.shape}")
+        if not np.isfinite(half).all():
+            raise ValueError("half spectrum must be finite")
         object.__setattr__(self, "half", half)
 
     def u(self) -> np.ndarray:
@@ -113,6 +138,8 @@ class SolveConfig:
             raise ValueError("transient must be below t_end")
         if round(self.t_end / self.dt) < 1:
             raise ValueError("t_end must be at least one step dt (it rounds to zero steps)")
+        if isinstance(self.record_every, bool) or not isinstance(self.record_every, numbers.Integral):
+            raise ValueError(f"record_every must be an integer, not {self.record_every!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -192,72 +219,86 @@ def _norm_l2(L, w):
     return math.sqrt(2.0 * L * float(np.sum(_power(w))))
 
 
+# the transforms' scale factor, 0-d so that no call converts a Python float
+_ONE = np.array(1.0)
+
+
 def _rfft_square(w, u, out):
-    """rfft(u^2) into out for u the real field of the half spectrum w,
-    evaluated in the length-N buffer u: np.fft.rfft(np.fft.irfft(w, n=N,
-    norm="forward") ** 2), bit for bit, without the public wrappers. N is
-    even and w has N/2+1 entries, as SpectralState checks."""
-    _pocketfft.irfft(w, 1.0, out=u)
-    np.multiply(u, u, out=u)
-    return _pocketfft.rfft_n_even(u, 1.0, out=out)
+    """rfft(u^2) into out for u the real field of the half spectra w (last
+    axis), evaluated in the length-N buffer u: np.fft.rfft(np.fft.irfft(w,
+    n=N, norm="forward") ** 2), bit for bit, without the public wrappers. N
+    is even and w has N/2+1 entries, as SpectralState checks."""
+    _pocketfft.irfft(w, _ONE, u)
+    np.multiply(u, u, u)
+    return _pocketfft.rfft_n_even(u, _ONE, out)
 
 
 def _project(v, odd_only):
-    """In place: zero mean, real Nyquist mode and, with odd_only, the odd sine
-    subspace. Reality needs no projection on a real-transform half spectrum."""
-    v[0] = 0.0
-    v.imag[-1] = 0.0
+    """In place, on the last axis: zero mean, real Nyquist mode and, with
+    odd_only, the odd sine subspace. Reality needs no projection on a
+    real-transform half spectrum."""
+    v[..., 0] = 0.0
+    v.imag[..., -1] = 0.0
     if odd_only:
         v.real = 0.0
     return v
 
 
+def _stepper(coeffs, odd_only, shape):
+    """``advance(v, out)``: one unchecked, projected ETDRK4 step from the
+    states v of ``shape``, (N/2+1,) or (B, N/2+1), into out, a distinct
+    array, with the coefficients of _etdrk4_coeffs. It runs in buffers of
+    its own: a call writes only out and them, so no result aliases them,
+    and each row of a batch is what that state alone gives, bit for bit.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    E, E2, Qg, f1g, f2x2g, f3g = coeffs
+    u = np.empty(shape[:-1] + (2 * (shape[-1] - 1),))
+    Nv, Na, Nb, a, s = (np.empty(shape, dtype=complex) for _ in range(5))
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def advance(v, out):
+        _rfft_square(v, u, Nv)
+        mul(E2, v, s)  # E2 v
+        mul(Qg, Nv, a)
+        add(a, s, a)
+        _rfft_square(a, u, Na)
+        mul(Qg, Na, out)  # b, held in out until Nb is known
+        add(out, s, out)
+        _rfft_square(out, u, Nb)
+        add(Nb, Nb, s)
+        sub(s, Nv, s)
+        mul(s, Qg, s)
+        mul(a, E2, a)
+        add(a, s, a)  # c
+        _rfft_square(a, u, s)  # Nc
+        mul(E, v, out)
+        mul(Nv, f1g, Nv)
+        add(out, Nv, out)
+        add(Na, Nb, Na)
+        mul(Na, f2x2g, Na)
+        add(out, Na, out)
+        mul(s, f3g, s)
+        add(out, s, out)
+        return _project(out, odd_only)
+
+    return advance
+
+
 class _Kernel:
-    """Projected ETDRK4 steps of the half spectrum at one (L, N, dt, gamma),
-    run in buffers allocated once: a call writes only its `out` argument and
-    the kernel's own buffers, so no result aliases them."""
+    """ETDRK4 steps of the half spectrum at one (L, N, dt, gamma, odd_only):
+    the coefficients, the single-state step ``advance`` (see _stepper) and,
+    as a call, that step checked for finiteness."""
 
     def __init__(self, L, N, dt, gamma, odd_only):
-        h = N // 2 + 1
         self.L = L
-        self.dt = dt
-        self.odd_only = odd_only
         self.coeffs = _etdrk4_coeffs(L, N, dt, gamma)
-        self.u = np.empty(N)
-        self.zero = np.zeros(2 * h)  # x . 0 is NaN exactly when x is not finite
-        self.spectra = tuple(np.empty(h, dtype=complex) for _ in range(5))
+        self.advance = _stepper(self.coeffs, odd_only, (N // 2 + 1,))
+        self.zero = np.zeros(N + 2)  # x . 0 is NaN exactly when x is not finite
 
     def __call__(self, v, out, t_new):
-        """One step from v into out, a distinct array. Raises
-        ``_LostStability``, with the norm of v, when out is not finite.
-        Callers run it under ``np.errstate(over="ignore", invalid="ignore")``,
-        so that a step that loses stability raises only that error."""
-        E, E2, Qg, f1g, f2x2g, f3g = self.coeffs
-        u = self.u
-        Nv, Na, Nb, a, s = self.spectra
-        _rfft_square(v, u, Nv)
-        np.multiply(E2, v, out=s)  # E2 v
-        np.multiply(Qg, Nv, out=a)
-        a += s
-        _rfft_square(a, u, Na)
-        np.multiply(Qg, Na, out=out)  # b, held in out until Nb is known
-        out += s
-        _rfft_square(out, u, Nb)
-        np.add(Nb, Nb, out=s)
-        s -= Nv
-        s *= Qg
-        a *= E2
-        a += s  # c
-        _rfft_square(a, u, s)  # Nc
-        np.multiply(E, v, out=out)
-        Nv *= f1g
-        out += Nv
-        Na += Nb
-        Na *= f2x2g
-        out += Na
-        s *= f3g
-        out += s
-        _project(out, self.odd_only)
+        """One step from the state v into out, a distinct array. Raises
+        ``_LostStability``, with the norm of v, when out is not finite."""
+        self.advance(v, out)
         if not np.dot(out.view(np.float64), self.zero) == 0.0:
             raise _LostStability(t_new, _norm_l2(self.L, v))
         return out
@@ -315,39 +356,60 @@ class Trajectory:
         return np.fft.irfft(self.half[i], n=self.N, norm="forward")
 
 
-def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
-    """Integrate towards cfg.t_end, recording every cfg.record_every steps
-    (the initial state included). The run stops at the last recorded
-    sample, the largest multiple of record_every steps up to round(t_end/dt),
-    so a blow-up in the unrecorded tail is not raised. Sample i of the
-    step count lies at initial.t + i*dt. sup_norm is the supremum of |u|_2
-    over samples with t > transient, the computable stand-in for the
-    long-time limsup. Raises ValueError when no step would be recorded."""
-    L, N = initial.L, initial.N
-    transient = cfg.transient if cfg.transient is not None else default_transient(L, N, cfg.gamma)
+def _replay(kernel, start, t0, k, cfg):
+    """The ``_LostStability`` of the first checked step that fails in the
+    record interval ending at sample k, replayed from ``start``, the
+    member's sample k - 1, for a member whose run started at t0."""
+    v, w = start.copy(), np.empty_like(start)
+    for i in range((k - 1) * cfg.record_every + 1, k * cfg.record_every + 1):
+        try:
+            kernel(v, w, t0 + i * cfg.dt)
+        except _LostStability as lost:
+            return lost
+        v, w = w, v
+    raise AssertionError(f"sample {k} is not finite, but every step of its interval is")
+
+
+def _run(kernel, advance, members, v, cfg):
+    """Step v, the projected initial states of ``members`` ((N/2+1,) for
+    one, (B, N/2+1) for B, as ``advance`` takes them), recording every
+    record_every steps (the initial states included) and testing each
+    sample for finiteness. Returns the samples, shape (members, samples,
+    N/2+1), and the ``BlowUpError`` of each member whose run lost
+    stability, by member index. A member that fails keeps stepping, not
+    finite, beside the others. The run takes the largest multiple of
+    record_every steps up to round(t_end/dt); ValueError when that is none."""
     total = int(round(cfg.t_end / cfg.dt))
-    n_steps = total - total % cfg.record_every
-    if not n_steps:
+    n_rec = total // cfg.record_every
+    if not n_rec:
         raise ValueError(
             f"record_every = {cfg.record_every} exceeds the {total} steps to t_end: none would be recorded"
         )
-    rec_idx = np.arange(0, n_steps + 1, cfg.record_every)
-    kernel = _kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
-    half = np.empty((rec_idx.size, N // 2 + 1), dtype=complex)
-
-    v = half[0] = _project(initial.half.copy(), cfg.odd_only)
+    samples = np.empty((len(members), n_rec + 1, v.shape[-1]), dtype=complex)
+    samples[:, 0] = v
     w = np.empty_like(v)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, n_steps + 1):
-                kernel(v, w, initial.t + i * cfg.dt)
+    failed = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_rec + 1):
+            for _ in range(cfg.record_every):
+                advance(v, w)
                 v, w = w, v
-                if i % cfg.record_every == 0:
-                    half[i // cfg.record_every] = v
-    except _LostStability as lost:
-        raise lost.blow_up(initial.t, _norm_l2(L, half[0]), cfg) from None
+            samples[:, k] = v
+            for b in np.flatnonzero(~np.isfinite(samples[:, k]).all(axis=-1)).tolist():
+                if b not in failed:
+                    st = members[b]
+                    lost = _replay(kernel, samples[b, k - 1], st.t, k, cfg)
+                    failed[b] = lost.blow_up(st.t, _norm_l2(st.L, samples[b, 0]), cfg)
+            if len(failed) == len(members):
+                break
+    return samples, failed
 
-    t_out = initial.t + cfg.dt * rec_idx
+
+def _trajectory(initial, half, cfg):
+    """The Trajectory of the samples ``half`` of a run from ``initial``."""
+    L, N = initial.L, initial.N
+    transient = cfg.transient if cfg.transient is not None else default_transient(L, N, cfg.gamma)
+    t_out = initial.t + cfg.dt * (cfg.record_every * np.arange(half.shape[0]))
     k2 = ((np.pi / L) * np.arange(N // 2 + 1)) ** 2
     p = 2.0 * L * _power(half)
     l2 = np.sqrt(np.sum(p, axis=1))
@@ -369,6 +431,44 @@ def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
     )
 
 
+def simulate(initial: SpectralState, cfg: SolveConfig) -> Trajectory:
+    """Integrate towards cfg.t_end, recording every cfg.record_every steps
+    (the initial state included). The run stops at the last recorded
+    sample, the largest multiple of record_every steps up to round(t_end/dt),
+    so a blow-up in the unrecorded tail is not raised. Sample i of the
+    step count lies at initial.t + i*dt. sup_norm is the supremum of |u|_2
+    over samples with t > transient, the computable stand-in for the
+    long-time limsup. Raises ValueError when no step would be recorded, and
+    BlowUpError when a step loses stability."""
+    kernel = _kernel(initial.L, initial.N, cfg.dt, cfg.gamma, cfg.odd_only)
+    v = _project(initial.half.copy(), cfg.odd_only)
+    samples, failed = _run(kernel, kernel.advance, [initial], v, cfg)
+    if failed:
+        raise failed[0]
+    return _trajectory(initial, samples[0], cfg)
+
+
+def simulate_many(initials, cfg: SolveConfig) -> list:
+    """``simulate(initial, cfg)`` for each of ``initials``, in order: its
+    Trajectory, or the BlowUpError it raises, returned in its place, each
+    bit for bit what simulate gives. Members that share (L, N) are stepped
+    as one stacked state; one that loses stability does not stop the
+    others. Raises ValueError when no step would be recorded."""
+    initials = list(initials)
+    groups = {}
+    for i, st in enumerate(initials):
+        groups.setdefault((st.L, st.N), []).append(i)
+    out = [None] * len(initials)
+    for (L, N), idx in groups.items():
+        kernel = _kernel(L, N, cfg.dt, cfg.gamma, cfg.odd_only)
+        members = [initials[i] for i in idx]
+        v = _project(np.array([st.half for st in members]), cfg.odd_only)
+        samples, failed = _run(kernel, _stepper(kernel.coeffs, cfg.odd_only, v.shape), members, v, cfg)
+        for b, i in enumerate(idx):
+            out[i] = failed[b] if b in failed else _trajectory(members[b], samples[b], cfg)
+    return out
+
+
 def _normals(seed, n):
     """n standard normals from the splitmix64 stream ``seed`` (a nonnegative
     integer), by Box-Muller: entries 2i and 2i+1 of the stream, as uniforms
@@ -388,7 +488,9 @@ def random_initial(L: float, N: int, seed: int = 0, amplitude: float = 1.0, odd_
     modes, zero mean, |u|_2 = amplitude, deterministic in the seed (a
     nonnegative integer). For z the normals of the seed's stream (0-based),
     mode m = 1..n gets i z_(m-1) with odd_only, else z_(2m-2) + i z_(2m-1).
-    A non-finite or negative amplitude: ValueError."""
+    A non-finite or negative amplitude, or an L that is not finite and
+    positive: ValueError."""
+    _check_half_length(L)
     if not (math.isfinite(amplitude) and amplitude >= 0.0):
         raise ValueError(f"amplitude must be finite and nonnegative, not {amplitude!r}")
     n_modes = max(1, int(L / np.pi))

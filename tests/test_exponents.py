@@ -87,12 +87,12 @@ def test_delocalized_positive_below_threshold(critical_pair, default_sp):
     # L = pi/2 keeps every admitted mode stable; no probe goes negative
     L = np.pi / 2.0
     for k in range(1, 51):
-        assert delocalized_test_value(critical_pair, 1.0, L, k, profile=default_sp) > 0.0
+        assert delocalized_test_value(critical_pair, 1.0, L, k, sp=default_sp) > 0.0
 
 
 def test_delocalized_profile_quadrature_converged(critical_pair, default_sp):
     L, k = 64.0, 3
-    val = delocalized_test_value(critical_pair, 1.0, L, k, profile=default_sp)
+    val = delocalized_test_value(critical_pair, 1.0, L, k, sp=default_sp)
     half = default_sp.support_halfwidth
     y = np.linspace(-half, half, (1 << 20) + 1)
     arg = np.pi * k * L ** float(-1 - critical_pair.c1)
@@ -161,3 +161,16 @@ def test_localized_edge_matches_bisection(critical_pair, params):
             lo = mid
     b = localized_test_value(critical_pair, 32.0, sp)
     assert 2.0 * b.bump_halfwidth in (lo, hi)
+
+
+@pytest.mark.parametrize("probe", ["delocalized", "localized"])
+def test_test_values_refuse_a_profile_typed(critical_pair, profile32, probe):
+    # both probes read the smoothed potential; a profile built from it once
+    # failed with an AttributeError deep in the quadrature
+    calls = {
+        "delocalized": lambda sp: delocalized_test_value(critical_pair, 1.0, 32.0, 3, sp=sp),
+        "localized": lambda sp: localized_test_value(critical_pair, 32.0, sp=sp),
+    }
+    for wrong in (profile32, None):
+        with pytest.raises(TypeError, match="sp must be a SmoothedPotential"):
+            calls[probe](wrong)

@@ -21,6 +21,7 @@ from kslyap.solver import (
     linear_symbol,
     random_initial,
     simulate,
+    simulate_many,
     step,
 )
 
@@ -458,15 +459,22 @@ def test_sample_at_transient_is_excluded():
 
 def test_simulate_runs_only_recorded_steps(monkeypatch):
     # 27 steps to t_end = 1.35, of which the first 20 are recorded: the 7
-    # after t = 1 are not run, and the samples are those of t_end = 1.0
+    # after t = 1 are not run, and the samples are those of t_end = 1.0.
+    # Every step, checked or not, goes through a step function of _stepper
     calls = []
-    kernel_call = solver._Kernel.__call__
+    stepper = solver._stepper
 
-    def counted(self, v, out, t_new):
-        calls.append(t_new)
-        return kernel_call(self, v, out, t_new)
+    def counting(*args):
+        advance = stepper(*args)
 
-    monkeypatch.setattr(solver._Kernel, "__call__", counted)
+        def counted(v, out):
+            calls.append(v.shape)
+            return advance(v, out)
+
+        return counted
+
+    monkeypatch.setattr(solver, "_stepper", counting)
+    monkeypatch.setattr(solver, "_COEFF_CACHE", {})
     st = random_initial(8.0, 64, seed=3)
     traj = simulate(st, SolveConfig(dt=0.05, t_end=1.35, record_every=10, transient=0.3))
     assert len(calls) == 20
@@ -549,3 +557,144 @@ def test_unstable_step_raises_quietly_and_names_dt():
     assert np.isclose(exc.bound, np.exp(2.25 * 3.45) * initial.norm_l2, rtol=1e-12)
     assert np.isfinite(exc.bound) and exc.bound < exc.norm
     assert f"the energy bound e^((gamma + 1/4)(t - t0)) |u(t0)|_2 is {exc.bound:g})" in str(exc)
+
+
+def _same_run(a, b):
+    """Two trajectories equal bit for bit in every recorded field."""
+    return (
+        a.L == b.L
+        and a.N == b.N
+        and a.t.tobytes() == b.t.tobytes()
+        and a.half.tobytes() == b.half.tobytes()
+        and a.l2.tobytes() == b.l2.tobytes()
+        and a.l2_grad.tobytes() == b.l2_grad.tobytes()
+        and a.l2_hess.tobytes() == b.l2_hess.tobytes()
+        and a.sup_norm == b.sup_norm
+        and a.transient == b.transient
+    )
+
+
+def _same_error(a, b):
+    return type(a) is type(b) is BlowUpError and (a.t, a.norm, a.bound, str(a)) == (b.t, b.norm, b.bound, str(b))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blow_up_between_samples_is_replayed_to_its_step():
+    # finiteness is tested once per recorded sample: the step that failed at
+    # t = 1.35, inside the first 50-step interval, is found by replaying
+    # that interval with the checked step, which step() runs too
+    L, N = 16.0 * np.pi, 256
+    st = random_initial(L, N, seed=0, odd_only=True)
+    cfg = SolveConfig(gamma=5.0, dt=0.05, t_end=5.0, record_every=50, odd_only=True)
+    with pytest.raises(BlowUpError) as info:
+        simulate(st, cfg)
+    exc = info.value
+    assert (exc.t, exc.norm, exc.bound) == (1.35, 1.120963329041517e97, 1196.9117776983835)
+    with pytest.raises(BlowUpError) as stepped:
+        state = st
+        for _ in range(cfg.record_every):
+            state = step(state, cfg)
+    assert np.isclose(stepped.value.t, exc.t, rtol=1e-12) and stepped.value.norm == exc.norm
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("odd_only", [True, False])
+@pytest.mark.parametrize("B", [1, 3])
+def test_simulate_many_members_equal_their_simulate_runs(B, odd_only, gamma):
+    # B members stepped as one stacked state: each is its own simulate run,
+    # bit for bit, on both ensemble grids
+    for L, N in ((16.0 * np.pi, 256), (32.0 * np.pi, 512)):
+        cfg = SolveConfig(gamma=gamma, dt=0.05, t_end=10.0, record_every=20, transient=5.0, odd_only=odd_only)
+        initials = [random_initial(L, N, seed=s, odd_only=odd_only) for s in range(B)]
+        runs = simulate_many(initials, cfg)
+        assert len(runs) == B
+        for initial, run in zip(initials, runs):
+            assert _same_run(run, simulate(initial, cfg))
+
+
+def test_simulate_many_groups_members_by_grid(monkeypatch):
+    # members on different (L, N), and with different start times, keep
+    # their order; those that share a grid are stepped as one stack
+    members = [
+        random_initial(16.0, 64, seed=1),
+        random_initial(8.0 * np.pi, 128, seed=2),
+        SpectralState(L=16.0, N=64, half=random_initial(16.0, 64, seed=3).half, t=2.5),
+    ]
+    cfg = SolveConfig(gamma=0.1, dt=0.05, t_end=3.0, record_every=6, transient=1.0)
+    shapes = []
+    stepper = solver._stepper
+
+    def recording(coeffs, odd_only, shape):
+        shapes.append(shape)
+        return stepper(coeffs, odd_only, shape)
+
+    monkeypatch.setattr(solver, "_stepper", recording)
+    monkeypatch.setattr(solver, "_COEFF_CACHE", {})
+    runs = simulate_many(members, cfg)
+    assert sorted(s for s in shapes if len(s) == 2) == [(1, 65), (2, 33)]
+    for initial, run in zip(members, runs):
+        assert _same_run(run, simulate(initial, cfg))
+    assert runs[2].t[0] == 2.5
+    with pytest.raises(ValueError, match="none would be recorded"):
+        simulate_many(members, SolveConfig(dt=0.05, t_end=1.0, record_every=100))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_many_reports_blow_ups_per_member():
+    # the middle member loses stability in the first interval; it gets the
+    # error its simulate run raises, and its neighbours still finish, bit
+    # for bit
+    cfg = SolveConfig(dt=0.5, t_end=50.0, record_every=4, transient=10.0)
+    members = [random_initial(10.0, 64, seed=s, amplitude=a) for s, a in ((0, 1.0), (1, 1e8), (2, 3.0))]
+    runs = simulate_many(members, cfg)
+    with pytest.raises(BlowUpError) as single:
+        simulate(members[1], cfg)
+    assert _same_error(runs[1], single.value) and runs[1].t == 1.0
+    for i in (0, 2):
+        assert _same_run(runs[i], simulate(members[i], cfg))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_many_when_every_member_blows_up():
+    # three members fail at t = 1.35, 2.7 and 4.1, in the first and second
+    # 50-step intervals; each gets its own simulate run's error
+    cfg = SolveConfig(gamma=5.0, dt=0.05, t_end=5.0, record_every=50, odd_only=True)
+    members = [random_initial(16.0 * np.pi, 256, seed=0, amplitude=a, odd_only=True) for a in (1.0, 1e-3, 1e-6)]
+    runs = simulate_many(members, cfg)
+    assert [run.t for run in runs] == [27 * 0.05, 54 * 0.05, 82 * 0.05]
+    for initial, run in zip(members, runs):
+        with pytest.raises(BlowUpError) as single:
+            simulate(initial, cfg)
+        assert _same_error(run, single.value)
+
+
+def test_state_refuses_a_non_finite_coefficient():
+    # a NaN coefficient reached the kernel, whose blow-up blamed dt
+    half = np.zeros(33, dtype=complex)
+    half[3] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="half spectrum must be finite"):
+        SpectralState(L=16.0, N=64, half=half)
+
+
+@pytest.mark.parametrize("L", [np.nan, np.inf, -3.0, 0.0])
+def test_state_refuses_a_half_length_that_is_not_finite_and_positive(L):
+    # NaN was accepted, and -3 failed on |u|_2 with "math domain error"
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        SpectralState(L=L, N=64, half=np.zeros(33, dtype=complex))
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        random_initial(L, 64)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_state_refuses_a_non_finite_time(t):
+    # a NaN start time ran silently: every sample time and sup_norm was NaN
+    with pytest.raises(ValueError, match="t must be finite"):
+        SpectralState(L=16.0, N=64, half=np.zeros(33, dtype=complex), t=t)
+
+
+@pytest.mark.parametrize("record_every", [2.5, 2.0, "10", True])
+def test_config_refuses_a_record_stride_that_is_not_an_integer(record_every):
+    # 2.5 failed inside simulate, where a float is no range bound
+    with pytest.raises(ValueError, match="record_every must be an integer"):
+        SolveConfig(record_every=record_every)
+    assert SolveConfig(record_every=np.int64(4)).record_every == 4
