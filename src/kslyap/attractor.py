@@ -154,9 +154,12 @@ def monitor(trajectory: Trajectory, profile: PotentialProfile, constants: Lyapun
     trajectory, d/dt by centered differences on the native sampling. Counts
     samples with r above 1e-6 * (1 + M2). The certificate behind lam holds
     on odd functions only, so a trajectory not run with ``odd_only`` raises
-    ``OddSubspaceError``."""
+    ``OddSubspaceError``; a profile on another domain than the
+    trajectory's, ValueError."""
     if not trajectory.config.odd_only:
         raise OddSubspaceError("the coercivity certificate holds on the odd subspace only; run the trajectory with odd_only")
+    if profile.L != trajectory.L:
+        raise ValueError(f"profile half-length L = {profile.L!r} differs from the trajectory's L = {trajectory.L!r}")
     t = trajectory.t
     if t.size < 3:
         raise InsufficientDataError("need at least 3 samples for centered differences")

@@ -333,6 +333,7 @@ class PotentialProfile:
     computed from the window in O(W + N) memory, each when first read; no
     dense phi_x is ever built. Norms come from the source's L-free
     integrals in O(1) when there is a source, and from grid sums otherwise.
+    L must be finite and positive and phi_x_off finite (ValueError).
     """
 
     L: float
@@ -345,6 +346,10 @@ class PotentialProfile:
 
     def __post_init__(self):
         window = np.asarray(self.window, dtype=float)
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and positive, not {self.L!r}")
+        if not math.isfinite(self.phi_x_off):
+            raise ValueError(f"phi_x_off must be finite, not {self.phi_x_off!r}")
         if self.n < 4 or self.n % 2:
             raise ValueError("grid size n must be even and >= 4")
         if window.ndim != 1 or not 0 <= self.j0 <= self.n - window.size:
@@ -396,19 +401,24 @@ class PotentialProfile:
     def _window_moments(self, count):
         """Trapezoid cosine moments w_m of the window, phi_x - phi_x_off,
         for m < count. The grid resolves count <= n/2 + 1 (moment 2N of N
-        modes needs n >= 4N); past that: ``UnderResolvedGridError``. They are
-        computed on the first call, as many as that call's transform length
-        yields at no extra cost (at most n/2 + 1); a larger count recomputes
-        and keeps them."""
+        modes needs n >= 4N); past that: ``UnderResolvedGridError``.
+
+        The kernel cos(m pi x / L) is even in x, so only the window's even
+        part about x = 0 (index n/2) counts: with x_d = d dx,
+        w_m = dx sum_d f_d cos(2 pi m d / n), where f_0 is the sample at
+        x = 0 and f_d = v(x_d) + v(x_-d) for d > 0, each term where its
+        sample lies in the window (a whole-grid window's x = -L sample,
+        d = n/2, has no partner). A constructed window is symmetric, so f
+        holds half its samples. The moments are computed on the first call,
+        as many as that call's transform length yields at no extra cost (at
+        most n/2 + 1); a larger count recomputes and keeps them."""
         if count > self.n // 2 + 1:
             raise UnderResolvedGridError(f"grid of {self.n} points resolves cosine moments up to {self.n // 2}, not {count}")
         if self._moments.size < count:
-            # w_m = dx * sum_i window[i] cos(m pi x_(j0+i) / L), x_j = -L + j dx;
-            # the window starts at x_{j0}, hence the phase exp(-i pi m x_{j0} / L)
-            W = self.window.size
-            m = np.arange(min(_pow2(W + count - 1) - W + 1, self.n // 2 + 1), dtype=np.int64)
-            phase = np.exp(-1j * np.pi * ((m * (2 * self.j0 - self.n)) % (2 * self.n)) / self.n)
-            object.__setattr__(self, "_moments", self.dx * (phase * _window_dft(self.window, self.n, m.size)).real)
+            d = np.abs(np.arange(self.window.size) + (self.j0 - self.n // 2))
+            f = np.bincount(d, weights=self.window, minlength=1)
+            m = min(_pow2(f.size + count - 1) - f.size + 1, self.n // 2 + 1)
+            object.__setattr__(self, "_moments", self.dx * _window_dft(f, self.n, m).real)
         return self._moments[:count]
 
     @cached_property
@@ -435,9 +445,11 @@ def _pow2(m):
 
 
 def _window_dft(v, n, count):
-    """sum_i v_i exp(-2 pi i m i / n) for m < count, by a chirp-z (Bluestein)
-    transform: one ``numpy.fft`` convolution, zero-padded to the power of two
-    at or above W + count - 1, instead of an n-point FFT. The chirp
+    """sum_i v_i exp(-2 pi i m i / n) for m < count, of W samples v starting
+    at index 0 (``_window_moments`` passes the window folded about x = 0),
+    by a chirp-z (Bluestein) transform: one ``numpy.fft`` convolution,
+    zero-padded to the power of two at or above W + count - 1, instead of an
+    n-point FFT. The chirp
     exp(-i pi k^2 / n) is reduced mod 2n in integers; raising w to the power
     k^2/2 in floating point, as ``scipy.signal.czt`` does, costs ~6e-10
     relative at n = 2^24."""

@@ -94,6 +94,10 @@ def read_sweep_csv(path):
         if header != _CSV_FIELDS:
             raise ValueError(f"unexpected sweep CSV header: {header}")
         for row in reader:
+            if len(row) != len(_CSV_FIELDS):
+                raise ValueError(
+                    f"sweep CSV {path} line {reader.line_num} has {len(row)} cells, not the header's {len(_CSV_FIELDS)}"
+                )
             kw = {}
             for name, cell in zip(_CSV_FIELDS, row):
                 if name == "error":

@@ -4,6 +4,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+With ``--diff`` it writes nothing and prints, for each golden file, the
+largest absolute and relative change of any of its numbers between what the
+CLI writes now and the committed file.
+
 Each golden file holds the bytes the CLI writes for one command: the sweep
 CSV at L = 32..512, ``verify --json`` at L = 64, 512 and 4096, the profile
 JSON of ``build-potential`` at L = 64 and 4096, ``exponents --json``,
@@ -14,9 +18,11 @@ kernels dispatch to on the machine that wrote them; ``tests/test_golden.py``
 compares bytes where both match, and numbers to a stated tolerance elsewhere.
 """
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -42,6 +48,24 @@ OUTPUTS = {
         "simulate_L50.csv",
     ),
 }
+
+
+_NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan))")
+
+
+def largest_changes(got, want):
+    """The largest absolute and the largest relative difference between
+    the numbers of two texts whose other characters are equal; None where
+    those differ."""
+    got_parts, want_parts = _NUMBER.split(got), _NUMBER.split(want)
+    if len(got_parts) != len(want_parts) or got_parts[::2] != want_parts[::2]:
+        return None
+    absolute = relative = 0.0
+    for a, b in zip(map(float, got_parts[1::2]), map(float, want_parts[1::2])):
+        if a != b:
+            absolute = max(absolute, abs(a - b))
+            relative = max(relative, abs(a - b) / max(abs(a), abs(b)))
+    return absolute, relative
 
 
 def platform_key():
@@ -70,6 +94,20 @@ def render(name):
 
 
 if __name__ == "__main__":
-    for name in OUTPUTS:
-        (HERE / name).write_bytes(render(name))
-    (HERE / "recorded.json").write_text(json.dumps(platform_key(), indent=2) + "\n")
+    parser = argparse.ArgumentParser(description="Rewrite the golden CLI outputs, or with --diff compare them.")
+    parser.add_argument("--diff", action="store_true", help="write nothing; print each file's largest change")
+    if parser.parse_args().diff:
+        print(f"against {json.loads((HERE / 'recorded.json').read_text())}, here {platform_key()}")
+        for name in OUTPUTS:
+            got, want = render(name), (HERE / name).read_bytes()
+            changes = largest_changes(got.decode(), want.decode())
+            if changes is None:
+                print(f"{name}: text other than numbers differs")
+            elif got == want:
+                print(f"{name}: byte-equal")
+            else:
+                print(f"{name}: largest change {changes[0]:.3g} absolute, {changes[1]:.3g} relative")
+    else:
+        for name in OUTPUTS:
+            (HERE / name).write_bytes(render(name))
+        (HERE / "recorded.json").write_text(json.dumps(platform_key(), indent=2) + "\n")

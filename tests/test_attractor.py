@@ -185,6 +185,16 @@ def test_monitor_refuses_a_trajectory_off_the_odd_subspace(make_flat_profile):
         monitor(traj, make_flat_profile(L=2.0, n=4096), LyapunovConstants(lam=1.0, M2=0.0))
 
 
+def test_monitor_refuses_a_profile_on_another_domain():
+    # an L = 16 pi run against the L = 64 profile reported 0 violations and
+    # a max residual of -1.9e19
+    L = 16.0 * np.pi
+    traj = simulate(random_initial(L, 256, seed=0, odd_only=True), SolveConfig(t_end=1.0, transient=0.0, odd_only=True))
+    profile = build_profile(64.0)
+    with pytest.raises(ValueError, match=r"L = 64\.0 differs from the trajectory's L = 50\.26"):
+        monitor(traj, profile, LyapunovConstants(lam=1.0, M2=forcing_constant(profile)))
+
+
 def _grid_distance(traj, profile):
     """|u - phi|_2^2 per sample from the fields on the grid: the reference
     for monitor's Parseval sum on the half spectrum."""

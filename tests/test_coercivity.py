@@ -392,27 +392,62 @@ def test_singular_sketch_doubles_the_columns(profile32, monkeypatch):
     assert rows == [k, k, 1] and calls == [k, 2 * k]
 
 
-@pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 8192.0])
-@pytest.mark.parametrize("N", [64, 2048])
-def test_one_product_model_matches_two_sided_projection(L, N):
-    # the model U C U^T solved from Y = Omega G_w against Q^T G_w Q formed
-    # from a second product with the same basis Q: on fixed inputs the
-    # one-product error is within 10 times the two-product one
-    window = assemble(build_profile(L), N)._window
+def _compression_errors(window):
+    """The largest entry error per unit |x| on four fixed test rows of two
+    models of G_w: the one-product model U C U^T of ``compressed``, and
+    Q B Q^T formed from a second product with the same first-pass basis Q,
+    each cut by the keep rule. The unit is 1e-12 max(max|theta|,
+    max|w| / 2L), the scale below which that rule drops a Ritz value; it is
+    written here as a literal, so a changed ``_RANK_TOL`` shows too."""
+    N = window.N
     U, C = window.compressed
     k = math.ceil(N * window.share) + 3 * coercivity._OVERSAMPLE
     Q = np.linalg.qr(window.apply(coercivity._test_rows(0, k, N)).T)[0]
     B = window.apply(np.ascontiguousarray(Q.T)) @ Q
     theta, V = np.linalg.eigh(0.5 * (B + B.T))
-    keep = np.abs(theta) > coercivity._RANK_TOL * max(np.abs(theta).max(), np.abs(window.moments).max() / (2.0 * L))
-    U2, C2 = Q @ V[:, keep], theta[keep]
+    unit = 1e-12 * max(np.abs(theta).max(), np.abs(window.moments).max() / (2.0 * window.L))
+    keep = np.abs(theta) > unit
     X = coercivity._test_rows(1000, 1004, N)
     exact = window.apply(X)
 
     def error(U, C):
-        return np.abs(exact - ((X @ U) * C) @ U.T).max() / np.abs(exact).max()
+        per_row = np.abs(exact - ((X @ U) * C) @ U.T).max(axis=1) / np.linalg.norm(X, axis=1)
+        return per_row.max() / unit
 
-    assert error(U, C) <= 10.0 * error(U2, C2)
+    return error(U, C), error(Q @ V[:, keep], theta[keep])
+
+
+@pytest.mark.parametrize("L", [12.0, 32.0, 128.0, 512.0, 8192.0])
+@pytest.mark.parametrize("N", [64, 2048])
+def test_one_product_model_matches_two_sided_projection(L, N):
+    # the one-product model is as accurate as the two-sided projection: both
+    # stay within the keep rule's own scale, on the window and under eight
+    # seeded perturbations of its moments at their rounding level,
+    # 2.5e-16 max|w|. The worst reads 0.054 (a ratio between the two errors
+    # is no bound: at that noise it ranged past 2000)
+    window = assemble(build_profile(L), N)._window
+    scale = 2.5e-16 * np.abs(window.moments).max()
+    windows = [window]
+    for seed in range(8):
+        noise = np.random.default_rng(seed).standard_normal(window.moments.size)
+        windows.append(replace(window, moments=window.moments + scale * noise))
+    for w in windows:
+        one_product, two_sided = _compression_errors(w)
+        assert one_product <= 1.0 and two_sided <= 1.0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda solve, a, b: b, lambda solve, a, b: solve(a, b) * (1.0 + 1e-9)],
+    ids=["solve-skipped", "B-scaled"],
+)
+def test_compression_bound_catches_a_faulty_model(mutate, monkeypatch):
+    # the k x k solve (Omega Q) B^T = R^T skipped reads 9e10 of the unit,
+    # B scaled by 1 + 1e-9 reads 38
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: mutate(solve, a, b))
+    one_product, two_sided = _compression_errors(assemble(build_profile(32.0), 64)._window)
+    assert one_product > 1.0 >= two_sided
 
 
 def test_shifted_variant_shares_compression(profile32):
@@ -553,14 +588,17 @@ def test_structured_path_allocates_no_dense_matrix():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["window", "diagonal", "phi_x_off"])
 def test_structured_rejects_non_finite_before_any_solve(profile32, monkeypatch, bad, where):
-    # a profile with a non-finite window sample or constant phi_x_off, and
-    # a matrix with a non-finite diagonal entry
+    # a profile with a non-finite window sample, and a matrix with a
+    # non-finite diagonal entry; a non-finite constant phi_x_off is refused
+    # by the profile itself, before any matrix forms
     if where == "window":
         window = profile32.window.copy()
         window[window.size // 3] = bad
         m = assemble(replace(profile32, window=window), 512)
     elif where == "phi_x_off":
-        m = assemble(replace(profile32, phi_x_off=bad), 512)
+        with pytest.raises(ValueError, match="phi_x_off must be finite"):
+            replace(profile32, phi_x_off=bad)
+        return
     else:
         m = assemble(profile32, 512)
         m = replace(m, diagonal=np.where(np.arange(512) == 7, bad, m.diagonal))

@@ -515,17 +515,21 @@ def test_moments_computed_on_demand(monkeypatch):
 
 def _moments_as_before(p, count):
     """phi_x's first count cosine moments, of a profile whose moments are
-    not yet kept, in one piece: the window's transform at the length that
-    count takes, with 2 L phi_x_off added to C_0. The reference for
-    ``_window_moments``, which keeps the window's moments and leaves the
-    constant out."""
-    W = p.window.size
-    total = min(potential._pow2(W + count - 1) - W + 1, p.n // 2 + 1)
-    m = np.arange(total, dtype=np.int64)
-    phase = np.exp(-1j * np.pi * ((m * (2 * p.j0 - p.n)) % (2 * p.n)) / p.n)
-    c = p.dx * (phase * potential._window_dft(p.window, p.n, total)).real
-    c[0] += 2.0 * p.L * p.phi_x_off
-    return c[:count]
+    not yet kept, in one piece: the transform, at the length that count
+    takes, of the window folded about x = 0 (index n/2), f_d = v(x_d) +
+    v(x_-d) over the samples the window holds, with 2 L phi_x_off added to
+    C_0. The reference for ``_window_moments``, which keeps the window's
+    moments and leaves the constant out."""
+    c = p.n // 2
+    j = np.arange(p.j0, p.j0 + p.window.size)
+    right = j >= c
+    f = np.zeros(max(p.j0 + p.window.size - c, c - p.j0 + 1))
+    f[j[right] - c] += p.window[right]
+    f[c - j[~right]] += p.window[~right]
+    total = min(potential._pow2(f.size + count - 1) - f.size + 1, p.n // 2 + 1)
+    w = p.dx * potential._window_dft(f, p.n, total).real
+    w[0] += 2.0 * p.L * p.phi_x_off
+    return w[:count]
 
 
 @pytest.mark.parametrize("count", [129, 1025])
@@ -542,6 +546,46 @@ def test_cosine_moments_keep_their_bits(count):
         assert np.array_equal(_bits(got[1:]), _bits(want[1:]))
         assert _bits(got[0] + 2.0 * p.L * p.phi_x_off) == _bits(want[0])
     assert built.phi_x_off != 0.0
+
+
+def _direct_moments(p, count):
+    """dx sum_i v_i cos(m pi x_(j0+i) / L) for m < count, summed directly
+    over the unfolded window, 64 moments at a time, with m (j - n/2) reduced
+    mod n in integers before the cosine."""
+    j = np.arange(p.j0, p.j0 + p.window.size, dtype=np.int64) - p.n // 2
+    out = np.empty(count)
+    for start in range(0, count, 64):
+        m = np.arange(start, min(start + 64, count), dtype=np.int64)[:, None]
+        out[m[:, 0]] = np.cos(2.0 * np.pi * ((m * j) % p.n) / p.n) @ p.window
+    return p.dx * out
+
+
+def _hand_built(j0, W):
+    """A profile on 4096 points at L = 8 whose window of W seeded samples
+    starts at j0: off-centre about x = 0, which is index 2048."""
+    window = np.random.default_rng(j0).standard_normal(W)
+    return PotentialProfile(L=8.0, n=4096, j0=j0, window=window, phi_x_off=0.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_profile(32.0),
+        # the whole grid: its x = -L sample has no partner in the fold
+        lambda: PotentialProfile.from_samples(8.0, np.random.default_rng(1).standard_normal(4096)),
+        lambda: _hand_built(1000, 1500),  # holds x = 0, longer left
+        lambda: _hand_built(2040, 900),  # holds x = 0, longer right
+        lambda: _hand_built(2500, 700),  # right of x = 0
+        lambda: _hand_built(100, 300),  # left of x = 0
+        lambda: _hand_built(0, 2048),  # from x = -L to just left of 0
+    ],
+    ids=["constructed", "whole-grid", "left-heavy", "right-heavy", "right-of-0", "left-of-0", "left-half"],
+)
+def test_folded_moments_match_a_direct_cosine_sum(make):
+    # every moment up to 2048, the Nyquist moment of the 4096-point grids
+    p = make()
+    got, want = p._window_moments(2049), _direct_moments(p, 2049)
+    assert np.max(np.abs(got - want)) <= 1e-12 * p.dx * np.sum(np.abs(p.window))
 
 
 def test_window_moments_stop_at_the_grid_resolution():
@@ -603,6 +647,14 @@ def test_assemble_rejects_bad_shape():
         PotentialProfile.from_samples(4.0, np.zeros(15))
     with pytest.raises(ValueError):
         PotentialProfile.from_samples(4.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("L", [-64.0, 0.0, np.nan, np.inf])
+def test_profile_refuses_a_half_length_that_is_not_finite_and_positive(L):
+    # these failed later in certify: "math domain error" (-64, 0), "cannot
+    # convert float NaN to integer" and an OverflowError (inf)
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        PotentialProfile.from_samples(L, np.ones(4096))
 
 
 def test_profile_round_trip(tmp_path):

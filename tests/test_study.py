@@ -134,6 +134,18 @@ def test_read_rejects_foreign_header(tmp_path):
         read_sweep_csv(path)
 
 
+@pytest.mark.parametrize("edit", [lambda c: c[:3], lambda c: c[:-1], lambda c: c + ["1.0"]], ids=["3", "short", "long"])
+def test_read_refuses_a_row_whose_cells_miss_the_header(sweep_out, tmp_path, edit):
+    # a row cut to its first 3 cells read back as certified=False,
+    # error=None with every norm None, and fit used it
+    lines = sweep_out[1].read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path = tmp_path / "cut.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"line 3 has \d+ cells, not the header's \d+$"):
+        read_sweep_csv(path)
+
+
 def test_sweep_empty_list(tmp_path):
     path = tmp_path / "empty.csv"
     assert sweep([], csv_path=path) == []
