@@ -8,9 +8,10 @@ used as a point of comparison for the constructed one.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,6 +61,7 @@ class PiecewiseParams:
     q1: float = 2.0
 
     def __post_init__(self):
+        _floats(self)
         if not (self.a > 0 and self.q0 > 0 and self.q1 > 0):
             raise ValueError("a, q0, q1 must all be positive")
 
@@ -72,8 +74,21 @@ class SmoothingParams:
     mu: float
 
     def __post_init__(self):
+        _floats(self)
         if not (self.delta > 0 and self.mu > 0):
             raise ValueError("delta and mu must be positive")
+
+
+def _floats(params):
+    """Store each field of a frozen parameter set as a float, so that equal
+    sets (1 and 1.0) are also alike in what they print and save: ``smooth``
+    returns one potential for all of them. TypeError for a field that is
+    not a real number."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{f.name} must be a real number, not {value!r}")
+        object.__setattr__(params, f.name, float(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +129,20 @@ def check_admissible(params: PiecewiseParams) -> MinorsReport:
     )
 
 
+def _require_admissible(params: PiecewiseParams) -> None:
+    """AdmissibilityError naming the inequalities ``check_admissible`` finds failing."""
+    report = check_admissible(params)
+    if not report.passed:
+        raise AdmissibilityError("inadmissible parameters: " + ", ".join(report.failures))
+
+
 def build_piecewise(params: PiecewiseParams):
     """Return the step potential Q(y) as a vectorized callable.
 
     Branch convention: -q0 on 0 <= |y| <= a/2, q1 on a/2 < |y| <= a, 0 beyond
     (boundary points take the left-closed branch).
     """
-    report = check_admissible(params)
-    if not report.passed:
-        raise AdmissibilityError("inadmissible parameters: " + ", ".join(report.failures))
+    _require_admissible(params)
     a, q0, q1 = params.a, params.q0, params.q1
 
     def Q(y):
@@ -295,6 +315,11 @@ def _running_simpson(f, h):
     return out
 
 
+#: how many (params, smoothing) pairs ``smooth`` keeps; each entry is the
+#: parameters and five floats
+_SMOOTHED_MAX = 64
+
+
 def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) -> SmoothedPotential:
     """Mollify the step potential into a C^2 compactly supported Qtilde and
     form qtilde = Qtilde / y^2.
@@ -304,11 +329,24 @@ def smooth(params: PiecewiseParams, smoothing: SmoothingParams | None = None) ->
     persistent failure into an error.
     Each delta tried runs the quadrature of qtilde's integrals once, and
     the potential returned keeps them for its norms.
+
+    The result does not depend on L, and it is computed once per process
+    per parameter set: smoothing defaults to delta = a/64 and mu =
+    ``MEAN_BOUND``, and each (params, smoothing) pair then maps to one
+    potential, kept in a table of the last ``_SMOOTHED_MAX`` pairs used, so
+    ``smooth(p) is smooth(p, SmoothingParams(p.a / 64, 0.75))``. A call
+    that raises keeps nothing, and its repeat raises again.
     """
     if smoothing is None:
         smoothing = SmoothingParams(delta=params.a / 64.0, mu=float(MEAN_BOUND))
+    return _smoothed(params, smoothing)
+
+
+@lru_cache(maxsize=_SMOOTHED_MAX)
+def _smoothed(params: PiecewiseParams, smoothing: SmoothingParams) -> SmoothedPotential:
+    """``smooth`` once its smoothing is resolved."""
     sp = SmoothedPotential(params, smoothing)
-    build_piecewise(params)  # AdmissibilityError before any quadrature
+    _require_admissible(params)  # before any quadrature
     floor = 1e-6 * params.a
     while not sp.mean_qtilde / 2.0 <= -smoothing.mu:
         delta = sp.smoothing.delta / 2.0
@@ -469,7 +507,9 @@ def build_profile(
     smoothing: SmoothingParams | None = None,
 ) -> PotentialProfile:
     """Full pipeline with defaults: step -> smoothed -> scaled -> profile,
-    sampled only where nonzero; a pair other than ``CRITICAL_PAIR``: ValueError."""
+    sampled only where nonzero; a pair other than ``CRITICAL_PAIR``: ValueError.
+    The smoothing is computed once per process per parameter set
+    (``smooth``), so profiles at many L of one parameter set share it."""
     if pair is not None and pair != CRITICAL_PAIR:
         raise ValueError(f"profiles are rescaled by the critical pair (1/3, 4/3), not ({pair.c1}, {pair.c2})")
     if params is None:

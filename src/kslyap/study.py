@@ -173,9 +173,9 @@ def sweep(
     """Build, certify, and bound a profile for each L; optionally simulate.
 
     The smoothed potential does not depend on L: it is computed once per
-    call, and every row rescales it critically. Rows are flushed to csv_path
-    in input order as soon as available, so an interrupted sweep leaves a
-    valid prefix. Per-L failures, scaled_profile's refusal of an L too
+    process per parameter set (``smooth``), and every row rescales it
+    critically. Rows are flushed to csv_path in input order as soon as
+    available, so an interrupted sweep leaves a valid prefix. Per-L failures, scaled_profile's refusal of an L too
     small for the support among them, are recorded in the row's error column
     and do not stop the sweep; a failure to smooth is recorded on every row.
 

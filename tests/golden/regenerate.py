@@ -51,21 +51,41 @@ OUTPUTS = {
 
 
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan))")
+_KEY = re.compile(r'"(\w+)":')
+
+# A pair gap rho - lambda (``verify --json``) is the difference of two
+# numbers near the form's smallest eigenvalue lambda, and a build rounds
+# each to about 1e-13 |lambda|; a gap of 1e-11 can move by 1e-3 of itself.
+# It is compared in units of GAP_UNIT |lambda|, lambda the same report's
+# lambda_min for the form's gap and delta_margin for the shifted form's.
+GAP_UNIT = 1e-13
+_GAP_LAMBDAS = ("lambda_min", "delta_margin")
 
 
 def largest_changes(got, want):
-    """The largest absolute and the largest relative difference between
-    the numbers of two texts whose other characters are equal; None where
-    those differ."""
+    """Between the numbers of two texts whose other characters are equal:
+    the largest absolute and the largest relative difference, pair gaps
+    aside, and the largest difference of a pair gap in units of
+    ``GAP_UNIT`` |lambda|, lambda read from want. None where the other
+    characters differ."""
     got_parts, want_parts = _NUMBER.split(got), _NUMBER.split(want)
     if len(got_parts) != len(want_parts) or got_parts[::2] != want_parts[::2]:
         return None
-    absolute = relative = 0.0
-    for a, b in zip(map(float, got_parts[1::2]), map(float, want_parts[1::2])):
-        if a != b:
+    key, keys = None, []  # the JSON key each number falls under
+    for text in want_parts[:-1:2]:
+        key = (_KEY.findall(text) or [key])[-1]
+        keys.append(key)
+    wanted = list(map(float, want_parts[1::2]))
+    named = dict(zip(keys, wanted))
+    absolute = relative = gap = 0.0
+    gaps = iter(_GAP_LAMBDAS)
+    for key, a, b in zip(keys, map(float, got_parts[1::2]), wanted):
+        if key == "pair_gaps":
+            gap = max(gap, abs(a - b) / (GAP_UNIT * abs(named[next(gaps)])))
+        elif a != b:
             absolute = max(absolute, abs(a - b))
             relative = max(relative, abs(a - b) / max(abs(a), abs(b)))
-    return absolute, relative
+    return absolute, relative, gap
 
 
 def platform_key():
@@ -106,7 +126,10 @@ if __name__ == "__main__":
             elif got == want:
                 print(f"{name}: byte-equal")
             else:
-                print(f"{name}: largest change {changes[0]:.3g} absolute, {changes[1]:.3g} relative")
+                print(
+                    f"{name}: largest change {changes[0]:.3g} absolute, {changes[1]:.3g} relative,"
+                    f" pair gaps {changes[2]:.3g} x {GAP_UNIT:g} |lambda|"
+                )
     else:
         for name in OUTPUTS:
             (HERE / name).write_bytes(render(name))

@@ -13,7 +13,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from kslyap import coercivity, potential
 from kslyap._accel import gram_from_cosine, splitmix53
 from kslyap.coercivity import assemble, certify
-from kslyap.exponents import ExponentPair
+from kslyap.exponents import ExponentPair, ResolutionFaultError
 from kslyap.potential import (
     AdmissibilityError,
     BSConfig,
@@ -267,6 +267,55 @@ def test_smoothed_potential_requires_delta_below_a_quarter():
         smooth(inadmissible, SmoothingParams(delta=0.25, mu=0.75))
     with pytest.raises(AdmissibilityError):
         smooth(inadmissible, SmoothingParams(delta=0.2, mu=0.75))
+
+
+def test_smooth_returns_one_potential_per_parameter_set():
+    # the default smoothing resolved before the lookup, and ints equal to
+    # floats stored as floats, so equal sets share one potential
+    p = PiecewiseParams()
+    assert repr(PiecewiseParams(1, 1, 3)) == repr(PiecewiseParams(1.0, 1.0, 3.0))
+    assert repr(SmoothingParams(1, 2)) == repr(SmoothingParams(1.0, 2.0))
+    with pytest.raises(TypeError, match="a must be a real number"):
+        PiecewiseParams(a="1")
+    sp = smooth(p)
+    assert smooth(p, SmoothingParams(p.a / 64.0, 0.75)) is sp
+    assert smooth(PiecewiseParams(1, 0.5, 2), SmoothingParams(0.015625, 0.75)) is sp
+    assert smooth(PiecewiseParams(0.8, 1.0, 3.0)) is not sp
+    assert smooth(p, SmoothingParams(1.0 / 128.0, 0.75)) is not sp
+    assert smooth(p, SmoothingParams(1.0 / 64.0, 0.5)) is not sp
+
+
+@pytest.mark.parametrize(
+    "error, params, smoothing",
+    [  # parameters that no other test smooths
+        (AdmissibilityError, PiecewiseParams(a=1.0, q0=3.0, q1=3.0), None),
+        (InfeasibleSmoothingError, PiecewiseParams(a=0.9, q0=0.6, q1=2.5), SmoothingParams(0.9 / 8.0, 1e9)),
+        (ResolutionFaultError, PiecewiseParams(a=0.9, q0=0.6, q1=2.5), None),
+    ],
+    ids=["inadmissible", "infeasible", "unresolved"],
+)
+def test_failed_smoothing_is_not_kept(monkeypatch, error, params, smoothing):
+    if error is ResolutionFaultError:
+        # coarse and fine quadratures that disagree
+        monkeypatch.setattr(SmoothedPotential, "_norm_integrals_half", lambda self, n: np.full(4, float(n)))
+    for _ in range(2):
+        before = potential._smoothed.cache_info()
+        with pytest.raises(error):
+            smooth(params, smoothing)
+        after = potential._smoothed.cache_info()
+        # looked up, not found, and nothing kept
+        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses + 1, before.currsize)
+    monkeypatch.undo()
+    if error is ResolutionFaultError:
+        assert smooth(params, smoothing).mean_qtilde < 0.0
+
+
+def test_smoothed_table_stays_bounded():
+    info = potential._smoothed.cache_info()
+    assert info.maxsize == potential._SMOOTHED_MAX
+    for k in range(potential._SMOOTHED_MAX + 4):
+        smooth(PiecewiseParams(), SmoothingParams(1.0 / 64.0, 0.75 + k / 1024.0))
+    assert potential._smoothed.cache_info().currsize == potential._SMOOTHED_MAX
 
 
 def test_scale_to_domain_samples(default_sp, profile32):

@@ -8,7 +8,7 @@ import pytest
 
 from kslyap import study
 from kslyap.coercivity import certify
-from kslyap.potential import PiecewiseParams, SmoothingParams, build_profile, smooth
+from kslyap.potential import PiecewiseParams, SmoothedPotential, SmoothingParams, build_profile, smooth
 from kslyap.solver import simulate as study_simulate
 from kslyap.study import (
     ConditionViolatedError,
@@ -81,6 +81,17 @@ def test_sweep_smooths_once(monkeypatch):
     assert counts == {"smooth": 1}
     for rec in records:
         assert repr(rec.delta_margin) == repr(certify(build_profile(rec.L)).delta_margin)
+
+
+def test_sweep_after_smooth_runs_no_quadrature(monkeypatch):
+    # the sweep's potential is the one smooth already returned, integrals
+    # and all
+    sp = smooth(PiecewiseParams())
+    counts = _count_calls(monkeypatch, SmoothedPotential, ["_norm_integrals_half"])
+    records = sweep([32.0, 64.0], workers=1)
+    assert counts == {"_norm_integrals_half": 0}
+    assert all(rec.certified for rec in records)
+    assert smooth(PiecewiseParams()) is sp
 
 
 def test_sweep_reports_failed_smoothing_on_every_row():
